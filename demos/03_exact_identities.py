@@ -1,8 +1,11 @@
 """The identity battery tying the solver output to independent computations.
 
-The fixed point phi0 of the functional equation satisfies, exactly within
-truncation:
+The solver finds only the t = 0 slice of phi0 by a fixed point and builds
+the t-layers from the differential equation.  The root phi0 of the
+functional equation satisfies, exactly within truncation:
 
+  * the functional equation itself over the whole box, the check that is
+    independent of how the t-layers were built;
   * the universal differential equation (1 - u phi0) phi0_t = (u+1) phi0 + t,
     whose shape does not depend on the target at all;
   * its shifted form (1 + u t - u psi) psi_t = 1 + psi with psi = phi0 + t;
@@ -17,7 +20,8 @@ spread stay at rounding level is a quick sanity test of everything at once.
 """
 
 from stablemaps import (point_target, potential, projective_space, solve_phi0,
-                        verify_dt, verify_implicit_numeric, verify_ode,
+                        verify_dt, verify_functional_equation,
+                        verify_implicit_numeric, verify_ode,
                         verify_potential_expansion)
 
 for name, w, kmax, dmax in (("point", point_target(), 8, ()),
@@ -26,7 +30,9 @@ for name, w, kmax, dmax in (("point", point_target(), 8, ()),
     phi0 = solve_phi0(w, kmax, dmax)
     pot = potential(w, phi0)
     res_a, res_b = verify_ode(phi0)
-    print(f"{name}: ODE residuals zero: {res_a.is_zero and res_b.is_zero};"
+    fe = verify_functional_equation(w, phi0)
+    print(f"{name}: functional equation residual zero: {fe.is_zero};"
+          f" ODE residuals zero: {res_a.is_zero and res_b.is_zero};"
           f" d/dt identity: {verify_dt(pot, phi0, w)};"
           f" potential expansion: {verify_potential_expansion(w, 4, kmax, dmax)}")
 

@@ -8,8 +8,9 @@ coefficient: a closed-form solver built on the unique root of a functional
 equation, and a brute-force sum over isomorphism classes of marked trees.
 A further battery of exact identities (map-space degree recurrence,
 finite-field point counts, the universal differential equation, the
-derivative identity, the potential expansion, the Euler-characteristic
-limit) ties every layer to an independent computation.
+derivative identity, the functional equation's own residual, the potential
+expansion, the Euler-characteristic limit) ties every layer to an
+independent computation.
 """
 
 from .qfield import (BigRat, LINE_CLASS, MOEBIUS_CLASS, RatFunc, UPoly,
@@ -23,8 +24,9 @@ from .trees import (MarkedTree, Tree, WeightedMarking, enum_marked,
                     enum_trees, stratum_class, tree_code, tree_sum_potential,
                     vertex_bound)
 from .solver import (ClassTable, SolverResult, extract_classes, potential,
-                     solve, solve_phi0, verify_dt, verify_implicit_numeric,
-                     verify_ode, verify_potential_expansion)
+                     solve, solve_phi0, verify_dt, verify_functional_equation,
+                     verify_implicit_numeric, verify_ode,
+                     verify_potential_expansion)
 from .eulerchi import (ChiSeries, chi_potential, chi_table, crosscheck_chi,
                        is_constant_series, solve_phi0_chi, xseries)
 
@@ -41,7 +43,8 @@ __all__ = [
     "MarkedTree", "Tree", "WeightedMarking", "enum_marked", "enum_trees",
     "stratum_class", "tree_code", "tree_sum_potential", "vertex_bound",
     "ClassTable", "SolverResult", "extract_classes", "potential", "solve",
-    "solve_phi0", "verify_dt", "verify_implicit_numeric", "verify_ode",
+    "solve_phi0", "verify_dt", "verify_functional_equation",
+    "verify_implicit_numeric", "verify_ode",
     "verify_potential_expansion",
     "ChiSeries", "chi_potential", "chi_table", "crosscheck_chi",
     "is_constant_series", "solve_phi0_chi", "xseries",

@@ -18,8 +18,8 @@ import sys
 
 from .eulerchi import chi_table, crosscheck_chi
 from .solver import (extract_classes, potential, solve_phi0, verify_dt,
-                     verify_implicit_numeric, verify_ode,
-                     verify_potential_expansion)
+                     verify_functional_equation, verify_implicit_numeric,
+                     verify_ode, verify_potential_expansion)
 from .target import (count_maps_bruteforce, parse_target, projective_space,
                      verify_recurrence)
 from .trees import enum_trees, tree_sum_potential
@@ -27,7 +27,7 @@ from .trees import enum_trees, tree_sum_potential
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
-SUITES = ("oracle", "ode", "dt", "potential", "implicit", "recurrence",
+SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
 
 
@@ -98,23 +98,31 @@ def cmd_count_ff(args) -> int:
 
 
 def _run_suite(suite, args):
-    """One named check; returns (ok, detail)."""
-    if suite in ("oracle", "ode", "dt", "potential", "chi", "implicit"):
+    """One named check; returns (ok, detail).  The oracle, ode, dt, fe and
+    chi suites check the corrected routes when args.adams is set."""
+    if suite in ("oracle", "ode", "dt", "fe", "potential", "chi", "implicit"):
         w, dmax = _resolve(args)
+    adams = args.adams
     if suite == "oracle":
-        phi0 = solve_phi0(w, args.kmax, dmax)
-        closed = potential(w, phi0)
-        summed = tree_sum_potential(w, args.kmax, dmax, workers=args.workers)
+        phi0 = solve_phi0(w, args.kmax, dmax, adams=adams)
+        closed = potential(w, phi0, adams=adams)
+        summed = tree_sum_potential(w, args.kmax, dmax, workers=args.workers,
+                                    adams=adams)
         ok = closed == summed
         return ok, "solver potential equals tree sum" if ok else "route mismatch"
     if suite == "ode":
-        res_a, res_b = verify_ode(solve_phi0(w, args.kmax, dmax))
+        res_a, res_b = verify_ode(solve_phi0(w, args.kmax, dmax, adams=adams))
         ok = res_a.is_zero and res_b.is_zero
         return ok, "both residuals vanish" if ok else f"residuals {res_a} ; {res_b}"
     if suite == "dt":
-        phi0 = solve_phi0(w, args.kmax, dmax)
-        ok = verify_dt(potential(w, phi0), phi0, w)
+        phi0 = solve_phi0(w, args.kmax, dmax, adams=adams)
+        ok = verify_dt(potential(w, phi0, adams=adams), phi0, w)
         return ok, "d/dt potential reproduces the fixed point" if ok else "mismatch"
+    if suite == "fe":
+        phi0 = solve_phi0(w, args.kmax, dmax, adams=adams)
+        res = verify_functional_equation(w, phi0, adams=adams)
+        return res.is_zero, ("functional equation holds on the box" if res.is_zero
+                             else f"residual {res}")
     if suite == "potential":
         ok = verify_potential_expansion(w, args.nmax, args.kmax, dmax)
         return ok, f"expansions agree through degree {args.nmax}" if ok else "mismatch"
@@ -125,7 +133,7 @@ def _run_suite(suite, args):
         ok = spread <= args.tolerance
         return ok, f"relative spread {spread:.3e} (tolerance {args.tolerance:.1e})"
     if suite == "chi":
-        ok = crosscheck_chi(w, args.kmax, dmax)
+        ok = crosscheck_chi(w, args.kmax, dmax, adams=adams)
         return ok, "u -> 1 limit matches exact classes" if ok else "mismatch"
     if suite == "recurrence":
         ok = verify_recurrence(args.n, args.dmaxff)
@@ -189,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run named verification suites")
     add_common(p, kmax_default=4)
+    add_adams(p)
     p.add_argument("--suite", action="append", choices=SUITES, required=True,
                    help="repeatable; each suite prints one PASS/FAIL line")
     p.add_argument("--nmax", type=int, default=4, help="phi-degree for the potential suite")
@@ -226,6 +235,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "target", None) == "point" and getattr(args, "dmax", None):
         print("error: the point target has no z-grading; drop --dmax", file=sys.stderr)
+        return USAGE_ERROR
+    if getattr(args, "workers", 1) < 1:
+        print("error: --workers must be >= 1", file=sys.stderr)
         return USAGE_ERROR
     try:
         return args.func(args)

@@ -12,15 +12,21 @@ by the closed form
 
     Phi = P_W * ( -u/(2(u+1)) * phi0**2 + phi0/(u+1) - t**2/(2(u+1)) ).
 
-solve_phi0 finds phi0 by the rearrangement
+Because phi0 solves (*) it also solves the universal differential equation
+(below), and solve_phi0 uses that split.  Only the z-only t = 0 slice
+R0 = phi0|_{t=0} is found by the fixed point, of the rearrangement
 
     phi  <-  E(W,z)*(1+t+phi)**u / (u(u-1) P_W) - (phi + t)/(u-1) - 1/(u(u-1))
 
-whose phi-derivative ((1+t+phi)**(u-1) - 1)/(u-1) vanishes at the origin,
-so every pass is exact to one more total (t, z)-order and the iteration is
-stationary after as many passes as the box has total orders.  (Moving the
+at t = 0, whose phi-derivative ((1+t+phi)**(u-1) - 1)/(u-1) vanishes at the
+origin, so every pass is exact to one more z-order and the iteration is
+stationary after as many passes as the slice has total orders.  (Moving the
 phi u/(u-1) term to the left instead leaves a phi-linear factor 1/u on the
-right, which contracts only u-adically and never becomes stationary.)
+right, which contracts only u-adically and never becomes stationary.)  Each
+further t-layer phi_{k+1}, the t**(k+1) coefficient of phi0, is a z-only
+series solved from the t**k coefficient of the differential equation, with
+(1 - u R0) inverted once.  The same iteration runs on any box, which is how
+the tests compare the two.
 
 With adams=False (the default) this is the specialisation of the
 plethystic count at p_k = 0 for k >= 2: it divides each boundary stratum by
@@ -36,14 +42,15 @@ coarse spaces, u**2 + u + 1 in that example:
         M_k = (1/k) sum_{d | k} mu(k/d) u**d,   R0 = phi0|_{t=0},
 
 and Phi gains P_W * u/(2(u+1)) * psi_2(R0) at t**0.  Since psi_k R0 at
-z-order n only sees R0 below order n, adams_slice finds R0 and A by the same
-stationary iteration on the z-only t = 0 slice, recomputing A from each
-iterate; the full solve then runs once with A fixed.  A does not depend on
-t, so the differential equation and the derivative identity below hold in
-both modes.
+z-order n only sees R0 below order n, the same stationary iteration on the
+t = 0 slice finds R0 with A recomputed from each iterate.  A does not depend
+on t, so the differential equation, the t-layers built from it, and the
+derivative identity below hold in both modes.
 
 The verification operations re-check the solution against everything the
-closed form implies: the universal differential equation
+closed form implies: the residual of (*) itself over the whole box, one
+full-box power independent of how the t-layers were built; the universal
+differential equation
 
     (1 - u*phi0) phi0_t = (u+1) phi0 + t,      equivalently, with
     psi = phi0 + t:   (1 + u t - u psi) psi_t = 1 + psi,
@@ -91,20 +98,32 @@ def _t_monomial(grading, kmax, dmax, power=1) -> MultiSeries:
     return MultiSeries.zero(grading, kmax, dmax)
 
 
-def _fixed_point(w: TargetSpace, kmax: int, dmax, phi, factor=None) -> MultiSeries:
-    """Stationary iteration of the rearrangement of (*); `factor`, when
-    given, maps the current iterate to the z-series multiplying E."""
-    grading = w.grading
+def _rearranged(w: TargetSpace, kmax: int, dmax, factor=None):
+    """The map whose fixed points on the box are the roots of (*):
+
+        phi -> E * F * (1+t+phi)**u / (u(u-1)P_W) - (phi + t)/(u-1) - 1/(u(u-1)),
+
+    where F = factor(phi) is a z-series multiplying E, or 1 when no factor
+    is given.  Its value minus phi is the residual of (*)."""
     prefactor = RatFunc(P_ONE, U * UPoly((-1, 1)) * w.pw)  # 1/(u(u-1)P_W)
     scaled_e = _lifted_eisenstein(w, kmax, dmax).scale(prefactor)
-    t_ser = _t_monomial(grading, kmax, dmax)
-    const = MultiSeries.const(grading, kmax, dmax, _INV_UUM1)
+    t_ser = _t_monomial(w.grading, kmax, dmax)
+    const = MultiSeries.const(w.grading, kmax, dmax, _INV_UUM1)
 
-    passes = kmax + sum(dmax) + 2
-    for _ in range(passes + 1):
+    def step(phi):
         e = scaled_e if factor is None else scaled_e * factor(phi)
         power = series_pow_binomial(t_ser + phi, RF_U)
-        nxt = e * power - (phi + t_ser).scale(_INV_UM1) - const
+        return e * power - (phi + t_ser).scale(_INV_UM1) - const
+    return step
+
+
+def _fixed_point(w: TargetSpace, kmax: int, dmax, phi, factor=None) -> MultiSeries:
+    """Stationary iteration of the rearrangement of (*) on any box, from
+    the starting series phi; `factor` is as in _rearranged."""
+    step = _rearranged(w, kmax, dmax, factor)
+    passes = kmax + sum(dmax) + 2
+    for _ in range(passes + 1):
+        nxt = step(phi)
         if nxt == phi:
             break
         phi = nxt
@@ -116,11 +135,42 @@ def _fixed_point(w: TargetSpace, kmax: int, dmax, phi, factor=None) -> MultiSeri
 
 
 def _adams_factor(r0: MultiSeries) -> MultiSeries:
-    """A = prod_{k=2}^{|dmax|} (1 + psi_k r0)**M_k on the box of r0."""
+    """A = prod_{k=2}^{|dmax|} (1 + psi_k r0)**M_k on the box of r0; only
+    the t = 0 slice of r0 enters, since psi_k sends t to 0."""
     a = MultiSeries.const(r0.grading, r0.kmax, r0.dmax, RF_ONE)
     for k in range(2, sum(r0.dmax) + 1):
         a = a * series_pow_binomial(series_adams(r0, k), RatFunc(necklace(k)))
     return a
+
+
+def _t_layers(r0: MultiSeries, kmax: int) -> list:
+    """The t-layers phi_0 = R0, phi_1, ..., phi_kmax of phi0 = sum phi_k t**k,
+    z-only series on the box of R0, from the universal differential
+    equation.  Its t**k coefficient
+
+        (k+1)(1 - u R0) phi_{k+1}
+            = (u+1) phi_k + [k=1] + u sum_{i=1}^{k} (k-i+1) phi_i phi_{k-i+1}
+
+    has a sum whose terms i and k+1-i add up to (k+1) phi_i phi_{k+1-i}, so
+
+        phi_{k+1} = (1 - u R0)**-1 * ( ((u+1) phi_k + [k=1]) / (k+1)
+                                       + u/2 sum_{i=1}^{k} phi_i phi_{k+1-i} ),
+
+    which takes one product per unordered pair {i, k+1-i}."""
+    inv = series_pow_binomial(r0.scale(-RF_U), -1)  # 1/(1 - u R0)
+    one = MultiSeries.const(r0.grading, 0, r0.dmax, RF_ONE)
+    half_u = RatFunc(UPoly((0, Fraction(1, 2))))
+    layers = [r0]
+    for k in range(kmax):
+        pairs = MultiSeries.zero(r0.grading, 0, r0.dmax)
+        for i in range(1, (k + 1) // 2 + 1):
+            prod = layers[i] * layers[k + 1 - i]
+            pairs = pairs + (prod if 2 * i == k + 1 else prod.scale(2))
+        lin = layers[k].scale(RatFunc(LINE_CLASS))
+        if k == 1:
+            lin = lin + one
+        layers.append(inv * (lin.scale(Fraction(1, k + 1)) + pairs.scale(half_u)))
+    return layers
 
 
 def adams_slice(w: TargetSpace, dmax=None):
@@ -138,20 +188,26 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
     within the truncation box; with adams=True, of (*) with E replaced by
     E * A (see the module docstring).
 
-    `initial` may supply any starting series with zero constant term; the
-    iteration reaches the same fixed point regardless, which is how
-    uniqueness is exercised in the tests.
+    Only the t = 0 slice R0 is found by the fixed point of (*); the
+    t-layers come from the universal differential equation (_t_layers).
+    `initial` seeds that slice: its t = 0 slice may be any series with zero
+    constant term, and the iteration reaches the same R0 regardless, which
+    is how uniqueness is exercised in the tests.  Its higher t-orders are
+    ignored.
     """
     dmax = _norm_dmax(w, dmax)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    phi = MultiSeries.zero(w.grading, kmax, dmax) if initial is None else initial
-    if not phi.constant_term.is_zero:
-        raise ValueError("initial series must have zero constant term")
-    if not adams:
-        return _fixed_point(w, kmax, dmax, phi)
-    a = MultiSeries(w.grading, kmax, dmax, adams_slice(w, dmax)[1].coeffs)
-    return _fixed_point(w, kmax, dmax, phi, factor=lambda _: a)
+    if initial is None:
+        seed = MultiSeries.zero(w.grading, 0, dmax)
+    else:
+        if not initial.constant_term.is_zero:
+            raise ValueError("initial series must have zero constant term")
+        seed = initial.truncate(kmax=0)
+    r0 = _fixed_point(w, 0, dmax, seed, factor=_adams_factor if adams else None)
+    coeffs = {(k, d): c for k, layer in enumerate(_t_layers(r0, kmax))
+              for (_, d), c in layer.coeffs.items()}
+    return MultiSeries(w.grading, kmax, dmax, coeffs)
 
 
 def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False) -> MultiSeries:
@@ -290,6 +346,16 @@ def verify_ode(phi0: MultiSeries):
     res_b = (one + t_ser.scale(RF_U) - psi.scale(RF_U)) * dpsi \
         - one.truncate(kmax=kmax - 1) - psi.truncate(kmax=kmax - 1)
     return res_a, res_b
+
+
+def verify_functional_equation(w: TargetSpace, phi0: MultiSeries,
+                               adams: bool = False) -> MultiSeries:
+    """Residual of (*) on the whole box of phi0, with E * A(phi0|_{t=0}) in
+    place of E when adams=True; the zero series exactly when phi0 solves it.
+    One full-box (1+t+phi0)**u, and nothing from the differential equation
+    that builds the t-layers of solve_phi0."""
+    step = _rearranged(w, phi0.kmax, phi0.dmax, _adams_factor if adams else None)
+    return step(phi0) - phi0
 
 
 def verify_dt(pot: MultiSeries, phi0: MultiSeries, w: TargetSpace) -> bool:

@@ -298,6 +298,11 @@ def target_from_json(data) -> TargetSpace:
         raise ValueError("pw must be a nonzero polynomial")
     classes = {}
     for item in data["classes"]:
+        if not isinstance(item, dict):
+            raise ValueError("each class entry must be a JSON object")
+        for field in ("beta", "value"):
+            if field not in item:
+                raise ValueError(f"class entry missing field {field!r}")
         beta = tuple(int(b) for b in item["beta"])
         if len(beta) != rank:
             raise ValueError(f"beta {beta} does not match rank {rank}")

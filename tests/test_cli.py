@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from stablemaps.cli import main
 from stablemaps.solver import ClassTable
 
@@ -131,6 +133,19 @@ class TestVerify:
         assert [r["suite"] for r in summary["results"]] == [
             "recurrence", "chi", "dt", "potential"]
 
+    def test_fe_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "fe",
+                               "--target", "pn:2", "--kmax", "3", "--dmax", "2")
+        assert code == 0
+        assert "PASS fe" in out
+
+    def test_adams_suites(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--suite", "fe",
+                               "--adams", "--target", "pn:1", "--kmax", "3",
+                               "--dmax", "2")
+        assert code == 0
+        assert "PASS oracle" in out and "PASS fe" in out
+
     def test_failure_exit_code(self, capsys):
         # an impossible tolerance forces a verification failure
         code, out, _ = run_cli(capsys, "verify", "--suite", "implicit",
@@ -189,3 +204,27 @@ class TestErrors:
         code, _, err = run_cli(capsys, "compute", "--target", "file:/nope.json",
                                "--kmax", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"beta": [1]}, "missing field 'value'"),
+        ({"value": {"num": ["1"], "den": ["1"]}}, "missing field 'beta'"),
+        ([1, "1"], "must be a JSON object"),
+    ])
+    def test_bad_class_entry(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "rank": 1, "pw": ["1", "1"],
+                                    "classes": [entry]}))
+        code, _, err = run_cli(capsys, "compute", "--target", f"file:{path}",
+                               "--kmax", "1", "--dmax", "1")
+        assert code == 2
+        assert message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_workers_below_one(self, capsys, command):
+        extra = ("--suite", "oracle") if command == "verify" else ()
+        code, out, err = run_cli(capsys, command, "--target", "point", "--kmax", "3",
+                                 "--workers", "0", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --workers must be >= 1\n"

@@ -5,9 +5,11 @@ import pytest
 from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, UPoly,
                                div_exact, is_palindromic)
 from stablemaps.series import MultiSeries
-from stablemaps.solver import (ClassTable, extract_classes, potential, solve,
-                               solve_phi0, verify_dt, verify_implicit_numeric,
-                               verify_ode, verify_potential_expansion)
+from stablemaps.solver import (ClassTable, _fixed_point, adams_slice,
+                               extract_classes, potential, solve, solve_phi0,
+                               verify_dt, verify_functional_equation,
+                               verify_implicit_numeric, verify_ode,
+                               verify_potential_expansion)
 from stablemaps.target import (nclass, point_target, projective_space,
                                target_from_json)
 
@@ -48,6 +50,26 @@ class TestFixedPoint:
         seed = MultiSeries.const(w.grading, 3, (), RatFunc(1))
         with pytest.raises(ValueError, match="constant term"):
             solve_phi0(w, 3, initial=seed)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("box", ["point", "pn:1", "pn:2", "p1xp1"])
+    def test_equals_full_box_iteration(self, box, adams):
+        # the slice fixed point with t-layers from the differential equation
+        # against the stationary iteration of (*) run on the whole box, with
+        # the Adams factor of the corrected slice held fixed
+        w, kmax, dmax = {
+            "point": (point_target(), 8, ()),
+            "pn:1": (projective_space(1), 5, (3,)),
+            "pn:2": (projective_space(2), 4, (2,)),
+            "p1xp1": (p1xp1_target(), 2, (2, 2)),
+        }[box]
+        zero = MultiSeries.zero(w.grading, kmax, dmax)
+        if adams:
+            a = MultiSeries(w.grading, kmax, dmax, adams_slice(w, dmax)[1].coeffs)
+            reference = _fixed_point(w, kmax, dmax, zero, factor=lambda _: a)
+        else:
+            reference = _fixed_point(w, kmax, dmax, zero)
+        assert solve_phi0(w, kmax, dmax, adams=adams) == reference
 
 
 class TestPotential:
@@ -124,6 +146,24 @@ class TestIdentities:
         res_a, res_b = verify_ode(bad)
         assert not res_a.is_zero
         assert not res_b.is_zero
+
+    def test_functional_equation_residual_vanishes(self, point_run, p1_run, p2_run,
+                                                   p1_adams_run, p2_adams_run):
+        for run, adams in ((point_run, False), (p1_run, False), (p2_run, False),
+                           (p1_adams_run, True), (p2_adams_run, True)):
+            assert verify_functional_equation(run["w"], run["phi0"], adams=adams).is_zero
+        # each mode's fixed point fails the other mode's equation
+        assert not verify_functional_equation(p1_run["w"], p1_run["phi0"], adams=True).is_zero
+        assert not verify_functional_equation(
+            p1_adams_run["w"], p1_adams_run["phi0"], adams=False).is_zero
+
+    @pytest.mark.parametrize("k, d", [(1, (0,)), (2, (1,)), (4, (2,))])
+    def test_functional_equation_detects_tampering(self, p2_run, p2_adams_run, k, d):
+        for run, adams in ((p2_run, False), (p2_adams_run, True)):
+            phi = run["phi0"]
+            bad = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, k, d,
+                                             RatFunc(Fraction(1, 7)))
+            assert not verify_functional_equation(run["w"], bad, adams=adams).is_zero
 
     def test_dt_identity(self, point_run, p1_run, p2_run, p1_adams_run, p2_adams_run):
         for run in (point_run, p1_run, p2_run, p1_adams_run, p2_adams_run):
