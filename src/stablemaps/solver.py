@@ -190,10 +190,10 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
 
     Only the t = 0 slice R0 is found by the fixed point of (*); the
     t-layers come from the universal differential equation (_t_layers).
-    `initial` seeds that slice: its t = 0 slice may be any series with zero
-    constant term, and the iteration reaches the same R0 regardless, which
-    is how uniqueness is exercised in the tests.  Its higher t-orders are
-    ignored.
+    `initial` seeds that slice: its t = 0 slice may be any series on the
+    z-box dmax with zero constant term, and the iteration reaches the same
+    R0 regardless, which is how uniqueness is exercised in the tests.  Its
+    higher t-orders are ignored.
     """
     dmax = _norm_dmax(w, dmax)
     if kmax < 0:
@@ -203,6 +203,8 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
     else:
         if not initial.constant_term.is_zero:
             raise ValueError("initial series must have zero constant term")
+        if initial.grading != w.grading or initial.dmax != dmax:
+            raise ValueError(f"initial series must be on the z-box {dmax}")
         seed = initial.truncate(kmax=0)
     r0 = _fixed_point(w, 0, dmax, seed, factor=_adams_factor if adams else None)
     coeffs = {(k, d): c for k, layer in enumerate(_t_layers(r0, kmax))

@@ -51,6 +51,13 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="constant term"):
             solve_phi0(w, 3, initial=seed)
 
+    def test_rejects_seed_on_other_box(self):
+        # a seed on a smaller z-box would leave the cells outside it unsolved
+        w = projective_space(1)
+        seed = MultiSeries.zero(w.grading, 3, (1,))
+        with pytest.raises(ValueError, match="z-box"):
+            solve_phi0(w, 3, (2,), initial=seed)
+
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("box", ["point", "pn:1", "pn:2", "p1xp1"])
     def test_equals_full_box_iteration(self, box, adams):
