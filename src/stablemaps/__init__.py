@@ -20,9 +20,8 @@ from .series import (Grading, MultiSeries, box_vectors, series_dt,
 from .target import (TargetSpace, count_maps_bruteforce, eisenstein_series,
                      load_target, nclass, parse_target, point_target,
                      projective_space, target_from_json, verify_recurrence)
-from .trees import (MarkedTree, Tree, WeightedMarking, enum_marked,
-                    enum_trees, stratum_class, tree_code, tree_sum_potential,
-                    vertex_bound)
+from .trees import (MarkedTree, Tree, enum_marked, enum_trees, stratum_class,
+                    tree_code, tree_sum_potential, vertex_bound)
 from .solver import (ClassTable, SolverResult, extract_classes, potential,
                      solve, solve_phi0, verify_dt, verify_functional_equation,
                      verify_implicit_numeric, verify_ode,
@@ -40,7 +39,7 @@ __all__ = [
     "TargetSpace", "count_maps_bruteforce", "eisenstein_series", "load_target",
     "nclass", "parse_target", "point_target", "projective_space",
     "target_from_json", "verify_recurrence",
-    "MarkedTree", "Tree", "WeightedMarking", "enum_marked", "enum_trees",
+    "MarkedTree", "Tree", "enum_marked", "enum_trees",
     "stratum_class", "tree_code", "tree_sum_potential", "vertex_bound",
     "ClassTable", "SolverResult", "extract_classes", "potential", "solve",
     "solve_phi0", "verify_dt", "verify_functional_equation",

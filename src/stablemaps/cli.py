@@ -127,9 +127,11 @@ def _run_suite(suite, args):
         ok = verify_potential_expansion(w, args.nmax, args.kmax, dmax)
         return ok, f"expansions agree through degree {args.nmax}" if ok else "mismatch"
     if suite == "implicit":
+        # without --dmax the check keeps its own default box: on the zero
+        # box the series is z-free and the spread says nothing about z
         spread = verify_implicit_numeric(
             w, args.uval, args.zval, [0, "1/200", "1/100"],
-            kmax=max(args.kmax, 10))
+            kmax=max(args.kmax, 10), dmax=dmax if args.dmax else None)
         ok = spread <= args.tolerance
         return ok, f"relative spread {spread:.3e} (tolerance {args.tolerance:.1e})"
     if suite == "chi":

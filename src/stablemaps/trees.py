@@ -13,9 +13,9 @@ with k_v = |S_v|, N the normalized map-space class and eps the stability
 cutoff (zero iff beta_v = 0 and |v| + k_v <= 2).  Summing the strata over
 all isomorphism classes of trees, weighted by 1/|Aut|, and over all weight
 assignments v -> (beta_v, k_v) with t**k_v / k_v! and z**beta_v attached
-yields the full generating series of the moduli classes.  That double sum,
-evaluated directly, is this module's tree_sum_potential: the brute-force
-oracle the closed-form solver is checked against.
+yields the full generating series of the moduli classes.  That double sum
+is this module's tree_sum_potential: the oracle the closed-form solver is
+checked against.
 
 The 1/|Aut| weight is the specialisation p_k = 0 (k >= 2) of the orbit
 count: a stratum is the quotient of a product by Aut, and its coarse class
@@ -39,15 +39,23 @@ through the cycle index of S_m (Polya), a j-cycle of copies of c
 contributing psi_j of c's own average; the root factor depends only on the
 combined cycle type of the children.  A tree is rooted at its centre, or,
 when bicentral, averaged over its two halves (with the swap when they are
-isomorphic).
+isomorphic).  Both weightings run through this one recursion, memoised per
+rooted subtree: the 1/|Aut| sum is its identity term, which keeps only the
+all-1-cycles term sub**m / m! of each class of m identical children and
+drops the swap of a symmetric bicentral tree.
 
-Trees are enumerated without isomorphism duplicates: all canonical rooted
-trees are generated as sorted nested tuples and then identified as free
-trees by re-rooting at the tree center (at the central edge when there are
-two centers).  Automorphism orders come from the same recursion: the
-automorphisms of a rooted tree permute identical child subtrees, so |Aut|
-is a product of multiplicity factorials times child automorphisms, with the
-usual factor 2 for a bicentral tree whose halves are isomorphic.
+Trees are enumerated without isomorphism duplicates and without
+re-rooting (the centre construction of Wright, Richmond, Odlyzko and
+McKay).  Canonical rooted trees are generated as sorted nested tuples; a
+rooted tree is a free tree centred at its root when it is a single vertex
+or its two highest children have equal height, and a bicentral free tree
+is an ordered pair of rooted halves of equal height joined at their
+roots.  Automorphism orders come from the same codes: the automorphisms of
+a rooted tree permute identical child subtrees, so |Aut| is a product of
+multiplicity factorials times child automorphisms, with the usual factor 2
+for a bicentral tree whose halves are isomorphic.  tree_code canonicalises
+an arbitrary labelled tree by finding its centre, independently of the
+enumeration.
 """
 
 from __future__ import annotations
@@ -124,6 +132,11 @@ def _rooted_aut(code) -> int:
     for child, m in _runs(code):
         aut *= factorial(m) * _rooted_aut(child) ** m
     return aut
+
+
+@lru_cache(maxsize=None)
+def _height(code) -> int:
+    return 1 + max(map(_height, code)) if code else 0
 
 
 def _code_to_edges(code) -> list:
@@ -218,20 +231,23 @@ def _code_bytes(fcode) -> bytes:
 class Tree:
     """One isomorphism class of finite trees.
 
+    Built from its centred form, ("C", code) rooted at the centre or
+    ("B", h1, h2) with the halves at the central edge, larger first.
     Carries a concrete representative (vertices 0..vcount-1 with an edge
-    list), the canonical code that identifies the class, and the order of
-    the abstract automorphism group.
+    list, vertex 0 a centre), the canonical code that identifies the class,
+    and the order of the abstract automorphism group.
     """
 
-    __slots__ = ("vcount", "edges", "canonical_code", "aut_order", "valencies")
+    __slots__ = ("vcount", "edges", "canonical_code", "aut_order", "valencies",
+                 "centred")
 
-    def __init__(self, vcount, edges, canonical_code, aut_order):
-        self.vcount = vcount
-        self.edges = tuple(tuple(sorted(e)) for e in edges)
-        if len(self.edges) != vcount - 1:
-            raise ValueError("a tree on v vertices has v - 1 edges")
-        self.canonical_code = canonical_code
-        self.aut_order = aut_order
+    def __init__(self, centred):
+        self.centred = centred
+        rooted = centred[1] if centred[0] == "C" else centred[1] + (centred[2],)
+        self.edges = tuple(_code_to_edges(rooted))
+        self.vcount = vcount = len(self.edges) + 1
+        self.canonical_code = _code_bytes(centred)
+        self.aut_order = _free_aut(centred)
         val = [0] * vcount
         for a, b in self.edges:
             val[a] += 1
@@ -257,17 +273,28 @@ def tree_code(vcount: int, edges) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _enum_trees_cached(vmax: int) -> tuple:
-    found = {}
-    for m in range(1, vmax + 1):
-        for rooted in _rooted_trees(m):
-            edges = _code_to_edges(rooted)
-            adj = _adjacency(m, edges)
-            fcode = _free_code(m, adj)
-            if fcode in found:
-                continue
-            found[fcode] = Tree(m, edges, _code_bytes(fcode), _free_aut(fcode))
-    return tuple(sorted(found.values(), key=lambda t: (t.vcount, t.canonical_code)))
+def _free_trees(m: int) -> tuple:
+    """The free trees on m vertices, each once, sorted by canonical code.
+
+    A canonical rooted tree is centred at its root when it is a single
+    vertex or its two highest children have equal height; a bicentral tree
+    is a pair of rooted halves of equal height, the larger by _tree_key
+    first, as _free_code orders them.
+    """
+    forms = []
+    for code in _rooted_trees(m):
+        heights = sorted(map(_height, code), reverse=True)
+        if not code or (len(code) > 1 and heights[0] == heights[1]):
+            forms.append(("C", code))
+    for size in range((m + 1) // 2, m):
+        by_height = {}
+        for h2 in _rooted_trees(m - size):
+            by_height.setdefault(_height(h2), []).append(h2)
+        for h1 in _rooted_trees(size):
+            for h2 in by_height.get(_height(h1), ()):
+                if 2 * size > m or h1 >= h2:
+                    forms.append(("B", h1, h2))
+    return tuple(sorted((Tree(f) for f in forms), key=lambda t: t.canonical_code))
 
 
 def enum_trees(vmax: int) -> list:
@@ -275,7 +302,7 @@ def enum_trees(vmax: int) -> list:
     (Tree, automorphism order) pairs."""
     if vmax < 1:
         raise ValueError("vmax must be >= 1")
-    return [(t, t.aut_order) for t in _enum_trees_cached(vmax)]
+    return [(t, t.aut_order) for m in range(1, vmax + 1) for t in _free_trees(m)]
 
 
 # --- markings ------------------------------------------------------------------
@@ -312,25 +339,6 @@ class MarkedTree:
 
     def __repr__(self):
         return f"MarkedTree(vcount={self.tree.vcount}, beta={self.beta}, labels={self.labels})"
-
-
-class WeightedMarking:
-    """The (beta_v, k_v) weight assignment used by the tree sum: label sets
-    replaced by their cardinalities."""
-
-    __slots__ = ("tree", "beta", "kv")
-
-    def __init__(self, tree: Tree, beta, kv):
-        self.tree = tree
-        self.beta = tuple(tuple(int(x) for x in b) for b in beta)
-        self.kv = tuple(int(x) for x in kv)
-        if len(self.beta) != tree.vcount or len(self.kv) != tree.vcount:
-            raise ValueError("need one (beta_v, k_v) per vertex")
-        if any(x < 0 for x in self.kv):
-            raise ValueError("k_v must be >= 0")
-
-    def __repr__(self):
-        return f"WeightedMarking(vcount={self.tree.vcount}, beta={self.beta}, kv={self.kv})"
 
 
 def _compositions(total: int, parts: int):
@@ -396,21 +404,6 @@ def stratum_class(w: TargetSpace, marked: MarkedTree) -> RatFunc:
 
 # --- the tree-sum oracle --------------------------------------------------------
 
-def _vertex_factor(w: TargetSpace, valency: int, beta, kv: int) -> RatFunc:
-    """eps * N(W, beta) * C([P^1], valency + kv) * (valency + kv)! / kv!"""
-    key = ("vfac", valency, beta, kv)
-    got = w._cache.get(key)
-    if got is None:
-        n_v = valency + kv
-        if beta == (0,) * len(beta) and n_v <= 2:
-            got = RF_ZERO
-        else:
-            got = nclass(w, beta) * binom_falling(LINE_CLASS, n_v) \
-                * Fraction(factorial(n_v), factorial(kv))
-        w._cache[key] = got
-    return got
-
-
 def vertex_bound(kmax: int, dmax) -> int:
     """Largest vertex count a tree can have and still contribute to the box.
 
@@ -420,70 +413,6 @@ def vertex_bound(kmax: int, dmax) -> int:
     """
     return max(1, 3 * sum(dmax) + kmax - 2)
 
-
-def _tree_cells(w: TargetSpace, tree: Tree, kmax: int, dmax) -> dict:
-    """Sum over weight assignments of one tree: cell (k, beta) -> total of
-    prod_v factor(v); the 1/|Aut| and [W] weights are applied by the caller."""
-    m = tree.vcount
-    val = tree.valencies
-    r = len(dmax)
-    zero = (0,) * r
-
-    # prefix sums of the sorted suffix deficits: zeroing a deficit costs one
-    # unit of remaining curve-class budget, so the best case removes the
-    # largest deficits first
-    deficits = [max(0, 3 - v) for v in val]
-    suffix_best = []
-    for i in range(m + 1):
-        tail = sorted(deficits[i:], reverse=True)
-        sums = [0]
-        for x in tail:
-            sums.append(sums[-1] + x)
-        suffix_best.append(sums)
-
-    def min_k_needed(i, dbudget):
-        sums = suffix_best[i]
-        return sums[-1] - sums[min(dbudget, len(sums) - 1)]
-
-    cells = {}
-
-    def rec(i, kused, dused, acc):
-        if i == m:
-            key = (kused, dused)
-            prev = cells.get(key)
-            cells[key] = acc if prev is None else prev + acc
-            return
-        kleft = kmax - kused
-        dleft = tuple(dmax[j] - dused[j] for j in range(r))
-        if kleft < min_k_needed(i, sum(dleft)):
-            return
-        for b in box_vectors(dleft):
-            kmin = max(0, 3 - val[i]) if b == zero else 0
-            if kmin > kleft:
-                continue
-            dnext = tuple(dused[j] + b[j] for j in range(r))
-            for kv in range(kmin, kleft + 1):
-                f = _vertex_factor(w, val[i], b, kv)
-                if not f.is_zero:
-                    rec(i + 1, kused + kv, dnext, acc * f)
-
-    rec(0, 0, zero, RatFunc(1))
-    return cells
-
-
-def _chunk_cells(w: TargetSpace, trees, kmax: int, dmax) -> dict:
-    total = {}
-    for tree in trees:
-        cells = _tree_cells(w, tree, kmax, dmax)
-        weight = Fraction(1, tree.aut_order)
-        for key, value in cells.items():
-            add = value * weight
-            prev = total.get(key)
-            total[key] = add if prev is None else prev + add
-    return total
-
-
-# --- the Burnside tree sum -----------------------------------------------------
 
 def _partitions(m: int, largest=None):
     """Partitions of m as {part: multiplicity} dicts."""
@@ -529,10 +458,12 @@ def _root_series(w: TargetSpace, ctype, fixed: int, kmax: int, dmax, memo) -> Mu
     return got
 
 
-def _burnside_rooted(w: TargetSpace, code, fixed: int, kmax: int, dmax, memo) -> MultiSeries:
+def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
+                memo) -> MultiSeries:
     """(1/|Aut|) sum_{h in Aut(code)} of the h-fixed weightings of a rooted
     tree, each a product over h's vertex orbits as in the module docstring;
-    every h fixes the root and `fixed` further special points at it."""
+    every h fixes the root and `fixed` further special points at it.
+    Without adams only h = 1 is kept: the sum over all weightings / |Aut|."""
     key = (code, fixed)
     got = memo.get(key)
     if got is not None:
@@ -541,7 +472,7 @@ def _burnside_rooted(w: TargetSpace, code, fixed: int, kmax: int, dmax, memo) ->
     one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
     by_type = {(): one}
     for child, m in _runs(code):
-        sub = _burnside_rooted(w, child, 1, kmax, dmax, memo)
+        sub = _rooted_sum(w, child, 1, kmax, dmax, adams, memo)
         if sub.is_zero:
             memo[key] = zero
             return zero
@@ -555,7 +486,7 @@ def _burnside_rooted(w: TargetSpace, code, fixed: int, kmax: int, dmax, memo) ->
             return got
 
         nxt = {}
-        for lam in _partitions(m):
+        for lam in _partitions(m) if adams else ({1: m},):
             # cycle-index term prod_j psi_j(sub)**e_j / (j**e_j e_j!); the
             # j**e_j cancels against the trace in the root factor
             term, weight = one, 1
@@ -582,7 +513,7 @@ def _burnside_rooted(w: TargetSpace, code, fixed: int, kmax: int, dmax, memo) ->
     return total
 
 
-def _burnside_cells(w: TargetSpace, trees, kmax: int, dmax) -> dict:
+def _tree_sum_cells(w: TargetSpace, trees, kmax: int, dmax, adams: bool) -> dict:
     memo = {}
     total = MultiSeries.zero(w.grading, kmax, dmax)
     for tree in trees:
@@ -591,22 +522,22 @@ def _burnside_cells(w: TargetSpace, trees, kmax: int, dmax) -> dict:
         deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
         if sum(deficits[sum(dmax):]) > kmax:
             continue
-        fcode = _free_code(tree.vcount, _adjacency(tree.vcount, tree.edges))
-        if fcode[0] == "C":
-            total = total + _burnside_rooted(w, fcode[1], 0, kmax, dmax, memo)
+        if tree.centred[0] == "C":
+            total = total + _rooted_sum(w, tree.centred[1], 0, kmax, dmax, adams, memo)
             continue
-        _, h1, h2 = fcode
-        g1 = _burnside_rooted(w, h1, 1, kmax, dmax, memo)
+        _, h1, h2 = tree.centred
+        g1 = _rooted_sum(w, h1, 1, kmax, dmax, adams, memo)
         if h1 != h2:
-            total = total + g1 * _burnside_rooted(w, h2, 1, kmax, dmax, memo)
+            total = total + g1 * _rooted_sum(w, h2, 1, kmax, dmax, adams, memo)
         else:
-            total = total + (g1 * g1 + series_adams(g1, 2)).scale(Fraction(1, 2))
+            # the swap of the halves adds psi_2(g1) to the average
+            pair = g1 * g1 + series_adams(g1, 2) if adams else g1 * g1
+            total = total + pair.scale(Fraction(1, 2))
     return total.coeffs
 
 
 def _chunk_worker(args):
-    w, trees, kmax, dmax, adams = args
-    return (_burnside_cells if adams else _chunk_cells)(w, trees, kmax, dmax)
+    return _tree_sum_cells(*args)
 
 
 def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None, workers: int = 1,
@@ -620,7 +551,8 @@ def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None, workers: int = 1,
 
     over all isomorphism classes of trees up to the vertex bound; with
     adams=True each tree's term is instead averaged over its automorphism
-    group (see the module docstring).  Exact and deterministic for any
+    group.  Both are computed by one recursion over rooted subtrees (see
+    the module docstring).  Exact and deterministic for any
     worker count (workers only chunk the tree list).
     """
     if dmax is None:
@@ -641,10 +573,8 @@ def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None, workers: int = 1,
                 for key, value in part.items():
                     prev = total.get(key)
                     total[key] = value if prev is None else prev + value
-    elif adams:
-        total = _burnside_cells(w, trees, kmax, dmax)
     else:
-        total = _chunk_cells(w, trees, kmax, dmax)
+        total = _tree_sum_cells(w, trees, kmax, dmax, adams)
     pw = RatFunc(w.pw)
     coeffs = {key: value * pw for key, value in total.items() if not value.is_zero}
     return MultiSeries(w.grading, kmax, dmax, coeffs)

@@ -146,6 +146,16 @@ class TestVerify:
         assert code == 0
         assert "PASS oracle" in out and "PASS fe" in out
 
+    def test_implicit_suite_uses_dmax(self, capsys):
+        # the z-truncation moves the spread at z = 1/1000; both boxes pass
+        spreads = []
+        for dmax in ("1", "5"):
+            code, out, _ = run_cli(capsys, "verify", "--suite", "implicit",
+                                   "--target", "pn:1", "--kmax", "10", "--dmax", dmax)
+            assert code == 0 and "PASS implicit" in out
+            spreads.append(out.split("relative spread ")[1].split()[0])
+        assert spreads[0] != spreads[1]
+
     def test_failure_exit_code(self, capsys):
         # an impossible tolerance forces a verification failure
         code, out, _ = run_cli(capsys, "verify", "--suite", "implicit",

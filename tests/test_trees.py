@@ -9,11 +9,14 @@ import pytest
 from stablemaps.qfield import RatFunc, UPoly, is_palindromic
 from stablemaps.series import MultiSeries
 from stablemaps.target import point_target, projective_space
-from stablemaps.trees import (MarkedTree, WeightedMarking, enum_marked,
-                              enum_trees, stratum_class, tree_code,
+from stablemaps.trees import (MarkedTree, _adjacency, _free_aut, _free_code,
+                              enum_marked, enum_trees, stratum_class, tree_code,
                               tree_sum_potential, vertex_bound)
+from test_solver import p1xp1_target
 
-TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11}
+# free trees by vertex count (OEIS A000055)
+TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+               11: 235, 12: 551, 13: 1301}
 
 
 def prufer_to_edges(seq, m):
@@ -50,7 +53,7 @@ def all_labelled_trees(m):
 
 class TestEnumeration:
     def test_counts(self):
-        counts = Counter(t.vcount for t, _ in enum_trees(7))
+        counts = Counter(t.vcount for t, _ in enum_trees(13))
         assert dict(counts) == TREE_COUNTS
 
     def test_single_vertex(self):
@@ -62,10 +65,17 @@ class TestEnumeration:
         assert auts == [2, 6]  # path and star
 
     def test_cayley_formula(self):
-        trees = enum_trees(8)
-        for m in range(2, 9):
+        trees = enum_trees(13)
+        for m in range(2, 14):
             total = sum(Fraction(factorial(m), a) for t, a in trees if t.vcount == m)
             assert total == m ** (m - 2)
+
+    def test_generated_forms_match_recentring(self):
+        # the enumerator builds each tree from its centre; re-centring the
+        # representative's edges must give back its code and |Aut|
+        for t, aut in enum_trees(13):
+            assert tree_code(t.vcount, t.edges) == t.canonical_code
+            assert _free_aut(_free_code(t.vcount, _adjacency(t.vcount, t.edges))) == aut
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
     def test_against_labelled_census(self, m):
@@ -129,13 +139,6 @@ class TestMarkings:
         with pytest.raises(ValueError, match="cover"):
             MarkedTree(tree, ((0,), (0,)), ({1}, {3}))
 
-    def test_weighted_marking_validation(self):
-        tree = self.path2()
-        wm = WeightedMarking(tree, ((1,), (0,)), (0, 3))
-        assert wm.kv == (0, 3)
-        with pytest.raises(ValueError):
-            WeightedMarking(tree, ((1,), (0,)), (0, -1))
-
 
 class TestStratumClass:
     def test_open_cell_of_four_points(self):
@@ -194,40 +197,51 @@ class TestTreeSum:
         par = tree_sum_potential(w, 4, (2,), workers=2, adams=True)
         assert seq == par
 
-    def test_weighted_route_matches_explicit_sum(self):
+    @pytest.mark.parametrize("w, kmax, dmax", [
+        (projective_space(1), 3, (1,)),
+        (point_target(), 6, ()),
+        # rank 2; degree 2 in one ruling reaches the symmetric bicentral
+        # trees whose halves carry a class, where the swap would add psi_2
+        (p1xp1_target(), 1, (2, 1)),
+    ], ids=["pn1", "point", "p1xp1"])
+    def test_weighted_route_matches_explicit_sum(self, w, kmax, dmax):
         # recompute a small box from scratch with independently written
         # weights over explicit (beta_v, k_v) assignments
         from stablemaps.qfield import LINE_CLASS, binom_falling
         from stablemaps.target import nclass
 
-        w = projective_space(1)
-        kmax, dmax = 3, (1,)
+        zero = (0,) * len(dmax)
         got = tree_sum_potential(w, kmax, dmax)
         cells = {}
         for tree, aut in enum_trees(vertex_bound(kmax, dmax)):
-            m = tree.vcount
-            for betas in itertools.product(range(dmax[0] + 1), repeat=m):
-                if sum(betas) > dmax[0]:
-                    continue
-                for kvs in itertools.product(range(kmax + 1), repeat=m):
-                    if sum(kvs) > kmax:
+            m, val = tree.vcount, tree.valencies
+            for betas in bounded_assignments(m, dmax):
+                for kvs in bounded_assignments(m, (kmax,)):
+                    kvs = [k for k, in kvs]
+                    if any(betas[v] == zero and val[v] + kvs[v] <= 2 for v in range(m)):
                         continue
                     term = RatFunc(w.pw) * Fraction(1, aut)
                     for v in range(m):
-                        n_v = tree.valencies[v] + kvs[v]
-                        if betas[v] == 0 and n_v <= 2:
-                            term = RatFunc(0)
-                            break
-                        term = term * nclass(w, (betas[v],)) \
+                        n_v = val[v] + kvs[v]
+                        term = term * nclass(w, betas[v]) \
                             * binom_falling(LINE_CLASS, n_v) \
                             * Fraction(factorial(n_v), factorial(kvs[v]))
-                    if term.is_zero:
-                        continue
-                    key = (sum(kvs), (sum(betas),))
+                    key = (sum(kvs), tuple(map(sum, zip(*betas))))
                     cells[key] = cells.get(key, RatFunc(0)) + term
         expected = MultiSeries(w.grading, kmax, dmax,
                                {k: v for k, v in cells.items() if not v.is_zero})
         assert got == expected
+
+
+def bounded_assignments(m, bound):
+    """All m-tuples of nonnegative vectors whose sum is at most bound."""
+    if m == 0:
+        yield ()
+        return
+    for first in itertools.product(*(range(b + 1) for b in bound)):
+        rest = tuple(b - x for b, x in zip(bound, first))
+        for tail in bounded_assignments(m - 1, rest):
+            yield (first,) + tail
 
 
 def labelled_cell_sum(w, k, beta):
