@@ -13,8 +13,8 @@ expansion, the Euler-characteristic limit) ties every layer to an
 independent computation.
 """
 
-from .qfield import (BigRat, LINE_CLASS, MOEBIUS_CLASS, RatFunc, UPoly,
-                     binom_falling, div_exact, is_palindromic, upoly_gcd)
+from .qfield import (LINE_CLASS, MOEBIUS_CLASS, RatFunc, UPoly, binom_falling,
+                     div_exact, is_palindromic, upoly_gcd)
 from .series import (Grading, MultiSeries, box_vectors, series_dt,
                      series_log1p, series_pow_binomial)
 from .target import (TargetSpace, count_maps_bruteforce, eisenstein_series,
@@ -26,13 +26,13 @@ from .solver import (ClassTable, SolverResult, extract_classes, potential,
                      solve, solve_phi0, verify_dt, verify_functional_equation,
                      verify_implicit_numeric, verify_ode,
                      verify_potential_expansion)
-from .eulerchi import (ChiSeries, chi_potential, chi_table, crosscheck_chi,
+from .eulerchi import (chi_potential, chi_table, crosscheck_chi,
                        is_constant_series, solve_phi0_chi, xseries)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRat", "LINE_CLASS", "MOEBIUS_CLASS", "RatFunc", "UPoly",
+    "LINE_CLASS", "MOEBIUS_CLASS", "RatFunc", "UPoly",
     "binom_falling", "div_exact", "is_palindromic", "upoly_gcd",
     "Grading", "MultiSeries", "box_vectors", "series_dt", "series_log1p",
     "series_pow_binomial",
@@ -45,6 +45,6 @@ __all__ = [
     "solve_phi0", "verify_dt", "verify_functional_equation",
     "verify_implicit_numeric", "verify_ode",
     "verify_potential_expansion",
-    "ChiSeries", "chi_potential", "chi_table", "crosscheck_chi",
+    "chi_potential", "chi_table", "crosscheck_chi",
     "is_constant_series", "solve_phi0_chi", "xseries",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from .eulerchi import chi_table, crosscheck_chi
 from .solver import (extract_classes, potential, solve_phi0, verify_dt,
@@ -31,22 +32,10 @@ SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
 
 
-def _parse_dmax(text):
-    if text is None:
-        return None
-    return tuple(int(x) for x in text.split(","))
-
-
 def _resolve(args):
     w = parse_target(args.target)
-    dmax = _parse_dmax(getattr(args, "dmax", None))
-    if dmax is None:
-        dmax = w.grading.zero
-    elif len(dmax) != w.grading.rank:
-        raise ValueError(
-            f"--dmax {','.join(map(str, dmax))} does not match "
-            f"rank {w.grading.rank} of target {w.name}")
-    return w, dmax
+    dmax = None if args.dmax is None else args.dmax.split(",")
+    return w, w.box(dmax, args.kmax)
 
 
 def _emit(text: str, out_path):
@@ -97,30 +86,47 @@ def cmd_count_ff(args) -> int:
     return 0
 
 
-def _run_suite(suite, args):
-    """One named check; returns (ok, detail).  The oracle, ode, dt, fe and
-    chi suites check the corrected routes when args.adams is set."""
+class _Run:
+    """What the suites of one verify run share, each computed on first use
+    and at most once: the target and its box, phi0 and the potential.  With
+    --adams these are the corrected routes."""
+
+    def __init__(self, args):
+        self.args = args
+
+    @cached_property
+    def box(self):
+        return _resolve(self.args)
+
+    @cached_property
+    def phi0(self):
+        w, dmax = self.box
+        return solve_phi0(w, self.args.kmax, dmax, adams=self.args.adams)
+
+    @cached_property
+    def potential(self):
+        return potential(self.box[0], self.phi0, adams=self.args.adams)
+
+
+def _run_suite(suite, run):
+    """One named check; returns (ok, detail)."""
+    args, adams = run.args, run.args.adams
     if suite in ("oracle", "ode", "dt", "fe", "potential", "chi", "implicit"):
-        w, dmax = _resolve(args)
-    adams = args.adams
+        w, dmax = run.box
     if suite == "oracle":
-        phi0 = solve_phi0(w, args.kmax, dmax, adams=adams)
-        closed = potential(w, phi0, adams=adams)
         summed = tree_sum_potential(w, args.kmax, dmax, workers=args.workers,
                                     adams=adams)
-        ok = closed == summed
+        ok = run.potential == summed
         return ok, "solver potential equals tree sum" if ok else "route mismatch"
     if suite == "ode":
-        res_a, res_b = verify_ode(solve_phi0(w, args.kmax, dmax, adams=adams))
+        res_a, res_b = verify_ode(run.phi0)
         ok = res_a.is_zero and res_b.is_zero
         return ok, "both residuals vanish" if ok else f"residuals {res_a} ; {res_b}"
     if suite == "dt":
-        phi0 = solve_phi0(w, args.kmax, dmax, adams=adams)
-        ok = verify_dt(potential(w, phi0, adams=adams), phi0, w)
+        ok = verify_dt(run.potential, run.phi0, w)
         return ok, "d/dt potential reproduces the fixed point" if ok else "mismatch"
     if suite == "fe":
-        phi0 = solve_phi0(w, args.kmax, dmax, adams=adams)
-        res = verify_functional_equation(w, phi0, adams=adams)
+        res = verify_functional_equation(w, run.phi0, adams=adams)
         return res.is_zero, ("functional equation holds on the box" if res.is_zero
                              else f"residual {res}")
     if suite == "potential":
@@ -154,9 +160,10 @@ def _run_suite(suite, args):
 
 
 def cmd_verify(args) -> int:
+    run = _Run(args)
     results = []
     for suite in args.suite:
-        ok, detail = _run_suite(suite, args)
+        ok, detail = _run_suite(suite, run)
         results.append({"suite": suite, "pass": ok, "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
     summary = {"results": results, "ok": all(r["pass"] for r in results)}
@@ -235,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "target", None) == "point" and getattr(args, "dmax", None):
-        print("error: the point target has no z-grading; drop --dmax", file=sys.stderr)
-        return USAGE_ERROR
     if getattr(args, "workers", 1) < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return USAGE_ERROR

@@ -23,8 +23,7 @@ effective map series E * A: X is read off E * A instead of E, and the
 chi-potential gains chi(W)/4 * psi_2(R0)|_{u=1} at t**0, the u -> 1 value
 of the solver's P_W u/(2(u+1)) psi_2(R0); psi_2(R0) has no pole at u = 1.
 
-Series here have constant rational coefficients; ChiSeries is the same
-MultiSeries container carrying degree-zero values only.
+Series here have constant rational coefficients.
 """
 
 from __future__ import annotations
@@ -33,19 +32,16 @@ from fractions import Fraction
 from math import factorial
 
 from .qfield import RF_ONE, RatFunc
-from .series import MultiSeries, box_vectors, series_adams, series_log1p
-from .solver import (_norm_dmax, _t_monomial, adams_slice, extract_classes,
-                     potential, solve_phi0)
+from .series import MultiSeries, box_vectors, series_adams, series_log1p, stationary
+from .solver import adams_slice, extract_classes, potential, solve_phi0
 from .target import TargetSpace, eisenstein_series
-
-ChiSeries = MultiSeries
 
 
 def is_constant_series(s: MultiSeries) -> bool:
     return all(c.num.degree <= 0 and c.den.degree <= 0 for c in s.coeffs.values())
 
 
-def xseries(w: TargetSpace, dmax=None, factor=None) -> ChiSeries:
+def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
     """The z-series X driving the Euler-limit equation.
 
     Each z**beta coefficient, beta != 0, is the first-order Taylor
@@ -55,7 +51,7 @@ def xseries(w: TargetSpace, dmax=None, factor=None) -> ChiSeries:
     `factor`, a z-series equal to 1 at u = 1 such as the Adams factor A,
     replaces [Map_beta] by the coefficients of E * factor.
     """
-    dmax = _norm_dmax(w, dmax)
+    dmax = w.box(dmax)
     eff = eisenstein_series(w, dmax)
     if factor is not None:
         eff = eff * factor
@@ -70,7 +66,7 @@ def xseries(w: TargetSpace, dmax=None, factor=None) -> ChiSeries:
     return MultiSeries(w.grading, 0, dmax, coeffs)
 
 
-def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> ChiSeries:
+def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> MultiSeries:
     """Unique zero-constant-term solution of the Euler-limit equation,
     exact over Q within the truncation box.
 
@@ -79,46 +75,36 @@ def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> ChiSeries:
     vanishes at the origin, so each pass determines exactly one more total
     order; this is the order-by-order linear solve in iterated form.
     """
-    dmax = _norm_dmax(w, dmax)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    dmax = w.box(dmax, kmax)
     grading = w.grading
     if xs is None:
         xs = xseries(w, dmax)
     xs = MultiSeries(grading, kmax, dmax, xs.coeffs)
     one = MultiSeries.const(grading, kmax, dmax, RF_ONE)
-    t_ser = _t_monomial(grading, kmax, dmax)
+    t_ser = MultiSeries.t_power(grading, kmax, dmax, 1)
 
-    def residual(phi):
+    def step(phi):  # phi + F(phi)
         g = t_ser + phi
-        return (one + g) * series_log1p(g) - phi.scale(2) - t_ser + xs * (one + g)
+        return (one + g) * series_log1p(g) - phi - t_ser + xs * (one + g)
 
-    phi = MultiSeries.zero(grading, kmax, dmax)
-    passes = kmax + sum(dmax) + 2
-    for _ in range(passes + 1):
-        step = residual(phi)
-        if step.is_zero:
-            break
-        phi = phi + step
-    else:
-        raise RuntimeError("order-by-order solve failed to terminate")
+    phi = stationary(step, MultiSeries.zero(grading, kmax, dmax))
     if not is_constant_series(phi):
         raise RuntimeError("Euler-limit solution left the constant field")
     return phi
 
 
-def chi_potential(w: TargetSpace, phi0chi: ChiSeries) -> ChiSeries:
+def chi_potential(w: TargetSpace, phi0chi: MultiSeries) -> MultiSeries:
     """chi(W) * (-phi**2/4 + phi/2 - t**2/4); k! times its coefficient of
     t**k z**beta is the Euler characteristic of the (k, beta) moduli space."""
     kmax, dmax = phi0chi.kmax, phi0chi.dmax
     chi_w = w.pw.eval(1)
     quad = (phi0chi * phi0chi).scale(Fraction(-1, 4))
     lin = phi0chi.scale(Fraction(1, 2))
-    t2 = _t_monomial(w.grading, kmax, dmax, power=2).scale(Fraction(1, 4))
+    t2 = MultiSeries.t_power(w.grading, kmax, dmax, 2).scale(Fraction(1, 4))
     return (quad + lin - t2).scale(chi_w)
 
 
-def _chi_potential_of(w: TargetSpace, kmax: int, dmax, adams: bool) -> ChiSeries:
+def _chi_potential_of(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries:
     if not adams:
         return chi_potential(w, solve_phi0_chi(w, kmax, dmax))
     r0, a = adams_slice(w, dmax)
@@ -133,7 +119,7 @@ def crosscheck_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) ->
     """Run the exact solver and the Euler-limit pipeline at the same
     truncation and compare cell by cell: each polynomial class evaluated at
     u = 1 must equal k! times the chi-potential coefficient."""
-    dmax = _norm_dmax(w, dmax)
+    dmax = w.box(dmax, kmax)
     table = extract_classes(
         potential(w, solve_phi0(w, kmax, dmax, adams=adams), adams=adams), w)
     chi_pot = _chi_potential_of(w, kmax, dmax, adams)
@@ -147,7 +133,7 @@ def crosscheck_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) ->
 
 def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
     """Euler characteristics per cell, as exact rationals."""
-    dmax = _norm_dmax(w, dmax)
+    dmax = w.box(dmax, kmax)
     chi_pot = _chi_potential_of(w, kmax, dmax, adams)
     out = {}
     for key in box_vectors((kmax,) + dmax):

@@ -9,7 +9,7 @@ the variety over the finite field of that size.
 
 Layers:
 
-    Fraction  exact rationals (stdlib), aliased BigRat
+    Fraction  exact rationals (stdlib)
     UPoly     dense polynomials in u over Fraction, trailing zeros trimmed
     RatFunc   reduced num/den pairs of UPoly with monic denominator
 
@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-BigRat = Fraction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)

@@ -21,8 +21,10 @@ has no constant term:
 
 the formal t-derivative, and the Adams operations series_adams(g, k), the
 lambda-ring endomorphisms u -> u**k, z**b -> z**(k b), t -> 0 (t tracks
-labelled marked points, which no nontrivial symmetry can move).  Coefficients are stored sparsely; an absent
-key is a zero coefficient.
+labelled marked points, which no nontrivial symmetry can move).
+stationary(step, phi) is the order-by-order stationary iteration that
+solves both the functional equation and its u -> 1 limit.  Coefficients
+are stored sparsely; an absent key is a zero coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .qfield import RF_ONE, RF_ZERO, RatFunc, UPoly
+from .qfield import RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
 
 
 class Grading:
@@ -141,6 +143,13 @@ class MultiSeries:
         if not value.is_zero:
             s.coeffs[(k, d)] = value
         return s
+
+    @classmethod
+    def t_power(cls, grading, kmax, dmax, power) -> "MultiSeries":
+        """t**power on the box; the zero series when power exceeds kmax."""
+        if power > kmax:
+            return cls.zero(grading, kmax, dmax)
+        return cls.monomial(grading, kmax, dmax, power, grading.zero, RF_ONE)
 
     def _in_box(self, k, d) -> bool:
         return 0 <= k <= self.kmax and all(0 <= di <= mi for di, mi in zip(d, self.dmax))
@@ -291,6 +300,19 @@ class MultiSeries:
         return cls(grading, data["kmax"], dmax, coeffs)
 
 
+def stationary(step, phi: MultiSeries) -> MultiSeries:
+    """Iterate phi <- step(phi) until it stops changing and return that
+    series.  A step that settles one more total order per pass is
+    stationary after at most phi.max_total_order() + 2 updates; a
+    RuntimeError says the iteration never settled."""
+    for _ in range(phi.max_total_order() + 3):
+        nxt = step(phi)
+        if nxt == phi:
+            return phi
+        phi = nxt
+    raise RuntimeError("iteration failed to become stationary")
+
+
 def series_pow_binomial(g: MultiSeries, alpha) -> MultiSeries:
     """(1 + g)**alpha for a series g with zero constant term.
 
@@ -298,8 +320,6 @@ def series_pow_binomial(g: MultiSeries, alpha) -> MultiSeries:
     because g**k has total order at least k.  The exponent may be any
     rational function, so non-integer powers like (1+g)**u are exact.
     """
-    from .qfield import binom_falling
-
     if not g.constant_term.is_zero:
         raise ValueError("binomial base must be 1 + nilpotent part")
     alpha = _coerce_coeff(alpha)

@@ -69,33 +69,18 @@ from fractions import Fraction
 from math import factorial
 
 from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RatFunc,
-                     U, UPoly, binom_falling, format_poly, necklace)
+                     U, UPoly, binom_falling, necklace)
 from .series import (MultiSeries, box_vectors, series_adams, series_dt,
-                     series_pow_binomial)
-from .target import TargetSpace, eisenstein_series, nclass, point_target
+                     series_pow_binomial, stationary)
+from .target import TargetSpace, eisenstein_series, nclass
 
 _INV_UM1 = RatFunc(P_ONE, UPoly((-1, 1)))      # 1/(u-1)
 _INV_UUM1 = RatFunc(P_ONE, UPoly((0, -1, 1)))  # 1/(u(u-1))
 
 
-def _norm_dmax(w: TargetSpace, dmax) -> tuple:
-    if dmax is None:
-        return w.grading.zero
-    dmax = tuple(int(x) for x in dmax)
-    if len(dmax) != w.grading.rank:
-        raise ValueError(f"dmax {dmax} does not match rank {w.grading.rank} of {w.name}")
-    return dmax
-
-
 def _lifted_eisenstein(w: TargetSpace, kmax: int, dmax) -> MultiSeries:
     e = eisenstein_series(w, dmax)
     return MultiSeries(w.grading, kmax, dmax, e.coeffs)
-
-
-def _t_monomial(grading, kmax, dmax, power=1) -> MultiSeries:
-    if kmax >= power:
-        return MultiSeries.monomial(grading, kmax, dmax, power, grading.zero, RF_ONE)
-    return MultiSeries.zero(grading, kmax, dmax)
 
 
 def _rearranged(w: TargetSpace, kmax: int, dmax, factor=None):
@@ -107,7 +92,7 @@ def _rearranged(w: TargetSpace, kmax: int, dmax, factor=None):
     is given.  Its value minus phi is the residual of (*)."""
     prefactor = RatFunc(P_ONE, U * UPoly((-1, 1)) * w.pw)  # 1/(u(u-1)P_W)
     scaled_e = _lifted_eisenstein(w, kmax, dmax).scale(prefactor)
-    t_ser = _t_monomial(w.grading, kmax, dmax)
+    t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
     const = MultiSeries.const(w.grading, kmax, dmax, _INV_UUM1)
 
     def step(phi):
@@ -119,16 +104,8 @@ def _rearranged(w: TargetSpace, kmax: int, dmax, factor=None):
 
 def _fixed_point(w: TargetSpace, kmax: int, dmax, phi, factor=None) -> MultiSeries:
     """Stationary iteration of the rearrangement of (*) on any box, from
-    the starting series phi; `factor` is as in _rearranged."""
-    step = _rearranged(w, kmax, dmax, factor)
-    passes = kmax + sum(dmax) + 2
-    for _ in range(passes + 1):
-        nxt = step(phi)
-        if nxt == phi:
-            break
-        phi = nxt
-    else:
-        raise RuntimeError("fixed-point iteration failed to become stationary")
+    the starting series phi on that box; `factor` is as in _rearranged."""
+    phi = stationary(_rearranged(w, kmax, dmax, factor), phi)
     if not phi.constant_term.is_zero:
         raise RuntimeError("fixed point has a nonzero constant term")
     return phi
@@ -157,6 +134,8 @@ def _t_layers(r0: MultiSeries, kmax: int) -> list:
                                        + u/2 sum_{i=1}^{k} phi_i phi_{k+1-i} ),
 
     which takes one product per unordered pair {i, k+1-i}."""
+    if not kmax:
+        return [r0]
     inv = series_pow_binomial(r0.scale(-RF_U), -1)  # 1/(1 - u R0)
     one = MultiSeries.const(r0.grading, 0, r0.dmax, RF_ONE)
     half_u = RatFunc(UPoly((0, Fraction(1, 2))))
@@ -176,9 +155,7 @@ def _t_layers(r0: MultiSeries, kmax: int) -> list:
 def adams_slice(w: TargetSpace, dmax=None):
     """(R0, A): the t = 0 slice phi0|_{t=0} of the Adams-corrected fixed
     point and its Adams factor A(R0), both z-only series (kmax = 0)."""
-    dmax = _norm_dmax(w, dmax)
-    r0 = _fixed_point(w, 0, dmax, MultiSeries.zero(w.grading, 0, dmax),
-                      factor=_adams_factor)
+    r0 = solve_phi0(w, 0, dmax, adams=True)
     return r0, _adams_factor(r0)
 
 
@@ -195,9 +172,7 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
     R0 regardless, which is how uniqueness is exercised in the tests.  Its
     higher t-orders are ignored.
     """
-    dmax = _norm_dmax(w, dmax)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    dmax = w.box(dmax, kmax)
     if initial is None:
         seed = MultiSeries.zero(w.grading, 0, dmax)
     else:
@@ -220,7 +195,7 @@ def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False) -> MultiSe
     two_up1 = LINE_CLASS.scale(2)
     quad = (phi0 * phi0).scale(RatFunc(UPoly((0, -1)), two_up1))
     lin = phi0.scale(RatFunc(P_ONE, LINE_CLASS))
-    t2 = _t_monomial(w.grading, kmax, dmax, power=2).scale(RatFunc(P_ONE, two_up1))
+    t2 = MultiSeries.t_power(w.grading, kmax, dmax, 2).scale(RatFunc(P_ONE, two_up1))
     total = quad + lin - t2
     if adams:
         total = total + series_adams(phi0, 2).scale(RatFunc(U, two_up1))
@@ -306,14 +281,6 @@ class ClassTable:
             lines.append(f'"{k}","{beta}","{cu}","{cq}","{p.eval(1)}"')
         return "\n".join(lines) + "\n"
 
-    def pretty(self) -> str:
-        lines = []
-        for (k, d) in self.cells():
-            p = self.entries[(k, d)]
-            beta = ",".join(str(x) for x in d) or "-"
-            lines.append(f"k={k} beta={beta}: {format_poly(p.coeffs, 'u')}")
-        return "\n".join(lines)
-
 
 def extract_classes(pot: MultiSeries, w: TargetSpace = None) -> ClassTable:
     """Read off k! times each potential coefficient and certify it is a
@@ -336,12 +303,12 @@ def verify_ode(phi0: MultiSeries):
     grading = phi0.grading
     kmax, dmax = phi0.kmax, phi0.dmax
     one = MultiSeries.const(grading, kmax, dmax, RF_ONE)
-    t_ser = _t_monomial(grading, kmax, dmax)
+    t_ser = MultiSeries.t_power(grading, kmax, dmax, 1)
     dphi = series_dt(phi0)
 
     res_a = (one - phi0.scale(RF_U)) * dphi \
         - phi0.scale(RatFunc(LINE_CLASS)).truncate(kmax=kmax - 1) \
-        - _t_monomial(grading, kmax - 1, dmax)
+        - MultiSeries.t_power(grading, kmax - 1, dmax, 1)
 
     psi = phi0 + t_ser
     dpsi = series_dt(psi)
@@ -399,11 +366,11 @@ def verify_potential_expansion(w: TargetSpace, nmax: int, kmax: int, dmax=None) 
     """
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
-    dmax = _norm_dmax(w, dmax)
+    dmax = w.box(dmax, kmax)
     grading = w.grading
     scaled_e = _lifted_eisenstein(w, kmax, dmax).scale(
         RatFunc(P_ONE, MOEBIUS_CLASS * w.pw))
-    t_ser = _t_monomial(grading, kmax, dmax)
+    t_ser = MultiSeries.t_power(grading, kmax, dmax, 1)
     um1 = UPoly((-1, 1))
 
     for n in range(nmax + 1):
@@ -432,7 +399,7 @@ def verify_potential_expansion(w: TargetSpace, nmax: int, kmax: int, dmax=None) 
             corr = MultiSeries.const(
                 grading, kmax, dmax, RatFunc(P_ONE, LINE_CLASS * U * um1)) \
                 + t_ser.scale(_INV_UUM1) \
-                + _t_monomial(grading, kmax, dmax, 2).scale(RatFunc(P_ONE, um1.scale(2)))
+                + MultiSeries.t_power(grading, kmax, dmax, 2).scale(RatFunc(P_ONE, um1.scale(2)))
             route_two = route_two - corr
 
         if route_one != route_two:
@@ -495,11 +462,3 @@ def verify_implicit_numeric(w: TargetSpace, u_val, z_val, t_samples,
     if mean == 0:
         raise ValueError("degenerate samples")
     return (hi - lo) / abs(mean)
-
-
-def point_entry_table(kmax: int) -> ClassTable:
-    """Classes for the one-point target, used by the product-structure
-    checks of graded targets at beta = 0."""
-    w = point_target()
-    run = solve(w, kmax)
-    return extract_classes(run.potential, w)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from .qfield import MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly
 from .series import Grading, MultiSeries, box_vectors
@@ -64,6 +65,21 @@ class TargetSpace:
 
     def __repr__(self):
         return f"TargetSpace({self.name!r}, rank={self.grading.rank})"
+
+    def box(self, dmax=None, kmax: int = 0) -> tuple:
+        """The z-truncation dmax as a tuple, the zero box for None; rejects
+        a dmax of the wrong rank, a negative component and a negative kmax."""
+        if kmax < 0:
+            raise ValueError(f"kmax {kmax} must be >= 0")
+        if dmax is None:
+            return self.grading.zero
+        dmax = tuple(int(x) for x in dmax)
+        if len(dmax) != self.grading.rank:
+            raise ValueError(f"dmax {dmax} does not match the z-grading of rank "
+                             f"{self.grading.rank} of target {self.name}")
+        if any(x < 0 for x in dmax):
+            raise ValueError(f"dmax {dmax} has a negative component")
+        return dmax
 
     def map_class(self, beta) -> RatFunc:
         """[Map_beta], with [Map_0] = [W] itself."""
@@ -179,14 +195,14 @@ def _dehom(form, p):
 
 
 def _monic_mod(poly, p):
-    inv = pow(poly[-1], p - 2, p) if p > 2 else poly[-1]
+    inv = pow(poly[-1], -1, p)
     return tuple(c * inv % p for c in poly)
 
 
 def _polymod(a, b, p):
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], p - 2, p) if p > 2 else b[-1]
+    inv = pow(b[-1], -1, p)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
@@ -217,17 +233,17 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
     Returns the number of F_p-points of the degree-d map space, which must
     equal the closed-form class [Map_d] evaluated at u = p.
     """
-    if p not in (2, 3, 5):
-        raise ValueError("supported prime fields: p in {2, 3, 5}")
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    raw_size = p ** ((n + 1) * (d + 1))
-    if raw_size > 10 ** 9:
+    slots = n + 1
+    # p**30 exceeds the cap for every p >= 2, so the power stays small
+    if p > 1 and (slots * (d + 1) > 30 or p ** (slots * (d + 1)) > 10 ** 9):
         raise ValueError("too large")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not a prime")
 
     forms = list(itertools.product(range(p), repeat=d + 1))
     per_slot = len(forms)
-    slots = n + 1
 
     step_cache = {}
 
@@ -275,6 +291,13 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
 
 # --- JSON target descriptors --------------------------------------------------
 
+def _json_poly(data, field: str) -> UPoly:
+    # strings or integers only: a JSON float is inexact, and Infinity has no ratio
+    if not isinstance(data, list) or not all(isinstance(c, (str, int)) for c in data):
+        raise ValueError(f"{field} must be a JSON list of coefficient strings")
+    return UPoly.from_json(data)
+
+
 def target_from_json(data) -> TargetSpace:
     """Validate and build a TargetSpace from a parsed JSON descriptor.
 
@@ -293,9 +316,11 @@ def target_from_json(data) -> TargetSpace:
     rank = data["rank"]
     if not isinstance(rank, int) or rank < 1:
         raise ValueError("rank must be an integer >= 1")
-    pw = UPoly.from_json(data["pw"])
+    pw = _json_poly(data["pw"], "pw")
     if pw.is_zero:
         raise ValueError("pw must be a nonzero polynomial")
+    if not isinstance(data["classes"], list):
+        raise ValueError("classes must be a JSON list")
     classes = {}
     for item in data["classes"]:
         if not isinstance(item, dict):
@@ -303,7 +328,10 @@ def target_from_json(data) -> TargetSpace:
         for field in ("beta", "value"):
             if field not in item:
                 raise ValueError(f"class entry missing field {field!r}")
-        beta = tuple(int(b) for b in item["beta"])
+        beta = item["beta"]
+        if not isinstance(beta, list) or not all(isinstance(b, int) for b in beta):
+            raise ValueError("beta must be a JSON list of integers")
+        beta = tuple(beta)
         if len(beta) != rank:
             raise ValueError(f"beta {beta} does not match rank {rank}")
         if any(b < 0 for b in beta):
@@ -312,7 +340,11 @@ def target_from_json(data) -> TargetSpace:
             raise ValueError("beta = 0 must not be listed; it is the target class itself")
         if beta in classes:
             raise ValueError(f"duplicate class entry for beta {beta}")
-        value = RatFunc.from_json(item["value"])
+        value = item["value"]
+        if not isinstance(value, dict) or not {"num", "den"} <= value.keys():
+            raise ValueError(f"value for beta {beta} must be an object with "
+                             "fields 'num' and 'den'")
+        value = RatFunc(_json_poly(value["num"], "num"), _json_poly(value["den"], "den"))
         if value.den.eval(1) == 0:
             raise ValueError(f"class for beta {beta} has a pole at u = 1")
         classes[beta] = value

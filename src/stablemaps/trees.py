@@ -62,8 +62,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
+from operator import mul
 
 from .qfield import LINE_CLASS, RF_ONE, RF_ZERO, RatFunc, binom_falling, necklace
 from .series import MultiSeries, box_vectors, series_adams
@@ -489,12 +490,10 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
         for lam in _partitions(m) if adams else ({1: m},):
             # cycle-index term prod_j psi_j(sub)**e_j / (j**e_j e_j!); the
             # j**e_j cancels against the trace in the root factor
-            term, weight = one, 1
-            for j, e in lam.items():
-                term = term * power(j, e)
-                weight *= factorial(e)
+            term = reduce(mul, (power(j, e) for j, e in lam.items()))
             if term.is_zero:
                 continue
+            weight = prod(map(factorial, lam.values()))
             if weight > 1:
                 term = term.scale(Fraction(1, weight))
             for ctype, acc in by_type.items():
@@ -502,13 +501,15 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
                 for j, e in lam.items():
                     cycles[j] = cycles.get(j, 0) + e
                 merged = tuple(sorted(cycles.items()))
-                prod = acc * term
+                # the empty cycle type holds the unit series
+                product = acc * term if ctype else term
                 prev = nxt.get(merged)
-                nxt[merged] = prod if prev is None else prev + prod
+                nxt[merged] = product if prev is None else prev + product
         by_type = nxt
     total = zero
     for ctype, acc in by_type.items():
-        total = total + acc * _root_series(w, ctype, fixed, kmax, dmax, memo)
+        root = _root_series(w, ctype, fixed, kmax, dmax, memo)
+        total = total + (acc * root if ctype else root)
     memo[key] = total
     return total
 
@@ -555,11 +556,7 @@ def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None, workers: int = 1,
     the module docstring).  Exact and deterministic for any
     worker count (workers only chunk the tree list).
     """
-    if dmax is None:
-        dmax = w.grading.zero
-    dmax = tuple(int(x) for x in dmax)
-    if kmax < 0 or any(x < 0 for x in dmax):
-        raise ValueError("kmax and dmax must be >= 0")
+    dmax = w.box(dmax, kmax)
     trees = [t for t, _ in enum_trees(vertex_bound(kmax, dmax))]
     if workers > 1 and len(trees) > 1:
         from concurrent.futures import ProcessPoolExecutor

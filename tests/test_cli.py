@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stablemaps import cli
 from stablemaps.cli import main
 from stablemaps.solver import ClassTable
 
@@ -146,6 +147,25 @@ class TestVerify:
         assert code == 0
         assert "PASS oracle" in out and "PASS fe" in out
 
+    def test_box_and_phi0_resolved_once(self, capsys, monkeypatch):
+        calls = {"parse_target": 0, "solve_phi0": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--suite", "ode",
+                               "--suite", "dt", "--suite", "fe", "--target", "pn:1",
+                               "--kmax", "3", "--dmax", "2")
+        assert code == 0 and out.count("PASS") == 4
+        assert calls == {"parse_target": 1, "solve_phi0": 1}
+
     def test_implicit_suite_uses_dmax(self, capsys):
         # the z-truncation moves the spread at z = 1/1000; both boxes pass
         spreads = []
@@ -210,6 +230,17 @@ class TestErrors:
         assert code == 2
         assert "rank" in err
 
+    @pytest.mark.parametrize("box", [("--kmax", "2", "--dmax", "1,2"),
+                                     ("--kmax", "2", "--dmax=-1"),
+                                     ("--kmax=-1", "--dmax", "1")])
+    def test_bad_box(self, capsys, box):
+        errors = set()
+        for command in ("compute", "oracle", "euler"):
+            code, out, err = run_cli(capsys, command, "--target", "pn:1", *box)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            errors.add(err)
+        assert len(errors) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--target", "file:/nope.json",
                                "--kmax", "2")
@@ -219,6 +250,9 @@ class TestErrors:
         ({"beta": [1]}, "missing field 'value'"),
         ({"value": {"num": ["1"], "den": ["1"]}}, "missing field 'beta'"),
         ([1, "1"], "must be a JSON object"),
+        ({"beta": 5, "value": {"num": ["1"], "den": ["1"]}}, "beta must be a JSON list"),
+        ({"beta": [1], "value": {"num": 5, "den": ["1"]}}, "num must be a JSON list"),
+        ({"beta": [1], "value": {"num": ["1"]}}, "fields 'num' and 'den'"),
     ])
     def test_bad_class_entry(self, tmp_path, capsys, entry, message):
         path = tmp_path / "bad.json"
@@ -228,6 +262,19 @@ class TestErrors:
                                "--kmax", "1", "--dmax", "1")
         assert code == 2
         assert message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("pw", 5), ("classes", 5),
+                                              ("pw", [float("inf"), 1])])
+    def test_bad_descriptor_field(self, tmp_path, capsys, field, value):
+        desc = {"name": "bad", "rank": 1, "pw": ["1", "1"], "classes": []}
+        desc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(desc))  # writes inf as the JSON extension Infinity
+        code, _, err = run_cli(capsys, "compute", "--target", f"file:{path}",
+                               "--kmax", "1", "--dmax", "1")
+        assert code == 2
+        assert f"{field} must be a JSON list" in err
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["oracle", "verify"])

@@ -7,7 +7,6 @@ from stablemaps.eulerchi import (chi_potential, chi_table, crosscheck_chi,
                                  is_constant_series, solve_phi0_chi, xseries)
 from stablemaps.qfield import RF_ONE, RatFunc
 from stablemaps.series import MultiSeries, series_log1p
-from stablemaps.solver import _t_monomial
 from stablemaps.target import point_target, projective_space
 
 
@@ -33,7 +32,7 @@ class TestXSeries:
 def chi_residual(w, phi, kmax, dmax):
     xs = MultiSeries(w.grading, kmax, dmax, xseries(w, dmax).coeffs)
     one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
-    t = _t_monomial(w.grading, kmax, dmax)
+    t = MultiSeries.t_power(w.grading, kmax, dmax, 1)
     g = t + phi
     return (one + g) * series_log1p(g) - phi.scale(2) - t + xs * (one + g)
 

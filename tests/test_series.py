@@ -6,7 +6,7 @@ import pytest
 
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
 from stablemaps.series import (Grading, MultiSeries, series_adams, series_dt,
-                               series_log1p, series_pow_binomial)
+                               series_log1p, series_pow_binomial, stationary)
 
 G1 = Grading(1)
 G0 = Grading(0)
@@ -212,3 +212,27 @@ class TestDt:
             lhs = series_dt(a * b)
             rhs = series_dt(a) * b + a * series_dt(b)
             assert lhs == rhs
+
+
+class TestTPower:
+    def test_monomial_inside_the_box(self):
+        assert MultiSeries.t_power(G1, 3, (2,), 1) == t_series(3)
+        assert MultiSeries.t_power(G1, 3, (2,), 3) == t_series(3) * t_series(3) * t_series(3)
+
+    def test_zero_beyond_kmax(self):
+        assert MultiSeries.t_power(G1, 1, (2,), 2) == MultiSeries.zero(G1, 1, (2,))
+        assert MultiSeries.t_power(G0, -1, (), 1).is_zero
+
+
+class TestStationary:
+    def test_catalan_fixed_point(self):
+        # phi = t + phi**2 has the Catalan numbers as its t-coefficients
+        t = t_series(6, (0,))
+        phi = stationary(lambda s: t + s * s, MultiSeries.zero(G1, 6, (0,)))
+        assert [phi.coeff(k, (0,)) for k in range(7)] == \
+            [RatFunc(c) for c in (0, 1, 1, 2, 5, 14, 42)]
+
+    def test_never_settling_step_raises(self):
+        one = MultiSeries.const(G1, 3, (2,), RF_ONE)
+        with pytest.raises(RuntimeError, match="stationary"):
+            stationary(lambda s: s + one, MultiSeries.zero(G1, 3, (2,)))

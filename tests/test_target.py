@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+from stablemaps.eulerchi import chi_table, xseries
 from stablemaps.qfield import (MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly,
                                div_exact)
+from stablemaps.solver import solve_phi0
 from stablemaps.target import (count_maps_bruteforce, eisenstein_series,
                                load_target, nclass, parse_target,
                                point_target, projective_space,
                                target_from_json, verify_recurrence)
+from stablemaps.trees import tree_sum_potential
 
 
 def pn_class(n):
@@ -106,6 +109,32 @@ class TestRecurrence:
             assert known[d] == w.map_class((d,))
 
 
+class TestBox:
+    def test_fills_in_and_normalises(self):
+        assert projective_space(2).box(None) == (0,)
+        assert projective_space(2).box([3], 4) == (3,)
+        assert point_target().box(()) == ()
+
+    # (kmax, dmax) on pn:1, each bad in one way
+    BAD = {"rank": (2, (1, 2)), "negative dmax": (2, (-1,)), "negative kmax": (-1, (1,))}
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_one_message_from_every_entry_point(self, bad):
+        w = projective_space(1)
+        kmax, dmax = self.BAD[bad]
+        with pytest.raises(ValueError) as expected:
+            w.box(dmax, kmax)
+        calls = [lambda: solve_phi0(w, kmax, dmax),
+                 lambda: tree_sum_potential(w, kmax, dmax),
+                 lambda: chi_table(w, kmax, dmax)]
+        if kmax >= 0:  # xseries has no t-truncation
+            calls.append(lambda: xseries(w, dmax))
+        for call in calls:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == str(expected.value)
+
+
 class TestBruteForceCount:
     def test_examples(self):
         assert count_maps_bruteforce(1, 1, 2) == 6   # Moebius group over F_2
@@ -127,10 +156,15 @@ class TestBruteForceCount:
     def test_size_guard(self):
         with pytest.raises(ValueError, match="too large"):
             count_maps_bruteforce(3, 3, 5)
+        with pytest.raises(ValueError, match="too large"):
+            count_maps_bruteforce(1, 10 ** 8, 2)  # refused before forming 2**(2*10**8)
 
     def test_prime_restriction(self):
-        with pytest.raises(ValueError):
-            count_maps_bruteforce(1, 1, 7)
+        for p in (1, 4, 6):
+            with pytest.raises(ValueError, match="not a prime"):
+                count_maps_bruteforce(1, 1, p)
+        # any prime under the size cap is accepted
+        assert count_maps_bruteforce(1, 1, 7) == projective_space(1).map_class((1,)).eval_at(7)
 
 
 def p2_descriptor():
