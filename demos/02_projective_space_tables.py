@@ -12,12 +12,18 @@ which leaves rational coefficients, while adams=True keeps the Adams
 operations and gives the Poincare polynomial of the coarse space.
 """
 
-from stablemaps import (extract_classes, point_target, projective_space,
-                        solve)
+from stablemaps import (extract_classes, point_target, potential,
+                        projective_space, solve_phi0)
+
+
+def classes(w, kmax, dmax=None, adams=False):
+    phi0 = solve_phi0(w, kmax, dmax, adams=adams)
+    return extract_classes(potential(w, phi0, adams=adams), w)
+
 
 print("=== target: the projective line, kmax = 4, degrees <= 3 ===")
 w = projective_space(1)
-table = extract_classes(solve(w, 4, (3,)).potential, w)
+table = classes(w, 4, (3,))
 for (k, d) in table.cells():
     p = table.entry(k, d)
     if not p.is_zero:
@@ -27,12 +33,12 @@ print()
 print("=== the Grassmannian of lines, from the degree-one cell ===")
 for n in (1, 2, 3):
     wn = projective_space(n)
-    tn = extract_classes(solve(wn, 0, (1,)).potential, wn)
+    tn = classes(wn, 0, (1,))
     print(f"  lines in P^{n}: {tn.entry(0, (1,))}")
 print()
 
 print("=== degree-zero cells factor through the point target ===")
-point_table = extract_classes(solve(point_target(), 4).potential, point_target())
+point_table = classes(point_target(), 4)
 for k in (3, 4):
     product = point_table.entry(k) * w.pw
     print(f"  k={k}: entry {table.entry(k, (0,))}  ==  [P^1] * ({point_table.entry(k)}):",
@@ -43,9 +49,9 @@ print("=== multiple covers: the Adams operations ===")
 print(f"  degree-2 no-marking space of P^1, default:  {table.entry(0, (2,))}")
 print("  (the p_k = 0 specialisation: the stratum of two degree-one components")
 print("   swapped by Z/2 is divided by 2 instead of taking its invariant part)")
-corrected = extract_classes(solve(w, 4, (3,), adams=True).potential, w)
+corrected = classes(w, 4, (3,), adams=True)
 print(f"  with adams=True:                           {corrected.entry(0, (2,))}")
 print("  (the coarse space is the projective plane of binary quadrics)")
 w2 = projective_space(2)
-conics = extract_classes(solve(w2, 0, (2,), adams=True).potential, w2)
+conics = classes(w2, 0, (2,), adams=True)
 print(f"  complete conics, adams=True: {conics.entry(0, (2,))}")

@@ -11,8 +11,8 @@ import json
 import tempfile
 from pathlib import Path
 
-from stablemaps import (extract_classes, load_target, projective_space,
-                        solve, tree_sum_potential)
+from stablemaps import (extract_classes, load_target, potential,
+                        projective_space, solve_phi0, tree_sum_potential)
 
 builtin = projective_space(2)
 descriptor = {
@@ -33,8 +33,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print()
 
     w = load_target(path)
-    run = solve(w, 3, (2,))
-    table = extract_classes(run.potential, w)
+    pot = potential(w, solve_phi0(w, 3, (2,)))
+    table = extract_classes(pot, w)
     print("class table from the file target:")
     for (k, d) in table.cells():
         p = table.entry(k, d)
@@ -42,8 +42,8 @@ with tempfile.TemporaryDirectory() as tmp:
             print(f"  k={k} d={d[0]}: {p}")
     print()
 
-    reference = extract_classes(solve(builtin, 3, (2,)).potential, builtin)
+    reference = extract_classes(potential(builtin, solve_phi0(builtin, 3, (2,))), builtin)
     same = all(table.entry(k, d) == reference.entry(k, d) for (k, d) in table.cells())
     print("matches the builtin plane target:", same)
     print("tree-sum oracle agrees too:",
-          tree_sum_potential(w, 3, (2,)) == run.potential)
+          tree_sum_potential(w, 3, (2,)) == pot)

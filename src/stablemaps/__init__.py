@@ -22,11 +22,11 @@ from .target import (TargetSpace, count_maps_bruteforce, eisenstein_series,
                      projective_space, target_from_json, verify_recurrence)
 from .trees import (MarkedTree, Tree, enum_marked, enum_trees, stratum_class,
                     tree_code, tree_sum_potential, vertex_bound)
-from .solver import (ClassTable, SolverResult, extract_classes, potential,
-                     solve, solve_phi0, verify_dt, verify_functional_equation,
+from .solver import (ClassTable, extract_classes, potential, solve_phi0,
+                     verify_dt, verify_functional_equation,
                      verify_implicit_numeric, verify_ode,
                      verify_potential_expansion)
-from .eulerchi import (chi_potential, chi_table, crosscheck_chi,
+from .eulerchi import (chi_agrees, chi_potential, chi_table, crosscheck_chi,
                        is_constant_series, solve_phi0_chi, xseries)
 
 __version__ = "0.1.0"
@@ -41,10 +41,9 @@ __all__ = [
     "target_from_json", "verify_recurrence",
     "MarkedTree", "Tree", "enum_marked", "enum_trees",
     "stratum_class", "tree_code", "tree_sum_potential", "vertex_bound",
-    "ClassTable", "SolverResult", "extract_classes", "potential", "solve",
-    "solve_phi0", "verify_dt", "verify_functional_equation",
-    "verify_implicit_numeric", "verify_ode",
+    "ClassTable", "extract_classes", "potential", "solve_phi0", "verify_dt",
+    "verify_functional_equation", "verify_implicit_numeric", "verify_ode",
     "verify_potential_expansion",
-    "chi_potential", "chi_table", "crosscheck_chi",
+    "chi_agrees", "chi_potential", "chi_table", "crosscheck_chi",
     "is_constant_series", "solve_phi0_chi", "xseries",
 ]

@@ -5,7 +5,7 @@ verify (named exact/numeric check suites), euler (Euler-characteristic
 tables), trees (tree census), count-ff (finite-field map count).  All exact
 numbers are serialized as "p/q" strings; the only floats in any output come
 from the advisory implicit-solution check.  Output is byte-identical across
-runs and worker counts.
+runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or data error.
 """
@@ -17,7 +17,7 @@ import json
 import sys
 from functools import cached_property
 
-from .eulerchi import chi_table, crosscheck_chi
+from .eulerchi import chi_agrees, chi_table
 from .solver import (extract_classes, potential, solve_phi0, verify_dt,
                      verify_functional_equation, verify_implicit_numeric,
                      verify_ode, verify_potential_expansion)
@@ -56,9 +56,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.workers != 1:
+        raise ValueError("--workers must be 1: the tree sum runs in one process")
     w, dmax = _resolve(args)
-    series = tree_sum_potential(w, args.kmax, dmax, workers=args.workers,
-                                adams=args.adams)
+    series = tree_sum_potential(w, args.kmax, dmax, adams=args.adams)
     obj = {"target": w.name, "series": series.to_json()}
     _emit(json.dumps(obj, indent=2) + "\n", args.out)
     return 0
@@ -88,8 +89,8 @@ def cmd_count_ff(args) -> int:
 
 class _Run:
     """What the suites of one verify run share, each computed on first use
-    and at most once: the target and its box, phi0 and the potential.  With
-    --adams these are the corrected routes."""
+    and at most once: the target and its box, phi0, the potential and its
+    class table.  With --adams these are the corrected routes."""
 
     def __init__(self, args):
         self.args = args
@@ -107,6 +108,10 @@ class _Run:
     def potential(self):
         return potential(self.box[0], self.phi0, adams=self.args.adams)
 
+    @cached_property
+    def table(self):
+        return extract_classes(self.potential, self.box[0])
+
 
 def _run_suite(suite, run):
     """One named check; returns (ok, detail)."""
@@ -114,8 +119,7 @@ def _run_suite(suite, run):
     if suite in ("oracle", "ode", "dt", "fe", "potential", "chi", "implicit"):
         w, dmax = run.box
     if suite == "oracle":
-        summed = tree_sum_potential(w, args.kmax, dmax, workers=args.workers,
-                                    adams=adams)
+        summed = tree_sum_potential(w, args.kmax, dmax, adams=adams)
         ok = run.potential == summed
         return ok, "solver potential equals tree sum" if ok else "route mismatch"
     if suite == "ode":
@@ -141,7 +145,7 @@ def _run_suite(suite, run):
         ok = spread <= args.tolerance
         return ok, f"relative spread {spread:.3e} (tolerance {args.tolerance:.1e})"
     if suite == "chi":
-        ok = crosscheck_chi(w, args.kmax, dmax, adams=adams)
+        ok = chi_agrees(w, run.table, adams=adams)
         return ok, "u -> 1 limit matches exact classes" if ok else "mismatch"
     if suite == "recurrence":
         ok = verify_recurrence(args.n, args.dmaxff)
@@ -185,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dmax", default=None,
                        help="comma-separated z-truncation per component")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the tree sum")
 
     def add_adams(p):
         p.add_argument("--adams", action="store_true",
@@ -202,6 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="tree-sum series (the brute-force route)")
     add_common(p, kmax_default=4)
     add_adams(p)
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be 1: the tree sum runs in one process")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run named verification suites")
@@ -242,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
     except (ValueError, OSError, ZeroDivisionError) as exc:

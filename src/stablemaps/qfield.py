@@ -15,8 +15,7 @@ Layers:
 
 plus polynomial gcd, evaluation at rational points, Taylor expansion around
 u = 1, and the falling-factorial binomial C(alpha, k) for a rational-function
-alpha.  All values are immutable and all operations are pure, so everything
-here is safe to share across worker processes.
+alpha.  All values are immutable and all operations are pure.
 """
 
 from __future__ import annotations

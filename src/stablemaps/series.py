@@ -190,9 +190,6 @@ class MultiSeries:
         return (self.grading == other.grading and self.kmax == other.kmax
                 and self.dmax == other.dmax and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.grading, self.kmax, self.dmax, frozenset(self.coeffs.items())))
-
     def __neg__(self):
         return MultiSeries._new(self.grading, self.kmax, self.dmax,
                                 {k: -c for k, c in self.coeffs.items()})
@@ -313,41 +310,37 @@ def stationary(step, phi: MultiSeries) -> MultiSeries:
     raise RuntimeError("iteration failed to become stationary")
 
 
-def series_pow_binomial(g: MultiSeries, alpha) -> MultiSeries:
-    """(1 + g)**alpha for a series g with zero constant term.
-
-    Defined as sum_{k>=0} C(alpha, k) g**k, which terminates inside the box
-    because g**k has total order at least k.  The exponent may be any
-    rational function, so non-integer powers like (1+g)**u are exact.
-    """
+def _power_sum(g: MultiSeries, c0, coeff, name: str) -> MultiSeries:
+    """c0 + sum_{k>=1} coeff(k) g**k for a series g with zero constant term
+    (`name` says which series in the error); the sum terminates inside the
+    box because g**k has total order at least k."""
     if not g.constant_term.is_zero:
-        raise ValueError("binomial base must be 1 + nilpotent part")
-    alpha = _coerce_coeff(alpha)
-    result = MultiSeries.const(g.grading, g.kmax, g.dmax, RF_ONE)
+        raise ValueError(f"{name} base must be 1 + nilpotent part")
+    result = MultiSeries.const(g.grading, g.kmax, g.dmax, c0)
     gpow = MultiSeries.const(g.grading, g.kmax, g.dmax, RF_ONE)
-    bound = g.max_total_order()
-    for k in range(1, bound + 1):
+    for k in range(1, g.max_total_order() + 1):
         gpow = gpow * g
         if gpow.is_zero:
             break
-        result = result + gpow.scale(binom_falling(alpha, k))
+        result = result + gpow.scale(coeff(k))
     return result
+
+
+def series_pow_binomial(g: MultiSeries, alpha) -> MultiSeries:
+    """(1 + g)**alpha for a series g with zero constant term.
+
+    Defined as sum_{k>=0} C(alpha, k) g**k, exact inside the box.  The
+    exponent may be any rational function, so non-integer powers like
+    (1+g)**u are exact.
+    """
+    alpha = _coerce_coeff(alpha)
+    return _power_sum(g, RF_ONE, lambda k: binom_falling(alpha, k), "binomial")
 
 
 def series_log1p(g: MultiSeries) -> MultiSeries:
     """log(1 + g) = sum_{k>=1} (-1)**(k+1) g**k / k for g with zero constant
     term; exact inside the box."""
-    if not g.constant_term.is_zero:
-        raise ValueError("logarithm base must be 1 + nilpotent part")
-    result = MultiSeries.zero(g.grading, g.kmax, g.dmax)
-    gpow = MultiSeries.const(g.grading, g.kmax, g.dmax, RF_ONE)
-    bound = g.max_total_order()
-    for k in range(1, bound + 1):
-        gpow = gpow * g
-        if gpow.is_zero:
-            break
-        result = result + gpow.scale(Fraction((-1) ** (k + 1), k))
-    return result
+    return _power_sum(g, RF_ZERO, lambda k: Fraction((-1) ** (k + 1), k), "logarithm")
 
 
 def series_adams(g: MultiSeries, k: int) -> MultiSeries:

@@ -202,24 +202,6 @@ def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False) -> MultiSe
     return total.scale(RatFunc(w.pw))
 
 
-class SolverResult:
-    """Fixed point and potential of one solver run."""
-
-    __slots__ = ("target", "phi0", "potential", "kmax", "dmax")
-
-    def __init__(self, target, phi0, pot):
-        self.target = target
-        self.phi0 = phi0
-        self.potential = pot
-        self.kmax = phi0.kmax
-        self.dmax = phi0.dmax
-
-
-def solve(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> SolverResult:
-    phi0 = solve_phi0(w, kmax, dmax, adams=adams)
-    return SolverResult(w, phi0, potential(w, phi0, adams=adams))
-
-
 class ClassTable:
     """Moduli classes per (k, beta) cell: exact polynomials in u."""
 

@@ -56,13 +56,6 @@ class TargetSpace:
         self.classes = dict(classes) if classes else {}
         self._cache = {}
 
-    def __getstate__(self):
-        return (self.name, self.grading, self.pw, self.builtin, self.n, self.classes)
-
-    def __setstate__(self, state):
-        self.name, self.grading, self.pw, self.builtin, self.n, self.classes = state
-        self._cache = {}
-
     def __repr__(self):
         return f"TargetSpace({self.name!r}, rank={self.grading.rank})"
 

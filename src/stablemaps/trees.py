@@ -255,12 +255,6 @@ class Tree:
             val[b] += 1
         self.valencies = tuple(val)
 
-    def __eq__(self, other):
-        return isinstance(other, Tree) and self.canonical_code == other.canonical_code
-
-    def __hash__(self):
-        return hash(self.canonical_code)
-
     def __repr__(self):
         return (f"Tree(vcount={self.vcount}, aut={self.aut_order}, "
                 f"code={self.canonical_code.decode('ascii')})")
@@ -333,10 +327,6 @@ class MarkedTree:
         self.tree = tree
         self.beta = beta
         self.labels = labels
-
-    @property
-    def k(self) -> int:
-        return sum(len(s) for s in self.labels)
 
     def __repr__(self):
         return f"MarkedTree(vcount={self.tree.vcount}, beta={self.beta}, labels={self.labels})"
@@ -469,14 +459,9 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
     got = memo.get(key)
     if got is not None:
         return got
-    zero = MultiSeries.zero(w.grading, kmax, dmax)
-    one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
-    by_type = {(): one}
+    by_type = {(): MultiSeries.const(w.grading, kmax, dmax, RF_ONE)}
     for child, m in _runs(code):
         sub = _rooted_sum(w, child, 1, kmax, dmax, adams, memo)
-        if sub.is_zero:
-            memo[key] = zero
-            return zero
         powers = {}
 
         def power(j, e):
@@ -506,7 +491,7 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
                 prev = nxt.get(merged)
                 nxt[merged] = product if prev is None else prev + product
         by_type = nxt
-    total = zero
+    total = MultiSeries.zero(w.grading, kmax, dmax)
     for ctype, acc in by_type.items():
         root = _root_series(w, ctype, fixed, kmax, dmax, memo)
         total = total + (acc * root if ctype else root)
@@ -514,10 +499,10 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
     return total
 
 
-def _tree_sum_cells(w: TargetSpace, trees, kmax: int, dmax, adams: bool) -> dict:
+def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries:
     memo = {}
     total = MultiSeries.zero(w.grading, kmax, dmax)
-    for tree in trees:
+    for tree, _ in enum_trees(vertex_bound(kmax, dmax)):
         # a vertex needs valency + k_v >= 3 unless it carries a class; the
         # |dmax| largest deficits are the most a class can waive
         deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
@@ -534,14 +519,10 @@ def _tree_sum_cells(w: TargetSpace, trees, kmax: int, dmax, adams: bool) -> dict
             # the swap of the halves adds psi_2(g1) to the average
             pair = g1 * g1 + series_adams(g1, 2) if adams else g1 * g1
             total = total + pair.scale(Fraction(1, 2))
-    return total.coeffs
+    return total
 
 
-def _chunk_worker(args):
-    return _tree_sum_cells(*args)
-
-
-def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None, workers: int = 1,
+def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None,
                        adams: bool = False) -> MultiSeries:
     """Generating series of moduli classes by direct summation over trees.
 
@@ -553,25 +534,8 @@ def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None, workers: int = 1,
     over all isomorphism classes of trees up to the vertex bound; with
     adams=True each tree's term is instead averaged over its automorphism
     group.  Both are computed by one recursion over rooted subtrees (see
-    the module docstring).  Exact and deterministic for any
-    worker count (workers only chunk the tree list).
+    the module docstring), in one process.  Exact and deterministic.
     """
     dmax = w.box(dmax, kmax)
-    trees = [t for t, _ in enum_trees(vertex_bound(kmax, dmax))]
-    if workers > 1 and len(trees) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [trees[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
-        total = {}
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_chunk_worker,
-                                 [(w, c, kmax, dmax, adams) for c in chunks]):
-                for key, value in part.items():
-                    prev = total.get(key)
-                    total[key] = value if prev is None else prev + value
-    else:
-        total = _tree_sum_cells(w, trees, kmax, dmax, adams)
-    pw = RatFunc(w.pw)
-    coeffs = {key: value * pw for key, value in total.items() if not value.is_zero}
-    return MultiSeries(w.grading, kmax, dmax, coeffs)
+    # the sum runs in its own frame, so its memo is freed before the scale
+    return _tree_sum_cells(w, kmax, dmax, adams).scale(RatFunc(w.pw))

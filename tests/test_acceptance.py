@@ -13,8 +13,8 @@ from math import factorial
 
 from stablemaps.eulerchi import crosscheck_chi, xseries
 from stablemaps.qfield import P_ONE, RatFunc, UPoly, is_palindromic
-from stablemaps.solver import (extract_classes, solve, verify_dt,
-                               verify_implicit_numeric, verify_ode,
+from stablemaps.solver import (extract_classes, potential, solve_phi0,
+                               verify_dt, verify_implicit_numeric, verify_ode,
                                verify_potential_expansion)
 from stablemaps.target import (count_maps_bruteforce, point_target,
                                projective_space, verify_recurrence)
@@ -47,7 +47,7 @@ def test_criterion_2_known_classes(point_run, p1_run, p2_run):
     ok = ok and p1_run["table"].entry(0, (1,)) == P_ONE
     ok = ok and p2_run["table"].entry(0, (1,)) == gaussian_binomial(3, 2)
     w3 = projective_space(3)
-    t3 = extract_classes(solve(w3, 0, (1,)).potential, w3)
+    t3 = extract_classes(potential(w3, solve_phi0(w3, 0, (1,))), w3)
     ok = ok and t3.entry(0, (1,)) == gaussian_binomial(4, 2)
     assert report(2, ok, "known classes: point k=3,4,5; Grassmannian of "
                          "lines for n=1,2,3 (exact)")

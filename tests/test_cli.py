@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stablemaps import cli
+from stablemaps import cli, eulerchi
 from stablemaps.cli import main
 from stablemaps.solver import ClassTable
 
@@ -78,19 +78,9 @@ class TestCompute:
 
 
 class TestOracle:
-    def test_workers_byte_identical(self, tmp_path, capsys):
-        one = tmp_path / "w1.json"
-        two = tmp_path / "w2.json"
-        for path, workers in ((one, "1"), (two, "2")):
-            code = main(["oracle", "--target", "pn:1", "--kmax", "3",
-                         "--dmax", "2", "--workers", workers, "--out", str(path)])
-            assert code == 0
-        capsys.readouterr()
-        assert one.read_bytes() == two.read_bytes()
-
     def test_adams_oracle_matches_adams_compute(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--target", "pn:1", "--kmax", "1",
-                               "--dmax", "2", "--adams", "--workers", "2")
+                               "--dmax", "2", "--adams")
         assert code == 0
         terms = {(t["k"], tuple(t["d"])): t["coeff"] for t in json.loads(out)["series"]["terms"]}
         assert terms[(0, (2,))] == {"num": ["1", "1", "1"], "den": ["1"]}
@@ -148,22 +138,24 @@ class TestVerify:
         assert "PASS oracle" in out and "PASS fe" in out
 
     def test_box_and_phi0_resolved_once(self, capsys, monkeypatch):
+        # solve_phi0 is counted through both bindings that verify can reach
         calls = {"parse_target": 0, "solve_phi0": 0}
 
-        def counted(name):
-            real = getattr(cli, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
+        counted(cli, "parse_target")
+        counted(cli, "solve_phi0")
+        counted(eulerchi, "solve_phi0")
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--suite", "ode",
-                               "--suite", "dt", "--suite", "fe", "--target", "pn:1",
-                               "--kmax", "3", "--dmax", "2")
-        assert code == 0 and out.count("PASS") == 4
+                               "--suite", "dt", "--suite", "fe", "--suite", "chi",
+                               "--target", "pn:1", "--kmax", "3", "--dmax", "2")
+        assert code == 0 and out.count("PASS") == 5
         assert calls == {"parse_target": 1, "solve_phi0": 1}
 
     def test_implicit_suite_uses_dmax(self, capsys):
@@ -279,9 +271,19 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["oracle", "verify"])
     def test_workers_below_one(self, capsys, command):
-        extra = ("--suite", "oracle") if command == "verify" else ()
-        code, out, err = run_cli(capsys, command, "--target", "point", "--kmax", "3",
-                                 "--workers", "0", *extra)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --workers must be >= 1\n"
+        # the tree sum runs in one process: oracle accepts only --workers 1,
+        # and verify has no such flag
+        if command == "verify":
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--suite", "oracle", "--workers", "1"])
+            assert exc.value.code == 2
+            return
+        for workers in ("0", "2"):
+            code, out, err = run_cli(capsys, "oracle", "--target", "point", "--kmax", "3",
+                                     "--workers", workers)
+            assert code == 2
+            assert out == ""
+            assert err == "error: --workers must be 1: the tree sum runs in one process\n"
+        code, out, _ = run_cli(capsys, "oracle", "--target", "point", "--kmax", "3",
+                               "--workers", "1")
+        assert code == 0 and out

@@ -6,7 +6,7 @@ from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, UPoly,
                                div_exact, is_palindromic)
 from stablemaps.series import MultiSeries
 from stablemaps.solver import (ClassTable, _fixed_point, adams_slice,
-                               extract_classes, potential, solve, solve_phi0,
+                               extract_classes, potential, solve_phi0,
                                verify_dt, verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
                                verify_potential_expansion)
@@ -114,8 +114,7 @@ class TestExtractClasses:
         assert p1_run["table"].entry(0, (1,)) == gaussian_binomial(2, 2)
         assert p2_run["table"].entry(0, (1,)) == gaussian_binomial(3, 2)
         w3 = projective_space(3)
-        run3 = solve(w3, 0, (1,))
-        table3 = extract_classes(run3.potential, w3)
+        table3 = extract_classes(potential(w3, solve_phi0(w3, 0, (1,))), w3)
         assert table3.entry(0, (1,)) == gaussian_binomial(4, 2)
         assert table3.entry(0, (1,)) == UPoly((1, 1, 2, 1, 1))
 
@@ -271,12 +270,14 @@ class TestAdamsOperations:
     ])
     def test_projective_cells(self, n, k, d, expected):
         w = projective_space(n)
-        table = extract_classes(solve(w, k, (d,), adams=True).potential, w)
+        phi0 = solve_phi0(w, k, (d,), adams=True)
+        table = extract_classes(potential(w, phi0, adams=True), w)
         assert table.entry(k, (d,)) == UPoly(expected)
 
     def test_p1xp1_cells(self):
         w = p1xp1_target()
-        table = extract_classes(solve(w, 0, (2, 2), adams=True).potential, w)
+        phi0 = solve_phi0(w, 0, (2, 2), adams=True)
+        table = extract_classes(potential(w, phi0, adams=True), w)
         assert table.entry(0, (1, 1)) == UPoly((1, 1, 1, 1))
         assert table.entry(0, (2, 0)) == UPoly((1, 2, 2, 1))  # P^1 x P^2
 

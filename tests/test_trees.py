@@ -185,18 +185,6 @@ class TestTreeSum:
         assert vertex_bound(0, (1,)) == 1
         assert vertex_bound(2, ()) == 1  # never below one vertex
 
-    def test_workers_agree(self):
-        w = projective_space(1)
-        seq = tree_sum_potential(w, 4, (2,), workers=1)
-        par = tree_sum_potential(w, 4, (2,), workers=2)
-        assert seq == par
-
-    def test_workers_agree_with_adams(self):
-        w = projective_space(1)
-        seq = tree_sum_potential(w, 4, (2,), workers=1, adams=True)
-        par = tree_sum_potential(w, 4, (2,), workers=2, adams=True)
-        assert seq == par
-
     @pytest.mark.parametrize("w, kmax, dmax", [
         (projective_space(1), 3, (1,)),
         (point_target(), 6, ()),
