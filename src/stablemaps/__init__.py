@@ -9,8 +9,8 @@ equation, and a brute-force sum over isomorphism classes of marked trees.
 A further battery of exact identities (map-space degree recurrence,
 finite-field point counts, the universal differential equation, the
 derivative identity, the functional equation's own residual, the potential
-expansion, the Euler-characteristic limit) ties every layer to an
-independent computation.
+expansion, the Euler-characteristic limit and its own residual) ties every
+layer to an independent computation.
 """
 
 from .qfield import (LINE_CLASS, MOEBIUS_CLASS, RatFunc, UPoly, binom_falling,
@@ -27,7 +27,8 @@ from .solver import (ClassTable, extract_classes, potential, solve_phi0,
                      verify_implicit_numeric, verify_ode,
                      verify_potential_expansion)
 from .eulerchi import (chi_agrees, chi_potential, chi_table, crosscheck_chi,
-                       is_constant_series, solve_phi0_chi, xseries)
+                       is_constant_series, solve_phi0_chi, verify_log_equation,
+                       xseries)
 
 __version__ = "0.1.0"
 
@@ -45,5 +46,5 @@ __all__ = [
     "verify_functional_equation", "verify_implicit_numeric", "verify_ode",
     "verify_potential_expansion",
     "chi_agrees", "chi_potential", "chi_table", "crosscheck_chi",
-    "is_constant_series", "solve_phi0_chi", "xseries",
+    "is_constant_series", "solve_phi0_chi", "verify_log_equation", "xseries",
 ]

@@ -13,10 +13,22 @@ the map-space classes at u = 1:
     X = sum_{beta != 0} d/du ( [Map_beta] / P_W ) |_{u=1} * z**beta.
 
 For the builtin projective target every coefficient of X equals n, i.e.
-X = n z / (1 - z).  The equation is solved order by order (each new total
-order is determined linearly with an invertible constant), the chi-potential
-is chi(W) * (-phi**2/4 + phi/2 - t**2/4), and chi_agrees confirms that
-k! times its coefficients equal the exact solver classes evaluated at u = 1.
+X = n z / (1 - z).  As in the solver, only the t = 0 slice is solved from
+the equation itself, order by order (each new total order is determined
+linearly with an invertible constant).  Differentiating it in t gives the
+universal differential equation at u = 1,
+
+    (1 - phi) phi_t = 2 phi + t,
+
+from which the t-layers are built with the solver's own layer builder
+(t_layers with u = 1).  The chi-potential is
+chi(W) * (-phi**2/4 + phi/2 - t**2/4), and chi_agrees confirms that k!
+times its coefficients equal the exact solver classes evaluated at u = 1.
+Because both sides of that comparison now build their t-layers from the
+same code, chi_agrees first requires the residual of the logarithmic
+equation over the whole box (verify_log_equation) to vanish; that residual
+uses nothing from the differential equation, so it is the independent
+check on the layers.
 
 With adams=True (see stablemaps.solver) the same limit runs on the
 effective map series E * A: X is read off E * A instead of E, and the
@@ -33,7 +45,8 @@ from math import factorial
 
 from .qfield import RF_ONE, RatFunc
 from .series import MultiSeries, box_vectors, series_adams, series_log1p, stationary
-from .solver import ClassTable, adams_slice, extract_classes, potential, solve_phi0
+from .solver import (ClassTable, adams_slice, extract_classes, potential, solve_phi0,
+                     t_layers)
 from .target import TargetSpace, eisenstein_series
 
 
@@ -66,31 +79,61 @@ def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
     return MultiSeries(w.grading, 0, dmax, coeffs)
 
 
+def _log_step(w: TargetSpace, kmax: int, dmax, xs=None):
+    """The map phi -> phi + F(phi) on the box, with
+
+        F(phi) = (1+t+phi) log(1+t+phi) - 2 phi - t + X (1+t+phi);
+
+    its fixed points are the solutions of the logarithmic equation and its
+    value minus phi is the residual.  X is xseries(w, dmax) unless given."""
+    if xs is None:
+        xs = xseries(w, dmax)
+    xs = MultiSeries(w.grading, kmax, dmax, xs.coeffs)
+    one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
+    t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
+
+    def step(phi):
+        g = t_ser + phi
+        return (one + g) * series_log1p(g) - phi - t_ser + xs * (one + g)
+    return step
+
+
+def _log_fixed_point(w: TargetSpace, kmax: int, dmax, xs=None) -> MultiSeries:
+    """Stationary iteration of _log_step on any box, from zero.  The
+    phi-derivative of phi + F(phi) is log(1+t+phi) + X, which vanishes at
+    the origin, so each pass determines exactly one more total order; this
+    is the order-by-order linear solve in iterated form."""
+    phi = stationary(_log_step(w, kmax, dmax, xs), MultiSeries.zero(w.grading, kmax, dmax))
+    if not is_constant_series(phi):
+        raise RuntimeError("Euler-limit solution left the constant field")
+    return phi
+
+
 def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> MultiSeries:
     """Unique zero-constant-term solution of the Euler-limit equation,
     exact over Q within the truncation box.
 
-    Writing F(phi) for (1+t+phi)log(1+t+phi) - 2 phi - t + X (1+t+phi), the
-    update phi <- phi + F(phi) has phi-derivative log(1+t+phi) + X, which
-    vanishes at the origin, so each pass determines exactly one more total
-    order; this is the order-by-order linear solve in iterated form.
+    Only the t = 0 slice is found by the fixed point of the logarithmic
+    equation (_log_fixed_point on the z-box); the t-layers come from the
+    universal differential equation at u = 1, (1 - phi) phi_t = 2 phi + t,
+    which follows from the logarithmic equation by differentiating in t
+    (solver.t_layers with u = 1).  verify_log_equation re-checks the result
+    on the whole box without that equation.
     """
     dmax = w.box(dmax, kmax)
-    grading = w.grading
-    if xs is None:
-        xs = xseries(w, dmax)
-    xs = MultiSeries(grading, kmax, dmax, xs.coeffs)
-    one = MultiSeries.const(grading, kmax, dmax, RF_ONE)
-    t_ser = MultiSeries.t_power(grading, kmax, dmax, 1)
+    r0 = _log_fixed_point(w, 0, dmax, xs)
+    coeffs = {(k, d): c for k, layer in enumerate(t_layers(r0, kmax, RF_ONE))
+              for (_, d), c in layer.coeffs.items()}
+    return MultiSeries(w.grading, kmax, dmax, coeffs)
 
-    def step(phi):  # phi + F(phi)
-        g = t_ser + phi
-        return (one + g) * series_log1p(g) - phi - t_ser + xs * (one + g)
 
-    phi = stationary(step, MultiSeries.zero(grading, kmax, dmax))
-    if not is_constant_series(phi):
-        raise RuntimeError("Euler-limit solution left the constant field")
-    return phi
+def verify_log_equation(w: TargetSpace, phi: MultiSeries, xs=None) -> MultiSeries:
+    """Residual F(phi) of the logarithmic equation on the whole box of phi,
+    with X = xseries(w, dmax) unless given; the zero series exactly when phi
+    solves it.  One full-box log(1+t+phi), and nothing from the
+    differential equation that builds the t-layers of solve_phi0_chi."""
+    step = _log_step(w, phi.kmax, phi.dmax, xs)
+    return step(phi) - phi
 
 
 def chi_potential(w: TargetSpace, phi0chi: MultiSeries) -> MultiSeries:
@@ -104,40 +147,59 @@ def chi_potential(w: TargetSpace, phi0chi: MultiSeries) -> MultiSeries:
     return (quad + lin - t2).scale(chi_w)
 
 
-def _chi_potential_of(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries:
-    if not adams:
-        return chi_potential(w, solve_phi0_chi(w, kmax, dmax))
-    r0, a = adams_slice(w, dmax)
-    pot = chi_potential(w, solve_phi0_chi(w, kmax, dmax, xs=xseries(w, dmax, factor=a)))
-    scale = Fraction(w.pw.eval(1), 4)
-    corr = {key: RatFunc(c.eval_at(1) * scale)
-            for key, c in series_adams(r0, 2).coeffs.items()}
-    return pot + MultiSeries(w.grading, kmax, dmax, corr)
+def _euler_limit(w: TargetSpace, kmax: int, dmax, adams: bool, r0=None):
+    """(phi, X, chi-potential) of the Euler limit on the box.  With
+    adams=True, X is read off E * A(R0) and the chi-potential carries the
+    psi_2(R0) term; R0 is the t = 0 slice of the Adams-corrected solver
+    fixed point, solved here unless given."""
+    r0, a = adams_slice(w, dmax, r0) if adams else (None, None)
+    xs = xseries(w, dmax, factor=a)
+    phi = solve_phi0_chi(w, kmax, dmax, xs=xs)
+    pot = chi_potential(w, phi)
+    if adams:
+        scale = Fraction(w.pw.eval(1), 4)
+        corr = {key: RatFunc(c.eval_at(1) * scale)
+                for key, c in series_adams(r0, 2).coeffs.items()}
+        pot = pot + MultiSeries(w.grading, kmax, dmax, corr)
+    return phi, xs, pot
 
 
-def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
-    """Euler characteristics per cell, as exact rationals."""
-    dmax = w.box(dmax, kmax)
-    chi_pot = _chi_potential_of(w, kmax, dmax, adams)
+def _cells(chi_pot: MultiSeries) -> dict:
     out = {}
-    for key in box_vectors((kmax,) + dmax):
+    for key in box_vectors((chi_pot.kmax,) + chi_pot.dmax):
         k, d = key[0], key[1:]
         value = chi_pot.coeff(k, d) * factorial(k)
         out[(k, d)] = value.eval_at(0)  # coefficients are constants
     return out
 
 
-def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False) -> bool:
-    """Each class of the exact table evaluated at u = 1 equals the
-    Euler-limit value of its cell on the table's box."""
+def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False,
+              r0=None) -> dict:
+    """Euler characteristics per cell, as exact rationals.  With adams=True,
+    `r0` may pass the t = 0 slice of the Adams-corrected solver fixed point
+    when it is already known (see adams_slice)."""
+    dmax = w.box(dmax, kmax)
+    return _cells(_euler_limit(w, kmax, dmax, adams, r0)[2])
+
+
+def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False,
+               r0=None) -> bool:
+    """The Euler-limit solution has zero log-equation residual on the
+    table's box (verify_log_equation), and each class of the exact table
+    evaluated at u = 1 equals the Euler-limit value of its cell; `r0` is as
+    in chi_table."""
+    phi, xs, chi_pot = _euler_limit(w, table.kmax, table.dmax, adams, r0)
+    if not verify_log_equation(w, phi, xs).is_zero:
+        return False
     exact = {cell: p.eval(1) for cell, p in table.entries.items()}
-    return chi_table(w, table.kmax, table.dmax, adams=adams) == exact
+    return _cells(chi_pot) == exact
 
 
 def crosscheck_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> bool:
     """Run the exact solver and the Euler-limit pipeline at the same
-    truncation and compare cell by cell (chi_agrees)."""
+    truncation and compare cell by cell (chi_agrees, which also requires
+    the full-box log-equation residual to vanish)."""
     dmax = w.box(dmax, kmax)
-    table = extract_classes(
-        potential(w, solve_phi0(w, kmax, dmax, adams=adams), adams=adams), w)
-    return chi_agrees(w, table, adams=adams)
+    phi0 = solve_phi0(w, kmax, dmax, adams=adams)
+    table = extract_classes(potential(w, phi0, adams=adams), w)
+    return chi_agrees(w, table, adams=adams, r0=phi0.truncate(kmax=0) if adams else None)

@@ -120,7 +120,7 @@ def _adams_factor(r0: MultiSeries) -> MultiSeries:
     return a
 
 
-def _t_layers(r0: MultiSeries, kmax: int) -> list:
+def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> list:
     """The t-layers phi_0 = R0, phi_1, ..., phi_kmax of phi0 = sum phi_k t**k,
     z-only series on the box of R0, from the universal differential
     equation.  Its t**k coefficient
@@ -133,29 +133,33 @@ def _t_layers(r0: MultiSeries, kmax: int) -> list:
         phi_{k+1} = (1 - u R0)**-1 * ( ((u+1) phi_k + [k=1]) / (k+1)
                                        + u/2 sum_{i=1}^{k} phi_i phi_{k+1-i} ),
 
-    which takes one product per unordered pair {i, k+1-i}."""
+    which takes one product per unordered pair {i, k+1-i}.  `u` is the
+    variable by default; the Euler limit passes the constant 1, where the
+    equation reads (1 - phi0) phi0_t = 2 phi0 + t."""
     if not kmax:
         return [r0]
-    inv = series_pow_binomial(r0.scale(-RF_U), -1)  # 1/(1 - u R0)
+    inv = series_pow_binomial(r0.scale(-u), -1)  # 1/(1 - u R0)
     one = MultiSeries.const(r0.grading, 0, r0.dmax, RF_ONE)
-    half_u = RatFunc(UPoly((0, Fraction(1, 2))))
+    half_u = u * Fraction(1, 2)
     layers = [r0]
     for k in range(kmax):
         pairs = MultiSeries.zero(r0.grading, 0, r0.dmax)
         for i in range(1, (k + 1) // 2 + 1):
             prod = layers[i] * layers[k + 1 - i]
             pairs = pairs + (prod if 2 * i == k + 1 else prod.scale(2))
-        lin = layers[k].scale(RatFunc(LINE_CLASS))
+        lin = layers[k].scale(u + 1)
         if k == 1:
             lin = lin + one
         layers.append(inv * (lin.scale(Fraction(1, k + 1)) + pairs.scale(half_u)))
     return layers
 
 
-def adams_slice(w: TargetSpace, dmax=None):
+def adams_slice(w: TargetSpace, dmax=None, r0=None):
     """(R0, A): the t = 0 slice phi0|_{t=0} of the Adams-corrected fixed
-    point and its Adams factor A(R0), both z-only series (kmax = 0)."""
-    r0 = solve_phi0(w, 0, dmax, adams=True)
+    point and its Adams factor A(R0), both z-only series (kmax = 0).  A
+    slice already solved may be passed as `r0`; then only A is computed."""
+    if r0 is None:
+        r0 = solve_phi0(w, 0, dmax, adams=True)
     return r0, _adams_factor(r0)
 
 
@@ -166,7 +170,7 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
     E * A (see the module docstring).
 
     Only the t = 0 slice R0 is found by the fixed point of (*); the
-    t-layers come from the universal differential equation (_t_layers).
+    t-layers come from the universal differential equation (t_layers).
     `initial` seeds that slice: its t = 0 slice may be any series on the
     z-box dmax with zero constant term, and the iteration reaches the same
     R0 regardless, which is how uniqueness is exercised in the tests.  Its
@@ -182,7 +186,7 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
             raise ValueError(f"initial series must be on the z-box {dmax}")
         seed = initial.truncate(kmax=0)
     r0 = _fixed_point(w, 0, dmax, seed, factor=_adams_factor if adams else None)
-    coeffs = {(k, d): c for k, layer in enumerate(_t_layers(r0, kmax))
+    coeffs = {(k, d): c for k, layer in enumerate(t_layers(r0, kmax))
               for (_, d), c in layer.coeffs.items()}
     return MultiSeries(w.grading, kmax, dmax, coeffs)
 

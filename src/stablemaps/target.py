@@ -179,8 +179,8 @@ def verify_recurrence(n: int, dmax: int) -> bool:
 _UNIT = "unit"
 
 
-def _dehom(form, p):
-    # low-to-high coefficients of P(x) = f(x, 1); () for the zero form
+def _dehom(form):
+    # low-to-high coefficients of P(x) = f(x, 1) for a nonzero form
     cs = list(reversed(form))
     while cs and cs[-1] == 0:
         cs.pop()
@@ -221,7 +221,12 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
     and divides by p - 1 (the free scalar action).  The running gcd over the
     processed prefix is the only state a suffix needs, so transitions are
     memoized and a prefix that already reached a unit gcd counts its
-    completions in one step; the count is exactly the naive one.
+    completions in one step.  Each slot visits the zero form once, which
+    leaves the state alone, and one form per F_p^* orbit of nonzero forms
+    (first nonzero coefficient 1) with weight p - 1: scaling a form by
+    c != 0 changes neither its t1-valuation nor its monic dehomogenization,
+    so every form of an orbit has the same transition.  The count is
+    exactly the naive one.
 
     Returns the number of F_p-points of the degree-d map space, which must
     equal the closed-form class [Map_d] evaluated at u = p.
@@ -235,29 +240,29 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p = {p} is not a prime")
 
-    forms = list(itertools.product(range(p), repeat=d + 1))
-    per_slot = len(forms)
+    per_slot = p ** (d + 1)
+    # one form per orbit, the one whose first nonzero coefficient is 1, as
+    # its t1-valuation and its dehomogenization, which is then monic
+    reps = []
+    for form in itertools.product(range(p), repeat=d + 1):
+        if next(filter(None, form), 0) == 1:
+            dehom = _dehom(form)
+            reps.append((d + 1 - len(dehom), dehom))
 
     step_cache = {}
 
-    def step(state, form):
-        got = step_cache.get((state, form))
+    def step(state, rep):
+        got = step_cache.get((state, rep))
         if got is not None:
             return got
-        dehom = _dehom(form, p)
-        if not dehom:
-            out = state  # zero form never changes the gcd
+        if state is None:
+            out = rep
         else:
-            v = d - (len(dehom) - 1)
-            mono = _monic_mod(dehom, p)
-            if state is None:
-                out = (v, mono)
-            else:
-                e, g = state
-                out = (min(e, v), _gcd_mod(g, mono, p))
-            if out[0] == 0 and len(out[1]) == 1:
-                out = _UNIT
-        step_cache[(state, form)] = out
+            (e, g), (v, mono) = state, rep
+            out = (min(e, v), _gcd_mod(g, mono, p))
+        if out[0] == 0 and len(out[1]) == 1:
+            out = _UNIT
+        step_cache[(state, rep)] = out
         return out
 
     count_cache = {}
@@ -270,9 +275,8 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
         got = count_cache.get((slot, state))
         if got is not None:
             return got
-        total = 0
-        for form in forms:
-            total += completions(slot + 1, step(state, form))
+        nonzero = sum(completions(slot + 1, step(state, rep)) for rep in reps)
+        total = completions(slot + 1, state) + (p - 1) * nonzero
         count_cache[(slot, state)] = total
         return total
 

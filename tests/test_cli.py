@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stablemaps import cli, eulerchi
+from stablemaps import cli, eulerchi, solver
 from stablemaps.cli import main
 from stablemaps.solver import ClassTable
 
@@ -137,8 +137,11 @@ class TestVerify:
         assert code == 0
         assert "PASS oracle" in out and "PASS fe" in out
 
-    def test_box_and_phi0_resolved_once(self, capsys, monkeypatch):
-        # solve_phi0 is counted through both bindings that verify can reach
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_box_and_phi0_resolved_once(self, capsys, monkeypatch, adams):
+        # solve_phi0 is counted through every binding that verify can reach;
+        # with --adams the chi suite reuses the run's t = 0 slice instead of
+        # solving it again through adams_slice
         calls = {"parse_target": 0, "solve_phi0": 0}
 
         def counted(module, name):
@@ -152,9 +155,11 @@ class TestVerify:
         counted(cli, "parse_target")
         counted(cli, "solve_phi0")
         counted(eulerchi, "solve_phi0")
+        counted(solver, "solve_phi0")
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--suite", "ode",
                                "--suite", "dt", "--suite", "fe", "--suite", "chi",
-                               "--target", "pn:1", "--kmax", "3", "--dmax", "2")
+                               "--target", "pn:1", "--kmax", "3", "--dmax", "2",
+                               *(["--adams"] if adams else []))
         assert code == 0 and out.count("PASS") == 5
         assert calls == {"parse_target": 1, "solve_phi0": 1}
 

@@ -3,11 +3,15 @@ from math import factorial
 
 import pytest
 
-from stablemaps.eulerchi import (chi_potential, chi_table, crosscheck_chi,
-                                 is_constant_series, solve_phi0_chi, xseries)
-from stablemaps.qfield import RF_ONE, RatFunc
+from stablemaps import cli, eulerchi, solver
+from stablemaps.eulerchi import (_log_fixed_point, chi_potential, chi_table,
+                                 crosscheck_chi, is_constant_series,
+                                 solve_phi0_chi, verify_log_equation, xseries)
+from stablemaps.qfield import RF_ONE, RF_U, RatFunc
 from stablemaps.series import MultiSeries, series_log1p
+from stablemaps.solver import adams_slice
 from stablemaps.target import point_target, projective_space
+from test_solver import p1xp1_target
 
 
 class TestXSeries:
@@ -63,6 +67,101 @@ class TestChiFixedPoint:
         exact_value = exact_phi.coeff(0, (1,)).eval_at(1)
         assert chi_phi.coeff(0, (1,)) == RatFunc(exact_value)
         assert exact_value == 1
+
+
+LIMIT_BOXES = {
+    "point": (point_target, 10, ()),
+    "pn:1": (lambda: projective_space(1), 5, (3,)),
+    "pn:2": (lambda: projective_space(2), 4, (2,)),
+    "p1xp1": (p1xp1_target, 2, (2, 2)),
+}
+
+
+@pytest.fixture(scope="module")
+def limit_solutions():
+    """(w, X, solve_phi0_chi) per (box, adams); with adams, X is read off
+    E * A of the Adams-corrected slice."""
+    out = {}
+    for box, (make, kmax, dmax) in LIMIT_BOXES.items():
+        w = make()
+        for adams in (False, True):
+            xs = xseries(w, dmax, factor=adams_slice(w, dmax)[1] if adams else None)
+            out[box, adams] = (w, xs, solve_phi0_chi(w, kmax, dmax, xs=xs))
+    return out
+
+
+class TestSliceAndLayers:
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("box", LIMIT_BOXES)
+    def test_equals_full_box_iteration(self, limit_solutions, box, adams):
+        # the slice fixed point with t-layers from the differential equation
+        # at u = 1 against the log-equation iteration run on the whole box
+        w, xs, phi = limit_solutions[box, adams]
+        assert phi == _log_fixed_point(w, phi.kmax, phi.dmax, xs)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("box", LIMIT_BOXES)
+    def test_log_residual_vanishes(self, limit_solutions, box, adams):
+        w, xs, phi = limit_solutions[box, adams]
+        assert verify_log_equation(w, phi, xs).is_zero
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("k, d", [(1, (0,)), (2, (1,)), (4, (2,))])
+    def test_log_residual_detects_tampering(self, limit_solutions, k, d, adams):
+        w, xs, phi = limit_solutions["pn:2", adams]
+        bad = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, k, d,
+                                         RatFunc(Fraction(1, 7)))
+        assert not verify_log_equation(w, bad, xs).is_zero
+
+    def test_default_x_is_plain_xseries(self, limit_solutions):
+        w, _, phi = limit_solutions["pn:1", False]
+        assert verify_log_equation(w, phi).is_zero
+        assert not verify_log_equation(w, limit_solutions["pn:1", True][2]).is_zero
+
+
+def tampered_layers(monkeypatch, modules, k, d, value):
+    """Replace the t-layer builder seen by `modules` with one that adds
+    value(u) to the t**k z**d coefficient of what it returns."""
+    real = solver.t_layers
+
+    def faulty(r0, kmax, u=RF_U):
+        layers = real(r0, kmax, u)
+        layers[k] = layers[k] + MultiSeries.monomial(r0.grading, 0, r0.dmax, 0, d, value(u))
+        return layers
+    for module in modules:
+        monkeypatch.setattr(module, "t_layers", faulty)
+
+
+class TestLayerFaults:
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_crosscheck_detects_tampered_limit(self, monkeypatch, adams):
+        tampered_layers(monkeypatch, [eulerchi], 2, (1,), lambda u: Fraction(1, 7))
+        assert not crosscheck_chi(projective_space(1), 3, (2,), adams=adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_shared_fault_caught_by_residual(self, monkeypatch, adams):
+        # the same fault in both routes' t-layers, (u+1)/7 on one
+        # coefficient, keeps the exact classes polynomial and the tables in
+        # agreement at u = 1; only the full-box log residual sees it
+        from stablemaps.solver import extract_classes, potential, solve_phi0
+
+        tampered_layers(monkeypatch, [eulerchi, solver], 2, (1,),
+                        lambda u: (u + 1) * Fraction(1, 7))
+        w, kmax, dmax = projective_space(1), 3, (2,)
+        phi0 = solve_phi0(w, kmax, dmax, adams=adams)
+        table = extract_classes(potential(w, phi0, adams=adams), w)
+        r0 = phi0.truncate(kmax=0) if adams else None
+        assert chi_table(w, kmax, dmax, adams=adams, r0=r0) == \
+            {cell: p.eval(1) for cell, p in table.entries.items()}
+        assert not crosscheck_chi(w, kmax, dmax, adams=adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_verify_chi_suite_fails(self, monkeypatch, capsys, adams):
+        tampered_layers(monkeypatch, [eulerchi, solver], 2, (1,),
+                        lambda u: (u + 1) * Fraction(1, 7))
+        code = cli.main(["verify", "--suite", "chi", "--target", "pn:1", "--kmax", "3",
+                         "--dmax", "2", *(["--adams"] if adams else [])])
+        assert code == 1 and "FAIL chi" in capsys.readouterr().out
 
 
 class TestChiPotential:

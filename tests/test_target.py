@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -135,7 +136,55 @@ class TestBox:
             assert str(got.value) == str(expected.value)
 
 
+def naive_count(n, d, p):
+    """Coprime (n+1)-tuples of degree-d binary forms over F_p over p - 1,
+    one tuple at a time.  f = sum a_i t0**(d-i) t1**i; the tuple has a unit
+    homogeneous gcd iff some a_0 is nonzero (t1 divides no common factor)
+    and the polynomials f(x, 1) have a constant gcd."""
+    def gcd(a, b):  # coefficient lists, highest degree first, no leading zeros
+        while b:
+            a = list(a)
+            while len(a) >= len(b):
+                q = a[0] * pow(b[0], -1, p) % p
+                a = [(x - q * y) % p for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+                while a and a[0] == 0:
+                    a.pop(0)
+            a, b = b, a
+        return a
+
+    count = 0
+    for forms in itertools.product(itertools.product(range(p), repeat=d + 1),
+                                   repeat=n + 1):
+        if not any(form[0] for form in forms):
+            continue
+        g = []
+        for form in forms:
+            poly = list(form)
+            while poly and poly[0] == 0:
+                poly.pop(0)
+            g = gcd(g, poly) if g else poly
+            if len(g) == 1:
+                count += 1
+                break
+    assert count % (p - 1) == 0
+    return count // (p - 1)
+
+
+NAIVE_CASES = [(n, d, p) for p in (2, 3, 5) for n in range(1, 15) for d in range(7)
+               if p ** ((n + 1) * (d + 1)) <= 5 * 10 ** 4]
+
+
 class TestBruteForceCount:
+    @pytest.mark.parametrize("n, d, p", NAIVE_CASES)
+    def test_matches_naive_enumeration(self, n, d, p):
+        assert count_maps_bruteforce(n, d, p) == naive_count(n, d, p)
+
+    @pytest.mark.parametrize("n, d, p", [(1, 2, 7), (2, 3, 3)])
+    def test_larger_cases_match_closed_form(self, n, d, p):
+        w = projective_space(n)
+        assert count_maps_bruteforce(n, d, p) == w.map_class((d,)).eval_at(p)
+
+
     def test_examples(self):
         assert count_maps_bruteforce(1, 1, 2) == 6   # Moebius group over F_2
         assert count_maps_bruteforce(1, 1, 3) == 24
