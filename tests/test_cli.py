@@ -137,11 +137,8 @@ class TestVerify:
         assert code == 0
         assert "PASS oracle" in out and "PASS fe" in out
 
-    @pytest.mark.parametrize("adams", [False, True])
-    def test_box_and_phi0_resolved_once(self, capsys, monkeypatch, adams):
-        # solve_phi0 is counted through every binding that verify can reach;
-        # with --adams the chi suite reuses the run's t = 0 slice instead of
-        # solving it again through adams_slice
+    def verify_call_counts(self, capsys, monkeypatch, *flags):
+        # solve_phi0 is counted through every binding that verify can reach
         calls = {"parse_target": 0, "solve_phi0": 0}
 
         def counted(module, name):
@@ -158,10 +155,19 @@ class TestVerify:
         counted(solver, "solve_phi0")
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--suite", "ode",
                                "--suite", "dt", "--suite", "fe", "--suite", "chi",
-                               "--target", "pn:1", "--kmax", "3", "--dmax", "2",
-                               *(["--adams"] if adams else []))
+                               "--target", "pn:1", "--kmax", "3", "--dmax", "2", *flags)
         assert code == 0 and out.count("PASS") == 5
-        assert calls == {"parse_target": 1, "solve_phi0": 1}
+        return calls
+
+    def test_box_and_phi0_resolved_once(self, capsys, monkeypatch):
+        assert self.verify_call_counts(capsys, monkeypatch) == \
+            {"parse_target": 1, "solve_phi0": 1}
+
+    def test_adams_slice_not_solved_again(self, capsys, monkeypatch):
+        # the chi suite takes the Adams factor from the run's t = 0 slice
+        # instead of solving it again through adams_slice
+        assert self.verify_call_counts(capsys, monkeypatch, "--adams") == \
+            {"parse_target": 1, "solve_phi0": 1}
 
     def test_implicit_suite_uses_dmax(self, capsys):
         # the z-truncation moves the spread at z = 1/1000; both boxes pass

@@ -137,10 +137,11 @@ class TestBox:
 
 
 def naive_count(n, d, p):
-    """Coprime (n+1)-tuples of degree-d binary forms over F_p over p - 1,
-    one tuple at a time.  f = sum a_i t0**(d-i) t1**i; the tuple has a unit
-    homogeneous gcd iff some a_0 is nonzero (t1 divides no common factor)
-    and the polynomials f(x, 1) have a constant gcd."""
+    """The (n+1)-tuples of degree-d binary forms over F_p with a unit
+    homogeneous gcd, divided by p - 1, testing one tuple at a time.  For
+    f = sum a_i t0**(d-i) t1**i the gcd is a unit iff some a_0 is nonzero
+    (t1 divides no common factor) and the polynomials f(x, 1) have a
+    constant gcd."""
     def gcd(a, b):  # coefficient lists, highest degree first, no leading zeros
         while b:
             a = list(a)
@@ -183,7 +184,6 @@ class TestBruteForceCount:
     def test_larger_cases_match_closed_form(self, n, d, p):
         w = projective_space(n)
         assert count_maps_bruteforce(n, d, p) == w.map_class((d,)).eval_at(p)
-
 
     def test_examples(self):
         assert count_maps_bruteforce(1, 1, 2) == 6   # Moebius group over F_2
