@@ -127,10 +127,10 @@ def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> MultiSeries
     return MultiSeries(w.grading, kmax, dmax, coeffs)
 
 
-def verify_log_equation(w: TargetSpace, phi: MultiSeries, xs=None) -> MultiSeries:
-    """Residual F(phi) of the logarithmic equation on the whole box of phi,
-    with X = xseries(w, dmax) unless given; the zero series exactly when phi
-    solves it.  One full-box log(1+t+phi), and nothing from the
+def verify_log_equation(w: TargetSpace, phi: MultiSeries, xs: MultiSeries) -> MultiSeries:
+    """Residual F(phi) of the logarithmic equation with driving series X =
+    `xs` on the whole box of phi; the zero series exactly when phi solves
+    it.  One full-box log(1+t+phi), and nothing from the
     differential equation that builds the t-layers of solve_phi0_chi."""
     step = _log_step(w, phi.kmax, phi.dmax, xs)
     return step(phi) - phi
@@ -173,21 +173,21 @@ def _cells(chi_pot: MultiSeries) -> dict:
     return out
 
 
-def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False,
-              r0=None) -> dict:
-    """Euler characteristics per cell, as exact rationals.  With adams=True,
-    `r0` may pass the t = 0 slice of the Adams-corrected solver fixed point
-    when it is already known (see adams_slice)."""
+def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
+    """Euler characteristics per cell, as exact rationals."""
     dmax = w.box(dmax, kmax)
-    return _cells(_euler_limit(w, kmax, dmax, adams, r0)[2])
+    return _cells(_euler_limit(w, kmax, dmax, adams)[2])
 
 
 def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False,
                r0=None) -> bool:
     """The Euler-limit solution has zero log-equation residual on the
     table's box (verify_log_equation), and each class of the exact table
-    evaluated at u = 1 equals the Euler-limit value of its cell; `r0` is as
-    in chi_table."""
+    evaluated at u = 1 equals the Euler-limit value of its cell.  With
+    adams=True, `r0` must be the t = 0 slice of the Adams-corrected solver
+    fixed point that produced the table; it is not solved again."""
+    if adams and r0 is None:
+        raise ValueError("chi_agrees with adams=True needs the solver's t = 0 slice r0")
     phi, xs, chi_pot = _euler_limit(w, table.kmax, table.dmax, adams, r0)
     if not verify_log_equation(w, phi, xs).is_zero:
         return False

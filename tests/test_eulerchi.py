@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from stablemaps import cli, eulerchi, solver
-from stablemaps.eulerchi import (_log_fixed_point, chi_potential, chi_table,
+from stablemaps.eulerchi import (_log_fixed_point, chi_agrees, chi_potential, chi_table,
                                  crosscheck_chi, is_constant_series,
                                  solve_phi0_chi, verify_log_equation, xseries)
 from stablemaps.qfield import RF_ONE, RF_U, RatFunc
@@ -113,20 +113,17 @@ class TestSliceAndLayers:
                                          RatFunc(Fraction(1, 7)))
         assert not verify_log_equation(w, bad, xs).is_zero
 
-    def test_default_x_is_plain_xseries(self, limit_solutions):
-        w, _, phi = limit_solutions["pn:1", False]
-        assert verify_log_equation(w, phi).is_zero
-        assert not verify_log_equation(w, limit_solutions["pn:1", True][2]).is_zero
-
 
 def tampered_layers(monkeypatch, modules, k, d, value):
     """Replace the t-layer builder seen by `modules` with one that adds
-    value(u) to the t**k z**d coefficient of what it returns."""
+    value(u) to the t**k z**d coefficient of what it returns (a box without
+    t**k, such as the slice solve of adams_slice, is left as it is)."""
     real = solver.t_layers
 
     def faulty(r0, kmax, u=RF_U):
         layers = real(r0, kmax, u)
-        layers[k] = layers[k] + MultiSeries.monomial(r0.grading, 0, r0.dmax, 0, d, value(u))
+        if k <= kmax:
+            layers[k] = layers[k] + MultiSeries.monomial(r0.grading, 0, r0.dmax, 0, d, value(u))
         return layers
     for module in modules:
         monkeypatch.setattr(module, "t_layers", faulty)
@@ -150,8 +147,7 @@ class TestLayerFaults:
         w, kmax, dmax = projective_space(1), 3, (2,)
         phi0 = solve_phi0(w, kmax, dmax, adams=adams)
         table = extract_classes(potential(w, phi0, adams=adams), w)
-        r0 = phi0.truncate(kmax=0) if adams else None
-        assert chi_table(w, kmax, dmax, adams=adams, r0=r0) == \
+        assert chi_table(w, kmax, dmax, adams=adams) == \
             {cell: p.eval(1) for cell, p in table.entries.items()}
         assert not crosscheck_chi(w, kmax, dmax, adams=adams)
 
@@ -194,6 +190,12 @@ class TestCrosscheck:
     @pytest.mark.parametrize("n, kmax, dmax", [(1, 4, 2), (2, 3, 2), (1, 2, 4)])
     def test_with_adams_operations(self, n, kmax, dmax):
         assert crosscheck_chi(projective_space(n), kmax, (dmax,), adams=True)
+
+    def test_adams_needs_the_solver_slice(self):
+        from stablemaps.solver import ClassTable
+
+        with pytest.raises(ValueError, match="r0"):
+            chi_agrees(projective_space(1), ClassTable("pn:1", 1, (1,), {}), adams=True)
 
     def test_complete_conics(self):
         # 1 + 2u + 3u^2 + 3u^3 + 2u^4 + u^5 at u = 1
