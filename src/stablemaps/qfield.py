@@ -9,13 +9,16 @@ the variety over the finite field of that size.
 
 Layers:
 
-    Fraction  exact rationals (stdlib)
-    UPoly     dense polynomials in u over Fraction, trailing zeros trimmed
+    Fraction  exact rationals (stdlib), at the interface only
+    UPoly     dense polynomials in u over Q, stored as integer numerators over
+              one positive common denominator in lowest terms
     RatFunc   reduced num/den pairs of UPoly with monic denominator
 
 plus polynomial gcd, evaluation at rational points, Taylor expansion around
 u = 1, and the falling-factorial binomial C(alpha, k) for a rational-function
-alpha.  All values are immutable and all operations are pure.
+alpha.  Polynomial arithmetic runs on Python ints with one gcd per result, not
+one Fraction per coefficient.  All values are immutable and all operations are
+pure.
 """
 
 from __future__ import annotations
@@ -28,58 +31,97 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class UPoly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first."""
+def _poly(numer: list, denom: int) -> "UPoly":
+    """UPoly of numer / denom (denom > 0): trailing zeros trimmed, reduced."""
+    while numer and not numer[-1]:
+        numer.pop()
+    if not numer:
+        return P_ZERO
+    if denom != 1:
+        g = math.gcd(denom, *numer)
+        if g != 1:
+            denom //= g
+            numer = [c // g for c in numer]
+    return UPoly._make(tuple(numer), denom)
 
-    __slots__ = ("coeffs",)
+
+def _const(c) -> "UPoly":
+    """The constant polynomial c, for an int or a Fraction c."""
+    if not c:
+        return P_ZERO
+    if isinstance(c, int):
+        return UPoly._make((int(c),), 1)
+    return UPoly._make((c.numerator,), c.denominator)
+
+
+class UPoly:
+    """Dense univariate polynomial over Q, coefficients lowest degree first.
+
+    The value is ``sum(numer[i] * u**i) / denom``: ``numer`` is a tuple of
+    ints with a nonzero last entry (empty for zero) and ``denom`` a positive
+    int coprime to the gcd of ``numer``.  That form is unique, so equality and
+    hashing are structural.
+    """
+
+    __slots__ = ("numer", "denom")
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        fs = [Fraction(c) for c in coeffs]
+        while fs and not fs[-1]:
+            fs.pop()
+        # the lcm of reduced denominators is coprime to the content already
+        d = math.lcm(*(f.denominator for f in fs))
+        self.numer = tuple(f.numerator * (d // f.denominator) for f in fs)
+        self.denom = d
 
     @classmethod
-    def _make(cls, coeffs: tuple) -> "UPoly":
-        # coeffs must already be Fractions with a nonzero last entry (or empty)
+    def _make(cls, numer: tuple, denom: int) -> "UPoly":
+        # numer, denom must already be in the canonical form of the class doc
         p = object.__new__(cls)
-        p.coeffs = coeffs
+        p.numer = numer
+        p.denom = denom
         return p
 
     @classmethod
     def monomial(cls, degree: int, coeff=1) -> "UPoly":
-        c = Fraction(coeff)
+        c = _const(Fraction(coeff))
         if not c:
             return P_ZERO
-        return cls._make((_F0,) * degree + (c,))
+        return cls._make((0,) * degree + c.numer, c.denom)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first."""
+        d = self.denom
+        return tuple(Fraction(c, d) for c in self.numer)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.numer) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numer
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.numer:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.numer[-1], self.denom)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.numer)
 
     def __eq__(self, other):
         if isinstance(other, UPoly):
-            return self.coeffs == other.coeffs
+            return self.numer == other.numer and self.denom == other.denom
         if isinstance(other, (int, Fraction)):
-            return self == UPoly((other,))
+            return self == _const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numer, self.denom))
 
     def __repr__(self):
         return f"UPoly({self})"
@@ -88,28 +130,44 @@ class UPoly:
         return format_poly(self.coeffs, "u")
 
     def __neg__(self):
-        return UPoly._make(tuple(-c for c in self.coeffs))
+        return UPoly._make(tuple(-c for c in self.numer), self.denom)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UPoly((other,))
         if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _const(other)
+        a, b = self.numer, other.numer
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.denom, other.denom
+        if da == db:
+            d = da
+        else:
+            g = math.gcd(da, db)
+            ma, mb = db // g, da // g
+            d = da * ma
+            a = [c * ma for c in a]
+            b = [c * mb for c in b]
+        if len(a) == 1 == len(b):
+            s = a[0] + b[0]
+            if d == 1:
+                return UPoly._make((s,), 1) if s else P_ZERO
+            return _poly([s], d)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        while out and not out[-1]:
-            out.pop()
-        return UPoly._make(tuple(out))
+        return _poly(out, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = UPoly((other,))
+            other = _const(other)
         if not isinstance(other, UPoly):
             return NotImplemented
         return self + (-other)
@@ -118,20 +176,30 @@ class UPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, UPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.scale(other)
+        a, b = self.numer, other.numer
         if not a or not b:
             return P_ZERO
-        out = [_F0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
+        d = self.denom * other.denom
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            a0 = a[0]
+            if len(b) == 1 and d == 1:
+                return UPoly._make((a0 * b[0],), 1)
+            out = [a0 * c for c in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b):
                         out[i + j] += ai * bj
-        return UPoly._make(tuple(out))
+        if d == 1:
+            return UPoly._make(tuple(out), 1)
+        return _poly(out, d)
 
     __rmul__ = __mul__
 
@@ -150,31 +218,24 @@ class UPoly:
 
     def scale(self, c) -> "UPoly":
         c = Fraction(c)
-        if not c:
-            return P_ZERO
-        return UPoly._make(tuple(a * c for a in self.coeffs))
+        return _poly([x * c.numerator for x in self.numer], self.denom * c.denominator)
 
     def __divmod__(self, other):
         if not isinstance(other, UPoly):
             return NotImplemented
-        if other.is_zero:
+        b = other.numer
+        if not b:
             raise ZeroDivisionError("division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = _F1 / other.lead
-        quot = [_F0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                q = c * inv_lead
-                quot[i - db] = q
-                for j, bj in enumerate(other.coeffs):
-                    rem[i - db + j] -= q * bj
-        while rem and not rem[-1]:
-            rem.pop()
-        while quot and not quot[-1]:
-            quot.pop()
-        return UPoly._make(tuple(quot)), UPoly._make(tuple(rem))
+        a = self.numer
+        db = len(b) - 1
+        if len(a) <= db:
+            return P_ZERO, self
+        if not db:
+            return self.scale(Fraction(other.denom, b[0])), P_ZERO
+        # s * a = quot * b + rem with b = other * other.denom
+        quot, rem, s = _pseudo_divmod(a, b)
+        d = self.denom * s
+        return _poly([x * other.denom for x in quot], d), _poly(rem, d)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -183,40 +244,43 @@ class UPoly:
         return divmod(self, other)[1]
 
     def monic(self) -> "UPoly":
-        if self.is_zero:
+        a = self.numer
+        if not a or a[-1] == self.denom:
             return self
-        if self.lead == 1:
-            return self
-        return self.scale(_F1 / self.lead)
+        return _monic(list(a))
 
     def eval(self, s) -> Fraction:
         """Exact value at a rational point (Horner)."""
+        if not self.numer:
+            return _F0
         s = Fraction(s)
-        acc = _F0
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc
+        n, m = s.numerator, s.denominator
+        # homogeneous Horner: sum c_i n**i m**(deg - i), over m**deg
+        acc, mpow = 0, 1
+        for c in reversed(self.numer):
+            acc = acc * n + c * mpow
+            mpow *= m
+        return Fraction(acc, self.denom * (mpow // m))
 
     def taylor_shift_one(self) -> "UPoly":
         """Coefficients of p(1 + e) as a polynomial in e."""
-        n = len(self.coeffs)
-        out = [_F0] * n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j in range(i + 1):
-                    out[j] += c * math.comb(i, j)
-        while out and not out[-1]:
-            out.pop()
-        return UPoly._make(tuple(out))
+        # repeated synthetic division by u - 1; a unimodular change of basis,
+        # so the content, the degree and the denominator stay as they are
+        out = list(self.numer)
+        n = len(out)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += out[j + 1]
+        return UPoly._make(tuple(out), self.denom)
 
     def adams(self, k: int) -> "UPoly":
         """The Adams operation psi_k: the substitution u -> u**k."""
-        if k == 1 or len(self.coeffs) <= 1:
+        a = self.numer
+        if k == 1 or len(a) <= 1:
             return self
-        out = [_F0] * (k * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return UPoly._make(tuple(out))
+        out = [0] * (k * (len(a) - 1) + 1)
+        out[::k] = a
+        return UPoly._make(tuple(out), self.denom)
 
     def q_coeffs(self) -> tuple:
         """Coefficient tuple in the weight variable q (each u-degree doubled)."""
@@ -227,7 +291,7 @@ class UPoly:
 
     @classmethod
     def from_json(cls, data) -> "UPoly":
-        return cls(Fraction(s) for s in data)
+        return cls(data)
 
 
 P_ZERO = UPoly()
@@ -239,17 +303,70 @@ LINE_CLASS = UPoly((1, 1))            # u + 1
 MOEBIUS_CLASS = UPoly((0, -1, 0, 1))  # u**3 - u
 
 
-def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic gcd by the Euclidean algorithm.
+def _monic(a: list) -> UPoly:
+    """The monic polynomial a / a[-1] for an integer list a, last entry nonzero."""
+    lc = a[-1]
+    if lc < 0:
+        a = [-x for x in a]
+        lc = -lc
+    return _poly(a, lc)
 
-    Degrees in this package stay small, so plain Euclid over Q is fine; the
-    monic normalization makes the result canonical.
+
+def _pseudo_divmod(a, b):
+    """Integer pseudo-division of a by b, integer sequences with b[-1] != 0
+    and len(a) >= len(b) > 1.
+
+    Returns (quot, rem, s) with s * a == quot * b + rem, s > 0 and rem of
+    length len(b) - 1, not trimmed.  The scale s grows, by |lead| / gcd, only
+    when the lead of b does not divide the top remaining term.
     """
-    if a.is_zero and b.is_zero:
-        raise ZeroDivisionError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    db = len(b) - 1
+    lb = b[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    s = 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        if c % lb:
+            t = abs(lb) // math.gcd(lb, c)
+            rem = [x * t for x in rem]
+            quot = [x * t for x in quot]
+            s *= t
+            c *= t
+        q = c // lb
+        k = i - db
+        quot[k] = q
+        rem[k:i + 1] = [x - q * y for x, y in zip(rem[k:i + 1], b)]
+    del rem[db:]
+    return quot, rem, s
+
+
+def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
+    """Monic gcd, by Euclid over Z on primitive parts.
+
+    Each step takes the integer pseudo-remainder and divides out its content,
+    so the sequence runs on ints with no rational arithmetic and coefficients
+    stay small; the monic normalization of the last nonzero remainder makes
+    the result canonical.
+    """
+    x, y = a.numer, b.numer
+    if not x or not y:
+        if not x and not y:
+            raise ZeroDivisionError("gcd(0, 0) is undefined")
+        return (a or b).monic()
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _pseudo_divmod(x, y)[1]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return _monic(list(y))
+        g = math.gcd(*r)
+        x, y = y, [c // g for c in r]
+    return P_ONE
 
 
 def div_exact(a: UPoly, b: UPoly) -> UPoly:
@@ -263,8 +380,20 @@ def _as_poly(x) -> UPoly:
     if isinstance(x, UPoly):
         return x
     if isinstance(x, (int, Fraction)):
-        return UPoly((x,))
+        return _const(x)
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
+
+
+def _monic_den(num: UPoly, den: UPoly):
+    """num / den with both divided by the leading coefficient of den."""
+    dn = den.numer
+    lc, dd = dn[-1], den.denom
+    if lc == dd:
+        return num, den
+    # the lead is lc / dd: num * dd / lc over den * dd / lc = dn / lc
+    if lc < 0:
+        dd, lc = -dd, -lc
+    return _poly([x * dd for x in num.numer], num.denom * lc), _monic(list(dn))
 
 
 class RatFunc:
@@ -291,27 +420,15 @@ class RatFunc:
             if g.degree > 0:
                 num = num // g
                 den = den // g
-        lc = den.lead
-        if lc != 1:
-            inv = _F1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_den(num, den)
 
     @classmethod
     def _reduced(cls, num: UPoly, den: UPoly) -> "RatFunc":
         # num, den already coprime; only normalize
         if num.is_zero:
             return RF_ZERO
-        lc = den.lead
-        if lc != 1:
-            inv = _F1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
         f = object.__new__(cls)
-        f.num = num
-        f.den = den
+        f.num, f.den = _monic_den(num, den)
         return f
 
     @property
@@ -334,8 +451,10 @@ class RatFunc:
     def _coerce(x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction, UPoly)):
-            return RatFunc(x)
+        if isinstance(x, (int, Fraction)):
+            return RatFunc._reduced(_const(x), P_ONE)
+        if isinstance(x, UPoly):
+            return RatFunc._reduced(x, P_ONE)
         return None
 
     def __eq__(self, other):
@@ -345,7 +464,8 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        num, den = self.num, self.den
+        return hash((num.numer, num.denom, den.numer, den.denom))
 
     def __repr__(self):
         return f"RatFunc({self})"
@@ -585,5 +705,5 @@ def is_palindromic(p: UPoly, dim: int) -> bool:
         return True
     if dim < p.degree:
         return False
-    cs = list(p.coeffs) + [_F0] * (dim + 1 - len(p.coeffs))
+    cs = list(p.numer) + [0] * (dim + 1 - len(p.numer))
     return cs == cs[::-1]

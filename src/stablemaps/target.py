@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 
 from .qfield import MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly
 from .series import Grading, MultiSeries, box_vectors
@@ -292,7 +293,13 @@ def _json_poly(data, field: str) -> UPoly:
     # strings or integers only: a JSON float is inexact, and Infinity has no ratio
     if not isinstance(data, list) or not all(isinstance(c, (str, int)) for c in data):
         raise ValueError(f"{field} must be a JSON list of coefficient strings")
-    return UPoly.from_json(data)
+    coeffs = []
+    for c in data:
+        try:
+            coeffs.append(Fraction(c))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{field} coefficient {c!r} is not a rational number") from None
+    return UPoly(coeffs)
 
 
 def target_from_json(data) -> TargetSpace:

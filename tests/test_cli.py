@@ -280,6 +280,26 @@ class TestErrors:
         assert f"{field} must be a JSON list" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("field, value, bad", [
+        ("pw", ["1/0"], "'1/0'"),
+        ("pw", ["1", "x"], "'x'"),
+        ("num", ["1", "2/x"], "'2/x'"),
+        ("den", ["1/0", "1"], "'1/0'"),
+    ])
+    def test_bad_coefficient(self, tmp_path, capsys, field, value, bad):
+        desc = {"name": "bad", "rank": 1, "pw": ["1", "1"],
+                "classes": [{"beta": [1], "value": {"num": ["1"], "den": ["1"]}}]}
+        if field == "pw":
+            desc["pw"] = value
+        else:
+            desc["classes"][0]["value"][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(desc))
+        code, out, err = run_cli(capsys, "compute", "--target", f"file:{path}",
+                                 "--kmax", "1", "--dmax", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: {field} coefficient {bad} is not a rational number\n"
+
     @pytest.mark.parametrize("command", ["oracle", "verify"])
     def test_workers_below_one(self, capsys, command):
         # the tree sum runs in one process: oracle accepts only --workers 1,

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from stablemaps.qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RatFunc,
-                               U, UPoly, binom_falling, div_exact,
-                               is_palindromic, necklace, upoly_gcd)
+from stablemaps.qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, P_ZERO, RF_ONE,
+                               RF_ZERO, RatFunc, U, UPoly, binom_falling,
+                               div_exact, is_palindromic, necklace, upoly_gcd)
 
 
 def poly(*coeffs):
@@ -237,3 +239,197 @@ class TestPalindromic:
         assert is_palindromic(poly(1, 1), 3) is False
         assert is_palindromic(poly(0, 1), 2)  # u with dim 2: (0,1,0) symmetric
         assert is_palindromic(UPoly(), 5)
+
+
+# --- Fraction-per-coefficient reference ------------------------------------
+#
+# The dense Fraction arithmetic UPoly used before it stored integer numerators
+# over one denominator.  The integer form must agree with it exactly.
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return ref_trim(out)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return ref_trim(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    db = len(b) - 1
+    inv_lead = 1 / b[-1]
+    quot = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q = c * inv_lead
+            quot[i - db] = q
+            for j, bj in enumerate(b):
+                rem[i - db + j] -= q * bj
+    return ref_trim(quot), ref_trim(rem)
+
+
+def ref_eval(a, s):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * s + c
+    return acc
+
+
+# Coefficients: small integers (zeros and negative leads included), small
+# fractions, and fractions with denominators above 2**40.
+small_fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+big_fracs = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70),
+                      st.integers(2 ** 40, 2 ** 48))
+coeffs = st.one_of(st.integers(-3, 3), small_fracs, big_fracs)
+polys = st.lists(coeffs, max_size=6).map(UPoly)
+nonzero_polys = st.builds(lambda cs, lead: UPoly(cs + [lead]),
+                          st.lists(coeffs, max_size=4), coeffs.filter(bool))
+ratfuncs = st.builds(RatFunc, st.lists(coeffs, max_size=4).map(UPoly), nonzero_polys)
+nonzero_ratfuncs = st.builds(RatFunc, nonzero_polys, nonzero_polys)
+
+
+def assert_canonical(p):
+    assert p.denom > 0
+    assert math.gcd(p.denom, *p.numer) == 1
+    assert not p.numer or p.numer[-1]
+    assert all(type(c) is int for c in p.numer)
+
+
+class TestUPolyProperties:
+    @given(polys, polys, polys)
+    def test_ring_laws(self, a, b, c):
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + P_ZERO == a and a * P_ONE == a and a * P_ZERO == P_ZERO
+        assert a - a == P_ZERO
+        assert a - b == a + (-b)
+        for p in (a + b, a - b, a * b, -a):
+            assert_canonical(p)
+
+    @given(polys, polys)
+    def test_matches_fraction_reference(self, a, b):
+        assert (a + b).coeffs == ref_add(a.coeffs, b.coeffs)
+        assert (a - b).coeffs == ref_add(a.coeffs, tuple(-c for c in b.coeffs))
+        assert (a * b).coeffs == ref_mul(a.coeffs, b.coeffs)
+
+    @given(polys, nonzero_polys)
+    def test_division_identity(self, a, b):
+        q, r = divmod(a, b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+        assert (q.coeffs, r.coeffs) == ref_divmod(a.coeffs, b.coeffs)
+        assert_canonical(q)
+        assert_canonical(r)
+
+    @given(polys, nonzero_polys)
+    def test_exact_division(self, a, b):
+        assert div_exact(a * b, b) == a
+
+    @given(st.lists(coeffs, max_size=6))
+    def test_canonical_form(self, cs):
+        a = UPoly(cs)
+        assert_canonical(a)
+        assert a.coeffs == ref_trim(Fraction(c) for c in cs)
+        # the same value by another route: a sum of monomials
+        b = sum((UPoly.monomial(i, c) for i, c in enumerate(cs)), P_ZERO)
+        assert b == a and hash(b) == hash(a) and str(b) == str(a)
+        assert UPoly.from_json(a.to_json()) == a
+
+    @given(polys, coeffs)
+    def test_scale(self, a, c):
+        got = a.scale(c)
+        assert got.coeffs == ref_trim(x * Fraction(c) for x in a.coeffs)
+        assert got == a * UPoly((c,))
+        assert_canonical(got)
+
+    @given(polys, small_fracs)
+    def test_eval_shift_adams(self, a, s):
+        assert a.eval(s) == ref_eval(a.coeffs, s)
+        assert a.taylor_shift_one().eval(s) == a.eval(1 + s)
+        for k in (2, 3):
+            assert a.adams(k).eval(s) == a.eval(s ** k)
+        assert a.monic().is_zero or a.monic().lead == 1
+
+    @given(polys, polys, nonzero_polys)
+    def test_gcd(self, a, b, c):
+        if a.is_zero and b.is_zero:
+            return
+        g = upoly_gcd(a, b)
+        assert g.lead == 1
+        assert (a % g).is_zero and (b % g).is_zero
+        assert_canonical(g)
+        # every common divisor divides g: gcd(ac, bc) = gcd(a, b) c, monic
+        assert upoly_gcd(a * c, b * c) == (g * c).monic()
+
+
+class TestRatFuncProperties:
+    @given(ratfuncs, ratfuncs, ratfuncs)
+    def test_field_laws(self, a, b, c):
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + RF_ZERO == a and a * RF_ONE == a
+        assert a - a == RF_ZERO
+        if a:
+            assert a * a.inverse() == RF_ONE
+            assert (b * a) / a == b
+
+    @given(ratfuncs)
+    def test_reduced(self, f):
+        assert f.den.lead == 1
+        assert upoly_gcd(f.num, f.den) == P_ONE
+
+    @given(polys, nonzero_polys, nonzero_polys, coeffs.filter(bool))
+    def test_canonical_form(self, a, b, g, c):
+        f = RatFunc(a, b)
+        for other in (RatFunc(a * g, b * g), RatFunc(a.scale(c), b.scale(c))):
+            assert other == f
+            assert hash(other) == hash(f)
+            assert str(other) == str(f)
+
+
+class TestIntegerForm:
+    def test_constants_stay_integral(self):
+        p = UPoly((Fraction(1, 3),)) * UPoly((3,))
+        assert p == P_ONE
+        assert p.denom == 1 and p.numer == (1,)
+
+    def test_common_denominator(self):
+        p = poly(Fraction(1, 2), Fraction(-2, 3), 4)  # (3 - 4u + 24u^2) / 6
+        assert (p.numer, p.denom) == ((3, -4, 24), 6)
+        assert p.coeffs == (Fraction(1, 2), Fraction(-2, 3), 4)
+        assert p.lead == 4
+
+    def test_negative_lead_divisor(self):
+        # dividing by -2u + 3 scales the remainder sequence by the lead;
+        # the denominators stay positive
+        q, r = divmod(poly(1, 0, 1), poly(3, -2))
+        assert q == poly(Fraction(-3, 4), Fraction(-1, 2))
+        assert r == poly(Fraction(13, 4))
+        assert q.denom > 0 and r.denom > 0
