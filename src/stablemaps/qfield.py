@@ -386,14 +386,13 @@ def _as_poly(x) -> UPoly:
 
 def _monic_den(num: UPoly, den: UPoly):
     """num / den with both divided by the leading coefficient of den."""
-    dn = den.numer
-    lc, dd = dn[-1], den.denom
+    lc, dd = den.numer[-1], den.denom
     if lc == dd:
         return num, den
-    # the lead is lc / dd: num * dd / lc over den * dd / lc = dn / lc
+    # the lead is lc / dd, so num becomes num * dd / lc
     if lc < 0:
         dd, lc = -dd, -lc
-    return _poly([x * dd for x in num.numer], num.denom * lc), _monic(list(dn))
+    return _poly([x * dd for x in num.numer], num.denom * lc), den.monic()
 
 
 class RatFunc:
@@ -451,10 +450,8 @@ class RatFunc:
     def _coerce(x):
         if isinstance(x, RatFunc):
             return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc._reduced(_const(x), P_ONE)
-        if isinstance(x, UPoly):
-            return RatFunc._reduced(x, P_ONE)
+        if isinstance(x, (int, Fraction, UPoly)):
+            return RatFunc._reduced(_as_poly(x), P_ONE)
         return None
 
     def __eq__(self, other):
