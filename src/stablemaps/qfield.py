@@ -151,11 +151,6 @@ class UPoly:
             d = da * ma
             a = [c * ma for c in a]
             b = [c * mb for c in b]
-        if len(a) == 1 == len(b):
-            s = a[0] + b[0]
-            if d == 1:
-                return UPoly._make((s,), 1) if s else P_ZERO
-            return _poly([s], d)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -188,8 +183,6 @@ class UPoly:
             a, b = b, a
         if len(a) == 1:
             a0 = a[0]
-            if len(b) == 1 and d == 1:
-                return UPoly._make((a0 * b[0],), 1)
             out = [a0 * c for c in b]
         else:
             out = [0] * (len(a) + len(b) - 1)
@@ -389,10 +382,7 @@ def _monic_den(num: UPoly, den: UPoly):
     lc, dd = den.numer[-1], den.denom
     if lc == dd:
         return num, den
-    # the lead is lc / dd, so num becomes num * dd / lc
-    if lc < 0:
-        dd, lc = -dd, -lc
-    return _poly([x * dd for x in num.numer], num.denom * lc), den.monic()
+    return num.scale(Fraction(dd, lc)), den.monic()
 
 
 class RatFunc:

@@ -1,14 +1,7 @@
 import pytest
-from hypothesis import settings
 
 from stablemaps import (extract_classes, point_target, potential,
                         projective_space, solve_phi0, tree_sum_potential)
-
-# Property tests draw the same examples on every run (derandomize), keep no
-# example database, and stay within the time of the rest of the suite.
-settings.register_profile("tier1", derandomize=True, deadline=None,
-                          max_examples=60, database=None)
-settings.load_profile("tier1")
 
 
 def _run(w, kmax, dmax, adams=False):

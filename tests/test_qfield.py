@@ -3,12 +3,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablemaps.qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, P_ZERO, RF_ONE,
                                RF_ZERO, RatFunc, U, UPoly, binom_falling,
                                div_exact, is_palindromic, necklace, upoly_gcd)
+
+# The property tests below draw the same examples on every run (derandomize),
+# keep no example database, and stay within the time of the rest of the suite.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=60, database=None)
+settings.load_profile("tier1")
 
 
 def poly(*coeffs):
