@@ -26,7 +26,11 @@ The builtin classes satisfy, for every d >= 0,
 which expresses sorting the nonzero (n+1)-tuples of degree-d binary forms
 by the degree of their common factor; verify_recurrence checks it as an
 exact polynomial identity, and count_maps_bruteforce re-derives the same
-numbers over a small prime field by enumerating the tuples themselves.
+numbers over a small prime field by enumerating the tuples themselves.  Its
+state for a prefix of a tuple is the set of irreducible homogeneous factors
+that the prefix's nonzero forms share, an int bitmask over t1 and the monic
+irreducibles of F_p[x] of degree <= d, which a sieve lists; the gcd of the
+tuple is a unit exactly when that set ends up empty.
 """
 
 from __future__ import annotations
@@ -172,46 +176,36 @@ def verify_recurrence(n: int, dmax: int) -> bool:
 # --- finite-field brute force ------------------------------------------------
 #
 # A binary form of degree d over F_p is a coefficient tuple (a_0..a_d) for
-# f = sum a_i * t0**(d-i) * t1**i.  Its t1-valuation is the least i with
-# a_i != 0 and the rest dehomogenizes to P(x) = sum a_i x**(d-i), so the
-# homogeneous gcd of a tuple of forms is a unit iff some form has t1-valuation
-# zero and the dehomogenized gcd is constant.
-
-_UNIT = "unit"
+# f = sum a_i * t0**(d-i) * t1**i.  t1 divides f iff a_0 = 0, and the other
+# irreducible factors of f are those of P(x) = f(x, 1) = sum a_i x**(d-i),
+# a polynomial of degree d minus the t1-valuation of f.  The homogeneous gcd
+# of a tuple of forms is a unit iff the forms share no irreducible factor.
 
 
-def _dehom(form):
-    # low-to-high coefficients of P(x) = f(x, 1) for a nonzero form
-    cs = list(reversed(form))
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+def _factor_masks(d: int, p: int) -> dict:
+    """The set of monic irreducible factors of every monic polynomial of
+    degree <= d over F_p, as an int bitmask keyed by the low-to-high
+    coefficient tuple.  Bit 0 is left for t1.
 
-
-def _monic_mod(poly, p):
-    inv = pow(poly[-1], -1, p)
-    return tuple(c * inv % p for c in poly)
-
-
-def _polymod(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i]
-        if c:
-            q = c * inv % p
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - q * b[j]) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _gcd_mod(a, b, p):
-    while b:
-        a, b = b, _polymod(a, b, p)
-    return _monic_mod(a, p)
+    A sieve: in increasing degree, a monic polynomial that no earlier
+    irreducible divides is irreducible, and its bit goes into every multiple
+    of it of degree <= d."""
+    by_degree = [[low + (1,) for low in itertools.product(range(p), repeat=k)]
+                 for k in range(d + 1)]
+    masks = dict.fromkeys(itertools.chain.from_iterable(by_degree), 0)
+    bit = 1
+    for k in range(1, d + 1):
+        for poly in by_degree[k]:
+            if masks[poly]:  # an irreducible of lower degree divides it
+                continue
+            bit <<= 1
+            for q in itertools.chain.from_iterable(by_degree[:d - k + 1]):
+                prod = [0] * (k + len(q))
+                for i, a in enumerate(poly):
+                    for j, b in enumerate(q):
+                        prod[i + j] += a * b
+                masks[tuple(c % p for c in prod)] |= bit
+    return masks
 
 
 def count_maps_bruteforce(n: int, d: int, p: int) -> int:
@@ -219,15 +213,18 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
 
     Enumerates all (n+1)-tuples of degree-d binary forms over F_p, keeps the
     tuples that are not identically zero and whose homogeneous gcd is a unit,
-    and divides by p - 1 (the free scalar action).  The running gcd over the
-    processed prefix is the only state a suffix needs, so transitions are
-    memoized and a prefix that already reached a unit gcd counts its
-    completions in one step.  Each slot visits the zero form once, which
-    leaves the state alone, and one form per F_p^* orbit of nonzero forms
-    (first nonzero coefficient 1) with weight p - 1: scaling a form by
-    c != 0 changes neither its t1-valuation nor its monic dehomogenization,
-    so every form of an orbit has the same transition.  The count is
-    exactly the naive one.
+    and divides by p - 1 (the free scalar action).  The state of a processed
+    prefix is the set of irreducible homogeneous factors that all its
+    nonzero forms share, an int bitmask: bit 0 is t1, the other bits are the
+    monic irreducibles of F_p[x] of degree <= d, found by a sieve.  The empty
+    prefix has state -1 (every factor), a nonzero form intersects the state
+    with its own factor set, and the gcd is a unit exactly at state 0.  The
+    state is all a suffix needs, so counts are memoized per (slot, state),
+    and a prefix that already reached state 0 counts its completions in one
+    step.  Each slot visits the zero form once, which leaves the state
+    alone, and one form per F_p^* orbit of nonzero forms (first nonzero
+    coefficient 1) with weight p - 1: scaling a form by c != 0 does not
+    change its factors.  The count is exactly the naive one.
 
     Returns the number of F_p-points of the degree-d map space, which must
     equal the closed-form class [Map_d] evaluated at u = p.
@@ -237,51 +234,37 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
     slots = n + 1
     # p**30 exceeds the cap for every p >= 2, so the power stays small
     if p > 1 and (slots * (d + 1) > 30 or p ** (slots * (d + 1)) > 10 ** 9):
-        raise ValueError("too large")
+        raise ValueError(f"too large: p^((n+1)(d+1)) = {p}^{slots * (d + 1)} "
+                         "tuples exceed the cap of 10^9")
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p = {p} is not a prime")
 
     per_slot = p ** (d + 1)
-    # one form per orbit, the one whose first nonzero coefficient is 1, as
-    # its t1-valuation and its dehomogenization, which is then monic
+    factors = _factor_masks(d, p)
+    # the factor set of each orbit's representative, whose first nonzero
+    # coefficient a_v is 1, so that P(x) is monic of degree d - v
     reps = []
     for form in itertools.product(range(p), repeat=d + 1):
         if next(filter(None, form), 0) == 1:
-            dehom = _dehom(form)
-            reps.append((d + 1 - len(dehom), dehom))
-
-    step_cache = {}
-
-    def step(state, rep):
-        got = step_cache.get((state, rep))
-        if got is not None:
-            return got
-        if state is None:
-            out = rep
-        else:
-            (e, g), (v, mono) = state, rep
-            out = (min(e, v), _gcd_mod(g, mono, p))
-        if out[0] == 0 and len(out[1]) == 1:
-            out = _UNIT
-        step_cache[(state, rep)] = out
-        return out
+            v = form.index(1)
+            reps.append((v > 0) | factors[form[v:][::-1]])
 
     count_cache = {}
 
     def completions(slot, state):
-        if state is _UNIT:
+        if not state:
             return per_slot ** (slots - slot)
         if slot == slots:
             return 0
         got = count_cache.get((slot, state))
         if got is not None:
             return got
-        nonzero = sum(completions(slot + 1, step(state, rep)) for rep in reps)
+        nonzero = sum(completions(slot + 1, state & mask) for mask in reps)
         total = completions(slot + 1, state) + (p - 1) * nonzero
         count_cache[(slot, state)] = total
         return total
 
-    raw = completions(0, None)
+    raw = completions(0, -1)
     if raw % (p - 1):
         raise AssertionError("coprime-tuple count not divisible by p - 1")
     return raw // (p - 1)

@@ -3,6 +3,18 @@ import pytest
 from stablemaps import (extract_classes, point_target, potential,
                         projective_space, solve_phi0, tree_sum_potential)
 
+try:
+    from hypothesis import settings
+except ImportError:  # only the property-test modules need hypothesis
+    pass
+else:
+    # The property tests draw the same examples on every run (derandomize),
+    # keep no example database, and stay within the time of the rest of the
+    # suite.
+    settings.register_profile("tier1", derandomize=True, deadline=None,
+                              max_examples=60, database=None)
+    settings.load_profile("tier1")
+
 
 def _run(w, kmax, dmax, adams=False):
     phi0 = solve_phi0(w, kmax, dmax, adams=adams)

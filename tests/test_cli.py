@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stablemaps
 from stablemaps import cli, eulerchi, solver
 from stablemaps.cli import main
 from stablemaps.solver import ClassTable
@@ -201,6 +206,16 @@ class TestSmallCommands:
         assert code == 0
         assert out.strip() == "312"
 
+    def test_python_m_from_a_checkout(self):
+        # runs without an install: the package directory's parent on the path
+        src = str(Path(stablemaps.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "stablemaps", "count-ff",
+                               "--n", "1", "--d", "1", "--p", "2"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "6\n", "")
+
     def test_euler_table(self, capsys):
         code, out, _ = run_cli(capsys, "euler", "--target", "pn:1",
                                "--kmax", "4", "--dmax", "2")
@@ -318,3 +333,9 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "oracle", "--target", "point", "--kmax", "3",
                                "--workers", "1")
         assert code == 0 and out
+
+    def test_count_ff_too_large(self, capsys):
+        code, out, err = run_cli(capsys, "count-ff", "--n", "3", "--d", "3", "--p", "5")
+        assert code == 2 and out == ""
+        assert err == ("error: too large: p^((n+1)(d+1)) = 5^16 tuples exceed "
+                       "the cap of 10^9\n")

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
 from stablemaps.series import (Grading, MultiSeries, series_adams, series_dt,
@@ -42,6 +44,22 @@ def rand_series(rng, kmax=3, dmax=(2,), zero_const=False, grading=G1):
     return MultiSeries(grading, kmax, dmax, coeffs)
 
 
+@st.composite
+def small_series(draw):
+    """A rank-1 series in a box of at most 4 x 3 cells, with coefficients
+    small integer polynomials in u, as rand_series draws them."""
+    kmax, dmax = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    cells = [(k, (d,)) for k in range(kmax + 1) for d in range(dmax + 1)]
+    coeffs = st.lists(st.integers(-4, 4), min_size=1, max_size=3)
+    chosen = draw(st.dictionaries(st.sampled_from(cells), coeffs.map(UPoly).map(RatFunc)))
+    return MultiSeries(G1, kmax, (dmax,), chosen)
+
+
+def seeded_triple(seed):
+    rng = random.Random(seed)
+    return tuple(rand_series(rng) for _ in range(3))
+
+
 class TestArithmetic:
     def test_one_plus_t_times_one_minus_t(self):
         one = MultiSeries.const(G1, 2, (0,), RF_ONE)
@@ -77,13 +95,12 @@ class TestArithmetic:
         assert (a * b).kmax == 2 and (a * b).dmax == (1,)
         assert (a + b).kmax == 2 and (a + b).dmax == (1,)
 
-    def test_mul_commutative_associative(self):
-        rng = random.Random(5)
-        for _ in range(15):
-            a, b, c = (rand_series(rng) for _ in range(3))
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * b == naive_mul(a, b)
+    @given(small_series(), small_series(), small_series())
+    @example(*seeded_triple(5))
+    def test_mul_commutative_associative(self, a, b, c):
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * b == naive_mul(a, b)
 
     def test_coeff_beyond_truncation(self):
         a = rand_series(random.Random(6))

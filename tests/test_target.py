@@ -5,11 +5,11 @@ import pytest
 
 from stablemaps.eulerchi import chi_table, xseries
 from stablemaps.qfield import (MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly,
-                               div_exact)
+                               div_exact, necklace)
 from stablemaps.solver import solve_phi0
-from stablemaps.target import (count_maps_bruteforce, eisenstein_series,
-                               load_target, nclass, parse_target,
-                               point_target, projective_space,
+from stablemaps.target import (_factor_masks, count_maps_bruteforce,
+                               eisenstein_series, load_target, nclass,
+                               parse_target, point_target, projective_space,
                                target_from_json, verify_recurrence)
 from stablemaps.trees import tree_sum_potential
 
@@ -180,7 +180,7 @@ class TestBruteForceCount:
     def test_matches_naive_enumeration(self, n, d, p):
         assert count_maps_bruteforce(n, d, p) == naive_count(n, d, p)
 
-    @pytest.mark.parametrize("n, d, p", [(1, 2, 7), (2, 3, 3)])
+    @pytest.mark.parametrize("n, d, p", [(1, 2, 7), (2, 3, 3), (2, 2, 7), (1, 2, 31)])
     def test_larger_cases_match_closed_form(self, n, d, p):
         w = projective_space(n)
         assert count_maps_bruteforce(n, d, p) == w.map_class((d,)).eval_at(p)
@@ -214,6 +214,22 @@ class TestBruteForceCount:
                 count_maps_bruteforce(1, 1, p)
         # any prime under the size cap is accepted
         assert count_maps_bruteforce(1, 1, 7) == projective_space(1).map_class((1,)).eval_at(7)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_sieve_finds_the_irreducibles(self, p):
+        # a monic polynomial is irreducible iff it carries a bit that no
+        # polynomial of lower degree carries, and then it carries only that
+        # one; there are necklace(k)(p) monic irreducibles of degree k
+        masks = _factor_masks(4, p)
+        seen = 0
+        for k in range(1, 5):
+            of_degree = [mask for poly, mask in masks.items() if len(poly) == k + 1]
+            irreducible = [mask for mask in of_degree if mask & ~seen]
+            assert all(mask & (mask - 1) == 0 for mask in irreducible)
+            assert len(set(irreducible)) == len(irreducible) == necklace(k).eval(p)
+            for mask in of_degree:
+                seen |= mask
+        assert not seen & 1  # bit 0 stands for t1
 
 
 def p2_descriptor():
