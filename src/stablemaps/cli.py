@@ -21,8 +21,8 @@ from .eulerchi import chi_agrees, chi_table
 from .solver import (extract_classes, potential, solve_phi0, verify_dt,
                      verify_functional_equation, verify_implicit_numeric,
                      verify_ode, verify_potential_expansion)
-from .target import (count_maps_bruteforce, parse_target, projective_space,
-                     verify_recurrence)
+from .target import (check_count_request, count_maps_bruteforce, parse_target,
+                     projective_space, verify_recurrence)
 from .trees import enum_trees, tree_sum_potential
 
 USAGE_ERROR = 2
@@ -166,6 +166,10 @@ def _run_suite(suite, run):
 
 def cmd_verify(args) -> int:
     run = _Run(args)
+    if "ffcount" in args.suite:  # refuse an oversized count before any suite runs
+        for d in range(1, args.dmaxff + 1):
+            for p in args.primes.split(","):
+                check_count_request(args.n, d, int(p))
     results = []
     for suite in args.suite:
         ok, detail = _run_suite(suite, run)

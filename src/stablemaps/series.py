@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import add, le, sub
 
-from .qfield import RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
+from .qfield import P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
 
 
 class Grading:
@@ -218,27 +219,37 @@ class MultiSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product on the common box, or scaling by a scalar.  Each term of
+        the smaller operand visits only the partners of the larger with
+        k2 <= kmax - k1 (bucketed by t-order) and d2 within dmax - d1.  When
+        every coefficient is a polynomial, the UPoly numerators are convolved
+        directly and each nonzero cell becomes a RatFunc once, at the end."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
             return NotImplemented
         kmax, dmax = self._common_box(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        poly = all(c.den == P_ONE for c in itertools.chain(a.values(), b.values()))
+        by_order = [[] for _ in range(kmax + 1)]
+        for (k, d), c in b.items():
+            if k <= kmax:
+                by_order[k].append((d, c.num if poly else c))
         out = {}
-        if self.coeffs and other.coeffs:
-            a, b = self.coeffs, other.coeffs
-            if len(a) > len(b):
-                a, b = b, a
-            for (k1, d1), c1 in a.items():
-                if k1 > kmax or any(x > m for x, m in zip(d1, dmax)):
-                    continue
-                for (k2, d2), c2 in b.items():
-                    k = k1 + k2
-                    if k > kmax:
+        for (k1, d1), c1 in a.items():
+            room = tuple(map(sub, dmax, d1))
+            if k1 > kmax or any(x < 0 for x in room):
+                continue
+            if poly:
+                c1 = c1.num
+            for k2 in range(kmax - k1 + 1):
+                k = k1 + k2
+                for d2, c2 in by_order[k2]:
+                    if not all(map(le, d2, room)):
                         continue
-                    d = tuple(x + y for x, y in zip(d1, d2))
-                    if any(x > m for x, m in zip(d, dmax)):
-                        continue
-                    key = (k, d)
+                    key = (k, tuple(map(add, d1, d2)))
                     p = c1 * c2
                     s = out.get(key)
                     s = p if s is None else s + p
@@ -246,6 +257,8 @@ class MultiSeries:
                         out.pop(key, None)
                     else:
                         out[key] = s
+        if poly:
+            out = {key: RatFunc._reduced(s, P_ONE) for key, s in out.items()}
         return MultiSeries._new(self.grading, kmax, dmax, out)
 
     def __rmul__(self, other):

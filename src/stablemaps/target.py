@@ -208,6 +208,20 @@ def _factor_masks(d: int, p: int) -> dict:
     return masks
 
 
+def check_count_request(n: int, d: int, p: int) -> None:
+    """Raise ValueError unless count_maps_bruteforce(n, d, p) may run: n >= 1,
+    d >= 0, p a prime, and at most 10^9 form tuples."""
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    exponent = (n + 1) * (d + 1)
+    # p**30 exceeds the cap for every p >= 2, so the power stays small
+    if p > 1 and (exponent > 30 or p ** exponent > 10 ** 9):
+        raise ValueError(f"too large: p^((n+1)(d+1)) = {p}^{exponent} "
+                         "tuples exceed the cap of 10^9")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not a prime")
+
+
 def count_maps_bruteforce(n: int, d: int, p: int) -> int:
     """Count degree-d maps P^1 -> P^n over F_p by enumerating form tuples.
 
@@ -229,16 +243,8 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
     Returns the number of F_p-points of the degree-d map space, which must
     equal the closed-form class [Map_d] evaluated at u = p.
     """
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
+    check_count_request(n, d, p)
     slots = n + 1
-    # p**30 exceeds the cap for every p >= 2, so the power stays small
-    if p > 1 and (slots * (d + 1) > 30 or p ** (slots * (d + 1)) > 10 ** 9):
-        raise ValueError(f"too large: p^((n+1)(d+1)) = {p}^{slots * (d + 1)} "
-                         "tuples exceed the cap of 10^9")
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p = {p} is not a prime")
-
     per_slot = p ** (d + 1)
     factors = _factor_masks(d, p)
     # the factor set of each orbit's representative, whose first nonzero

@@ -56,6 +56,15 @@ multiplicity factorials times child automorphisms, with the usual factor 2
 for a bicentral tree whose halves are isomorphic.  tree_code canonicalises
 an arbitrary labelled tree by finding its centre, independently of the
 enumeration.
+
+Trees are enumerated under a stability-deficit budget.  The deficit of a
+vertex, max(0, 3 - valency), is the number of marks it lacks to be stable
+without a class.  A tree reaches the box only if its deficits, less the
+|dmax| largest (waived by the classes, each at most 2 once there is an
+edge), fit into kmax marks, so its total deficit is at most kmax + 2|dmax|.
+The deficit adds up over the rooted-code recursion, a non-root vertex
+having its child count + 1 as valency, so rooted trees and forests are
+memoised per (size, budget) and no subtree over budget is ever built.
 """
 
 from __future__ import annotations
@@ -81,35 +90,60 @@ def _tree_key(code):
     return (_tree_size(code), code)
 
 
+def _clamp(budget, m: int) -> int:
+    # a deficit on m vertices (one edge at least) is at most 2m: share memo entries
+    return min(budget, 2 * m)
+
+
 @lru_cache(maxsize=None)
-def _rooted_trees(m: int) -> tuple:
-    """All canonical rooted trees on m vertices.
+def _deficit(code) -> int:
+    """Stability deficit of a rooted tree hanging below a parent: the sum of
+    max(0, 3 - valency) over its vertices, the root's valency counting the
+    edge up."""
+    return max(0, 2 - len(code)) + sum(map(_deficit, code))
+
+
+@lru_cache(maxsize=None)
+def _rooted_trees(m: int, budget: int) -> tuple:
+    """All canonical rooted trees on m vertices with _deficit <= budget.
 
     Canonical means the children tuple is sorted non-increasingly by
     (size, code), recursively; each isomorphism class appears exactly once.
     """
+    # 3m minus the valency sum 2(m - 1) + 1 bounds the deficit from below
+    if budget <= m:
+        return ()
     if m == 1:
         return ((),)
     out = []
-    for first_size in range(m - 1, 0, -1):
-        for first in _rooted_trees(first_size):
-            for rest in _forests(m - 1 - first_size, first_size, first):
+    # a root with one child has deficit 1; with more children it has none
+    for first in _rooted_trees(m - 1, _clamp(budget - 1, m - 1)):
+        out.append((first,))
+    for first_size in range(m - 2, 0, -1):
+        for first in _rooted_trees(first_size, _clamp(budget, first_size)):
+            rest_total = m - 1 - first_size
+            left = _clamp(budget - _deficit(first), rest_total)
+            for rest in _forests(rest_total, first_size, first, left):
                 out.append((first,) + rest)
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _forests(total: int, max_size: int, max_tree) -> tuple:
+def _forests(total: int, max_size: int, max_tree, budget: int) -> tuple:
     """Multisets of canonical rooted trees with sizes summing to total, each
-    at most (max_size, max_tree), listed as non-increasing tuples."""
+    at most (max_size, max_tree), and deficits summing to at most budget,
+    listed as non-increasing tuples."""
     if total == 0:
         return ((),)
+    if budget <= total:
+        return ()
     out = []
     for size in range(min(total, max_size), 0, -1):
-        for t in _rooted_trees(size):
+        for t in _rooted_trees(size, _clamp(budget, size)):
             if size == max_size and t > max_tree:
                 continue
-            for rest in _forests(total - size, size, t):
+            left = _clamp(budget - _deficit(t), total - size)
+            for rest in _forests(total - size, size, t, left):
                 out.append((t,) + rest)
     return tuple(out)
 
@@ -268,36 +302,40 @@ def tree_code(vcount: int, edges) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _free_trees(m: int) -> tuple:
-    """The free trees on m vertices, each once, sorted by canonical code.
+def _free_trees(m: int, budget: int) -> tuple:
+    """The free trees on m vertices with total deficit at most budget (the
+    single vertex always), each once, sorted by canonical code.
 
     A canonical rooted tree is centred at its root when it is a single
     vertex or its two highest children have equal height; a bicentral tree
     is a pair of rooted halves of equal height, the larger by _tree_key
     first, as _free_code orders them.
     """
+    if m == 1:
+        return (Tree(("C", ())),)
     forms = []
-    for code in _rooted_trees(m):
+    # the centre has no edge up: with two children its deficit is 1
+    for code in _rooted_trees(m, budget):
         heights = sorted(map(_height, code), reverse=True)
-        if not code or (len(code) > 1 and heights[0] == heights[1]):
+        if (len(code) > 1 and heights[0] == heights[1]
+                and _deficit(code) + (len(code) == 2) <= budget):
             forms.append(("C", code))
     for size in range((m + 1) // 2, m):
-        by_height = {}
-        for h2 in _rooted_trees(m - size):
-            by_height.setdefault(_height(h2), []).append(h2)
-        for h1 in _rooted_trees(size):
-            for h2 in by_height.get(_height(h1), ()):
-                if 2 * size > m or h1 >= h2:
+        for h1 in _rooted_trees(size, _clamp(budget, size)):
+            for h2 in _rooted_trees(m - size, _clamp(budget - _deficit(h1), m - size)):
+                if _height(h1) == _height(h2) and (2 * size > m or h1 >= h2):
                     forms.append(("B", h1, h2))
     return tuple(sorted((Tree(f) for f in forms), key=lambda t: t.canonical_code))
 
 
-def enum_trees(vmax: int) -> list:
+def enum_trees(vmax: int, budget=None) -> list:
     """All isomorphism classes of trees with at most vmax vertices, as
-    (Tree, automorphism order) pairs."""
+    (Tree, automorphism order) pairs; with a budget, only the single vertex
+    and the trees whose total deficit is at most budget."""
     if vmax < 1:
         raise ValueError("vmax must be >= 1")
-    return [(t, t.aut_order) for m in range(1, vmax + 1) for t in _free_trees(m)]
+    return [(t, t.aut_order) for m in range(1, vmax + 1)
+            for t in _free_trees(m, _clamp(2 * m if budget is None else budget, m))]
 
 
 # --- markings ------------------------------------------------------------------
@@ -499,15 +537,23 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
     return total
 
 
+def _contributing_trees(kmax: int, dmax) -> list:
+    """The trees with an admissible marking in the box: a vertex needs
+    valency + k_v >= 3 unless it carries a class, so the deficits left after
+    waiving the |dmax| largest must fit into kmax marks."""
+    waived = sum(dmax)
+    out = []
+    for tree, _ in enum_trees(vertex_bound(kmax, dmax), kmax + 2 * waived):
+        deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
+        if sum(deficits[waived:]) <= kmax:
+            out.append(tree)
+    return out
+
+
 def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries:
     memo = {}
     total = MultiSeries.zero(w.grading, kmax, dmax)
-    for tree, _ in enum_trees(vertex_bound(kmax, dmax)):
-        # a vertex needs valency + k_v >= 3 unless it carries a class; the
-        # |dmax| largest deficits are the most a class can waive
-        deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
-        if sum(deficits[sum(dmax):]) > kmax:
-            continue
+    for tree in _contributing_trees(kmax, dmax):
         if tree.centred[0] == "C":
             total = total + _rooted_sum(w, tree.centred[1], 0, kmax, dmax, adams, memo)
             continue

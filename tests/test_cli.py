@@ -339,3 +339,17 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == ("error: too large: p^((n+1)(d+1)) = 5^16 tuples exceed "
                        "the cap of 10^9\n")
+
+    def test_ffcount_suite_refuses_before_counting(self, capsys, monkeypatch):
+        # (1,5,7) is over the cap: no smaller (d, p) may be counted first,
+        # and no other suite may run
+        calls = []
+        monkeypatch.setattr(cli, "count_maps_bruteforce",
+                            lambda *a: calls.append(a) or 0)
+        code, out, err = run_cli(capsys, "verify", "--suite", "recurrence",
+                                 "--suite", "ffcount", "--n", "1", "--dmaxff", "5",
+                                 "--primes", "7")
+        assert calls == []
+        assert code == 2 and out == ""
+        assert err == ("error: too large: p^((n+1)(d+1)) = 7^12 tuples exceed "
+                       "the cap of 10^9\n")

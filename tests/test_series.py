@@ -7,8 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
-from stablemaps.series import (Grading, MultiSeries, series_adams, series_dt,
-                               series_log1p, series_pow_binomial, stationary)
+from stablemaps.series import (Grading, MultiSeries, box_vectors, series_adams,
+                               series_dt, series_log1p, series_pow_binomial,
+                               stationary)
 
 G1 = Grading(1)
 G0 = Grading(0)
@@ -55,9 +56,55 @@ def small_series(draw):
     return MultiSeries(G1, kmax, (dmax,), chosen)
 
 
+@st.composite
+def nilpotent_series(draw):
+    """A small_series without its constant term."""
+    s = draw(small_series())
+    return MultiSeries(G1, s.kmax, s.dmax,
+                       {key: c for key, c in s.coeffs.items() if key != (0, (0,))})
+
+
+# u - 1, u + 1 and u^2 + 1
+DENOMINATORS = (UPoly((-1, 1)), UPoly((1, 1)), UPoly((1, 0, 1)))
+
+
+def coefficients(kind):
+    """Coefficients of one kind: polynomials in u ("poly"), fractions over a
+    nonconstant denominator ("rational"), or either ("mixed")."""
+    poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UPoly)
+    rational = st.builds(RatFunc, poly, st.sampled_from(DENOMINATORS))
+    if kind == "poly":
+        return poly.map(RatFunc)
+    return rational if kind == "rational" else st.one_of(poly.map(RatFunc), rational)
+
+
+@st.composite
+def boxed_series(draw, rank, kind):
+    """A series of the given rank in its own box of at most 4 x 3**rank
+    cells, at most 8 of them nonzero."""
+    kmax = draw(st.integers(0, 3))
+    dmax = tuple(draw(st.integers(0, 2)) for _ in range(rank))
+    cells = [(k, d) for k in range(kmax + 1) for d in box_vectors(dmax)]
+    chosen = draw(st.dictionaries(st.sampled_from(cells), coefficients(kind), max_size=8))
+    return MultiSeries(Grading(rank), kmax, dmax, chosen)
+
+
 def seeded_triple(seed):
     rng = random.Random(seed)
     return tuple(rand_series(rng) for _ in range(3))
+
+
+def seeded_pair(seed):
+    rng = random.Random(seed)
+    return rand_series(rng), rand_series(rng)
+
+
+def seeded_additivity(seed):
+    rng = random.Random(seed)
+    g = rand_series(rng, kmax=2, dmax=(2,), zero_const=True)
+    alpha = RatFunc(UPoly([rng.randint(-3, 3), 1]))
+    beta = RatFunc(UPoly([rng.randint(-3, 3), rng.randint(1, 3)]))
+    return g, alpha, beta
 
 
 class TestArithmetic:
@@ -102,6 +149,18 @@ class TestArithmetic:
         assert (a * b) * c == a * (b * c)
         assert a * b == naive_mul(a, b)
 
+    @pytest.mark.parametrize("kind", ["poly", "rational", "mixed"])
+    @given(data=st.data())
+    def test_mul_matches_naive_on_unequal_boxes(self, kind, data):
+        # "poly" takes the polynomial path of the product, "rational" and
+        # "mixed" the RatFunc one; (x + y)(x - y) makes cells cancel inside
+        # one product, and a b + a (-b) across two
+        rank = data.draw(st.sampled_from([0, 1, 2]))
+        a, b, c = (data.draw(boxed_series(rank, kind)) for _ in range(3))
+        assert a * b == naive_mul(a, b)
+        assert (a * b + a * (-b)).is_zero
+        assert (b + c) * (b - c) == naive_mul(b + c, b - c)
+
     def test_coeff_beyond_truncation(self):
         a = rand_series(random.Random(6))
         with pytest.raises(ValueError, match="beyond truncation"):
@@ -133,15 +192,15 @@ class TestPowBinomial:
         again = series_pow_binomial(base - one, RatFunc(P_ONE, U))
         assert again == one + t_series(4, (0,))
 
-    def test_exponent_additivity(self):
-        rng = random.Random(8)
-        for _ in range(8):
-            g = rand_series(rng, kmax=2, dmax=(2,), zero_const=True)
-            alpha = RatFunc(UPoly([rng.randint(-3, 3), 1]))
-            beta = RatFunc(UPoly([rng.randint(-3, 3), rng.randint(1, 3)]))
-            lhs = series_pow_binomial(g, alpha + beta)
-            rhs = series_pow_binomial(g, alpha) * series_pow_binomial(g, beta)
-            assert lhs == rhs
+    @given(nilpotent_series(),
+           st.integers(-3, 3).map(lambda a: RatFunc(UPoly([a, 1]))),
+           st.builds(lambda a, b: RatFunc(UPoly([a, b])),
+                     st.integers(-3, 3), st.integers(1, 3)))
+    @example(*seeded_additivity(8))
+    def test_exponent_additivity(self, g, alpha, beta):
+        lhs = series_pow_binomial(g, alpha + beta)
+        rhs = series_pow_binomial(g, alpha) * series_pow_binomial(g, beta)
+        assert lhs == rhs
 
     def test_rejects_constant_term(self):
         bad = MultiSeries.const(G1, 2, (1,), RF_ONE)
@@ -221,14 +280,12 @@ class TestDt:
         lower = series_pow_binomial(t_series(4, (0,)), RF_U - RF_ONE)
         assert series_dt(base) == lower.scale(RF_U)
 
-    def test_product_rule(self):
-        rng = random.Random(12)
-        for _ in range(10):
-            a = rand_series(rng)
-            b = rand_series(rng)
-            lhs = series_dt(a * b)
-            rhs = series_dt(a) * b + a * series_dt(b)
-            assert lhs == rhs
+    @given(small_series(), small_series())
+    @example(*seeded_pair(12))
+    def test_product_rule(self, a, b):
+        lhs = series_dt(a * b)
+        rhs = series_dt(a) * b + a * series_dt(b)
+        assert lhs == rhs
 
 
 class TestTPower:

@@ -9,9 +9,10 @@ import pytest
 from stablemaps.qfield import RatFunc, UPoly, is_palindromic
 from stablemaps.series import MultiSeries
 from stablemaps.target import point_target, projective_space
-from stablemaps.trees import (MarkedTree, _adjacency, _free_aut, _free_code,
-                              enum_marked, enum_trees, stratum_class, tree_code,
-                              tree_sum_potential, vertex_bound)
+from stablemaps import trees
+from stablemaps.trees import (MarkedTree, _adjacency, _contributing_trees, _free_aut,
+                              _free_code, enum_marked, enum_trees, stratum_class,
+                              tree_code, tree_sum_potential, vertex_bound)
 from test_solver import p1xp1_target
 
 # free trees by vertex count (OEIS A000055)
@@ -110,6 +111,53 @@ class TestEnumeration:
     def test_vmax_validation(self):
         with pytest.raises(ValueError):
             enum_trees(0)
+
+
+def total_deficit(tree):
+    return sum(max(0, 3 - v) for v in tree.valencies)
+
+
+def waiver_filter(pairs, kmax, dmax):
+    """Centred forms of the trees whose deficits, less the |dmax| largest,
+    fit into kmax marks."""
+    kept = []
+    for tree, _ in pairs:
+        deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
+        if sum(deficits[sum(dmax):]) <= kmax:
+            kept.append(tree.centred)
+    return kept
+
+
+class TestDeficitBudget:
+    def test_budget_bounds_total_deficit(self):
+        full = enum_trees(11)
+        for budget in range(0, 24):
+            expected = [t.canonical_code for t, _ in full
+                        if t.vcount == 1 or total_deficit(t) <= budget]
+            got = [t.canonical_code for t, _ in enum_trees(11, budget)]
+            assert got == expected
+
+    @pytest.mark.parametrize("kmax, dmax", [(k, ()) for k in range(9)] + [
+        (4, (3,)), (5, (3,)), (3, (2, 2)),
+        (1, (2, 1)),  # reaches the symmetric bicentral trees
+    ])
+    def test_oracle_visits_the_waived_trees(self, kmax, dmax):
+        visited = [t.centred for t in _contributing_trees(kmax, dmax)]
+        assert visited == waiver_filter(enum_trees(vertex_bound(kmax, dmax)), kmax, dmax)
+
+    def test_oracle_enumerates_through_the_module_binding(self, monkeypatch):
+        # a wrapper of trees.enum_trees sees the one budgeted enumeration
+        seen = []
+
+        def recording(*args):
+            got = enum_trees(*args)
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(trees, "enum_trees", recording)
+        tree_sum_potential(projective_space(2), 3, (2,))
+        full = len(enum_trees(vertex_bound(3, (2,))))
+        assert len(seen) == 1 and seen[0] < full
 
 
 class TestMarkings:
