@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:  # e.g. a box too large to index
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -20,10 +20,11 @@ universal differential equation at u = 1,
 
     (1 - phi) phi_t = 2 phi + t,
 
-from which the t-layers are built with the solver's own layer builder
-(t_layers with u = 1).  The chi-potential is
-chi(W) * (-phi**2/4 + phi/2 - t**2/4), and chi_agrees confirms that k!
-times its coefficients equal the exact solver classes evaluated at u = 1.
+and everything around the two equations is the solver's own code at u = 1:
+the t-layers (t_layers), the chi-potential chi(W) * closed_form(phi, 1) =
+chi(W) * (-phi**2/4 + phi/2 - t**2/4), and its k!-scaled cells
+(extract_classes).  chi_agrees confirms that those cells equal the exact
+solver classes evaluated at u = 1.
 Because both sides of that comparison now build their t-layers from the
 same code, chi_agrees first requires the residual of the logarithmic
 equation over the whole box (verify_log_equation) to vanish; that residual
@@ -32,8 +33,8 @@ check on the layers.
 
 With adams=True (see stablemaps.solver) the same limit runs on the
 effective map series E * A: X is read off E * A instead of E, and the
-chi-potential gains chi(W)/4 * psi_2(R0)|_{u=1} at t**0, the u -> 1 value
-of the solver's P_W u/(2(u+1)) psi_2(R0); psi_2(R0) has no pole at u = 1.
+chi-potential gains the solver's adams_term P_W u/(2(u+1)) psi_2(R0) at
+t**0, evaluated at u = 1, where psi_2(R0) has no pole.
 
 Series here have constant rational coefficients.
 """
@@ -41,12 +42,11 @@ Series here have constant rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .qfield import RF_ONE, RatFunc
-from .series import MultiSeries, box_vectors, series_adams, series_log1p, stationary
-from .solver import (ClassTable, adams_slice, extract_classes, potential, solve_phi0,
-                     t_layers)
+from .series import MultiSeries, box_vectors, series_log1p, stationary
+from .solver import (ClassTable, adams_factor, adams_term, closed_form, extract_classes,
+                     potential, solve_phi0, t_layers)
 from .target import TargetSpace, eisenstein_series
 
 
@@ -121,10 +121,7 @@ def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> MultiSeries
     on the whole box without that equation.
     """
     dmax = w.box(dmax, kmax)
-    r0 = _log_fixed_point(w, 0, dmax, xs)
-    coeffs = {(k, d): c for k, layer in enumerate(t_layers(r0, kmax, RF_ONE))
-              for (_, d), c in layer.coeffs.items()}
-    return MultiSeries(w.grading, kmax, dmax, coeffs)
+    return t_layers(_log_fixed_point(w, 0, dmax, xs), kmax, RF_ONE)
 
 
 def verify_log_equation(w: TargetSpace, phi: MultiSeries, xs: MultiSeries) -> MultiSeries:
@@ -137,46 +134,36 @@ def verify_log_equation(w: TargetSpace, phi: MultiSeries, xs: MultiSeries) -> Mu
 
 
 def chi_potential(w: TargetSpace, phi0chi: MultiSeries) -> MultiSeries:
-    """chi(W) * (-phi**2/4 + phi/2 - t**2/4); k! times its coefficient of
-    t**k z**beta is the Euler characteristic of the (k, beta) moduli space."""
-    kmax, dmax = phi0chi.kmax, phi0chi.dmax
-    chi_w = w.pw.eval(1)
-    quad = (phi0chi * phi0chi).scale(Fraction(-1, 4))
-    lin = phi0chi.scale(Fraction(1, 2))
-    t2 = MultiSeries.t_power(w.grading, kmax, dmax, 2).scale(Fraction(1, 4))
-    return (quad + lin - t2).scale(chi_w)
+    """chi(W) * closed_form(phi) at u = 1, i.e. chi(W) * (-phi**2/4 + phi/2
+    - t**2/4); k! times its coefficient of t**k z**beta is the Euler
+    characteristic of the (k, beta) moduli space."""
+    return closed_form(phi0chi, RF_ONE).scale(w.pw.eval(1))
 
 
 def _euler_limit(w: TargetSpace, kmax: int, dmax, adams: bool, r0=None):
     """(phi, X, chi-potential) of the Euler limit on the box.  With
     adams=True, X is read off E * A(R0) and the chi-potential carries the
-    psi_2(R0) term; R0 is the t = 0 slice of the Adams-corrected solver
-    fixed point, solved here unless given."""
-    r0, a = adams_slice(w, dmax, r0) if adams else (None, None)
-    xs = xseries(w, dmax, factor=a)
+    solver's Adams term at u = 1; R0 is the t = 0 slice of the
+    Adams-corrected solver fixed point, solved here unless given."""
+    if adams and r0 is None:
+        r0 = solve_phi0(w, 0, dmax, adams=True)
+    xs = xseries(w, dmax, factor=adams_factor(r0) if adams else None)
     phi = solve_phi0_chi(w, kmax, dmax, xs=xs)
     pot = chi_potential(w, phi)
     if adams:
-        scale = Fraction(w.pw.eval(1), 4)
-        corr = {key: RatFunc(c.eval_at(1) * scale)
-                for key, c in series_adams(r0, 2).coeffs.items()}
+        corr = {key: RatFunc(c.eval_at(1)) for key, c in adams_term(w, r0).coeffs.items()}
         pot = pot + MultiSeries(w.grading, kmax, dmax, corr)
     return phi, xs, pot
 
 
-def _cells(chi_pot: MultiSeries) -> dict:
-    out = {}
-    for key in box_vectors((chi_pot.kmax,) + chi_pot.dmax):
-        k, d = key[0], key[1:]
-        value = chi_pot.coeff(k, d) * factorial(k)
-        out[(k, d)] = value.eval_at(0)  # coefficients are constants
-    return out
+def _at_one(table: ClassTable) -> dict:
+    return {cell: p.eval(1) for cell, p in table.entries.items()}
 
 
 def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
     """Euler characteristics per cell, as exact rationals."""
     dmax = w.box(dmax, kmax)
-    return _cells(_euler_limit(w, kmax, dmax, adams)[2])
+    return _at_one(extract_classes(_euler_limit(w, kmax, dmax, adams)[2]))
 
 
 def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False,
@@ -191,8 +178,7 @@ def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False,
     phi, xs, chi_pot = _euler_limit(w, table.kmax, table.dmax, adams, r0)
     if not verify_log_equation(w, phi, xs).is_zero:
         return False
-    exact = {cell: p.eval(1) for cell, p in table.entries.items()}
-    return _cells(chi_pot) == exact
+    return _at_one(extract_classes(chi_pot)) == _at_one(table)
 
 
 def crosscheck_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> bool:

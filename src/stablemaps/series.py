@@ -41,17 +41,11 @@ class Grading:
 
     __slots__ = ("rank", "names")
 
-    def __init__(self, rank: int, names=None):
+    def __init__(self, rank: int):
         if rank < 0:
             raise ValueError("rank must be >= 0")
-        if names is None:
-            names = tuple(f"z{i + 1}" for i in range(rank))
-        else:
-            names = tuple(str(n) for n in names)
-            if len(names) != rank:
-                raise ValueError("need one name per z-component")
         self.rank = rank
-        self.names = names
+        self.names = tuple(f"z{i + 1}" for i in range(rank))
 
     @property
     def zero(self) -> tuple:

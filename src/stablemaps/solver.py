@@ -12,6 +12,9 @@ by the closed form
 
     Phi = P_W * ( -u/(2(u+1)) * phi0**2 + phi0/(u+1) - t**2/(2(u+1)) ).
 
+closed_form and t_layers (below) take u as a parameter: the Euler limit in
+stablemaps.eulerchi calls them, and extract_classes, at u = 1.
+
 Because phi0 solves (*) it also solves the universal differential equation
 (below), and solve_phi0 uses that split.  Only the z-only t = 0 slice
 R0 = phi0|_{t=0} is found by the fixed point, of the rearrangement
@@ -111,7 +114,7 @@ def _fixed_point(w: TargetSpace, kmax: int, dmax, phi, factor=None) -> MultiSeri
     return phi
 
 
-def _adams_factor(r0: MultiSeries) -> MultiSeries:
+def adams_factor(r0: MultiSeries) -> MultiSeries:
     """A = prod_{k=2}^{|dmax|} (1 + psi_k r0)**M_k on the box of r0; only
     the t = 0 slice of r0 enters, since psi_k sends t to 0."""
     a = MultiSeries.const(r0.grading, r0.kmax, r0.dmax, RF_ONE)
@@ -120,10 +123,10 @@ def _adams_factor(r0: MultiSeries) -> MultiSeries:
     return a
 
 
-def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> list:
-    """The t-layers phi_0 = R0, phi_1, ..., phi_kmax of phi0 = sum phi_k t**k,
-    z-only series on the box of R0, from the universal differential
-    equation.  Its t**k coefficient
+def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
+    """phi0 = sum_k phi_k t**k on the box (kmax, dmax of R0), from its t = 0
+    slice phi_0 = R0 and the universal differential equation; r0 itself
+    when kmax is 0.  The t**k coefficient of that equation
 
         (k+1)(1 - u R0) phi_{k+1}
             = (u+1) phi_k + [k=1] + u sum_{i=1}^{k} (k-i+1) phi_i phi_{k-i+1}
@@ -137,7 +140,7 @@ def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> list:
     variable by default; the Euler limit passes the constant 1, where the
     equation reads (1 - phi0) phi0_t = 2 phi0 + t."""
     if not kmax:
-        return [r0]
+        return r0
     inv = series_pow_binomial(r0.scale(-u), -1)  # 1/(1 - u R0)
     one = MultiSeries.const(r0.grading, 0, r0.dmax, RF_ONE)
     half_u = u * Fraction(1, 2)
@@ -151,59 +154,42 @@ def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> list:
         if k == 1:
             lin = lin + one
         layers.append(inv * (lin.scale(Fraction(1, k + 1)) + pairs.scale(half_u)))
-    return layers
+    coeffs = {(k, d): c for k, layer in enumerate(layers)
+              for (_, d), c in layer.coeffs.items()}
+    return MultiSeries(r0.grading, kmax, r0.dmax, coeffs)
 
 
-def adams_slice(w: TargetSpace, dmax=None, r0=None):
-    """(R0, A): the t = 0 slice phi0|_{t=0} of the Adams-corrected fixed
-    point and its Adams factor A(R0), both z-only series (kmax = 0).  A
-    slice already solved may be passed as `r0`; then only A is computed."""
-    if r0 is None:
-        r0 = solve_phi0(w, 0, dmax, adams=True)
-    return r0, _adams_factor(r0)
-
-
-def solve_phi0(w: TargetSpace, kmax: int, dmax=None, initial=None,
-               adams: bool = False) -> MultiSeries:
+def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
     """Unique zero-constant-term root of the functional equation (*), exact
     within the truncation box; with adams=True, of (*) with E replaced by
-    E * A (see the module docstring).
-
-    Only the t = 0 slice R0 is found by the fixed point of (*); the
-    t-layers come from the universal differential equation (t_layers).
-    `initial` seeds that slice: its t = 0 slice may be any series on the
-    z-box dmax with zero constant term, and the iteration reaches the same
-    R0 regardless, which is how uniqueness is exercised in the tests.  Its
-    higher t-orders are ignored.
-    """
+    E * A (see the module docstring).  Only the t = 0 slice R0 is found by
+    the fixed point of (*); the t-layers come from the universal
+    differential equation (t_layers)."""
     dmax = w.box(dmax, kmax)
-    if initial is None:
-        seed = MultiSeries.zero(w.grading, 0, dmax)
-    else:
-        if not initial.constant_term.is_zero:
-            raise ValueError("initial series must have zero constant term")
-        if initial.grading != w.grading or initial.dmax != dmax:
-            raise ValueError(f"initial series must be on the z-box {dmax}")
-        seed = initial.truncate(kmax=0)
-    r0 = _fixed_point(w, 0, dmax, seed, factor=_adams_factor if adams else None)
-    coeffs = {(k, d): c for k, layer in enumerate(t_layers(r0, kmax))
-              for (_, d), c in layer.coeffs.items()}
-    return MultiSeries(w.grading, kmax, dmax, coeffs)
+    r0 = _fixed_point(w, 0, dmax, MultiSeries.zero(w.grading, 0, dmax),
+                      factor=adams_factor if adams else None)
+    return t_layers(r0, kmax)
+
+
+def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
+    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi: the
+    potential over P_W.  `u` is the variable by default; the Euler limit
+    passes the constant 1."""
+    two_up1 = (u + 1) * 2
+    t2 = MultiSeries.t_power(phi.grading, phi.kmax, phi.dmax, 2)
+    return (phi * phi).scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
+
+
+def adams_term(w: TargetSpace, r0: MultiSeries) -> MultiSeries:
+    """P_W * u/(2(u+1)) * psi_2(R0), the term the Adams operations add to the
+    potential, on the box of r0; only its t = 0 slice R0 enters."""
+    return series_adams(r0, 2).scale(RatFunc(U * w.pw, LINE_CLASS.scale(2)))
 
 
 def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False) -> MultiSeries:
-    """Assemble the potential from the fixed point:
-    Phi = P_W * (-u/(2(u+1)) phi0**2 + phi0/(u+1) - t**2/(2(u+1))),
-    plus P_W * u/(2(u+1)) * psi_2(phi0|_{t=0}) with adams=True."""
-    kmax, dmax = phi0.kmax, phi0.dmax
-    two_up1 = LINE_CLASS.scale(2)
-    quad = (phi0 * phi0).scale(RatFunc(UPoly((0, -1)), two_up1))
-    lin = phi0.scale(RatFunc(P_ONE, LINE_CLASS))
-    t2 = MultiSeries.t_power(w.grading, kmax, dmax, 2).scale(RatFunc(P_ONE, two_up1))
-    total = quad + lin - t2
-    if adams:
-        total = total + series_adams(phi0, 2).scale(RatFunc(U, two_up1))
-    return total.scale(RatFunc(w.pw))
+    """Phi = P_W * closed_form(phi0), plus adams_term(w, phi0) with adams=True."""
+    pot = closed_form(phi0).scale(RatFunc(w.pw))
+    return pot + adams_term(w, phi0) if adams else pot
 
 
 class ClassTable:
@@ -309,7 +295,7 @@ def verify_functional_equation(w: TargetSpace, phi0: MultiSeries,
     place of E when adams=True; the zero series exactly when phi0 solves it.
     One full-box (1+t+phi0)**u, and nothing from the differential equation
     that builds the t-layers of solve_phi0."""
-    step = _rearranged(w, phi0.kmax, phi0.dmax, _adams_factor if adams else None)
+    step = _rearranged(w, phi0.kmax, phi0.dmax, adams_factor if adams else None)
     return step(phi0) - phi0
 
 

@@ -279,8 +279,10 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
 # --- JSON target descriptors --------------------------------------------------
 
 def _json_poly(data, field: str) -> UPoly:
-    # strings or integers only: a JSON float is inexact, and Infinity has no ratio
-    if not isinstance(data, list) or not all(isinstance(c, (str, int)) for c in data):
+    # strings or integers only: a JSON float is inexact, Infinity has no ratio,
+    # and true/false are ints to Python (so `type(c) is int`, as for rank and beta)
+    if not isinstance(data, list) or not all(isinstance(c, str) or type(c) is int
+                                             for c in data):
         raise ValueError(f"{field} must be a JSON list of coefficient strings")
     coeffs = []
     for c in data:
@@ -307,7 +309,7 @@ def target_from_json(data) -> TargetSpace:
         if field not in data:
             raise ValueError(f"target descriptor missing field {field!r}")
     rank = data["rank"]
-    if not isinstance(rank, int) or rank < 1:
+    if type(rank) is not int or rank < 1:
         raise ValueError("rank must be an integer >= 1")
     pw = _json_poly(data["pw"], "pw")
     if pw.is_zero:
@@ -322,7 +324,7 @@ def target_from_json(data) -> TargetSpace:
             if field not in item:
                 raise ValueError(f"class entry missing field {field!r}")
         beta = item["beta"]
-        if not isinstance(beta, list) or not all(isinstance(b, int) for b in beta):
+        if not isinstance(beta, list) or not all(type(b) is int for b in beta):
             raise ValueError("beta must be a JSON list of integers")
         beta = tuple(beta)
         if len(beta) != rank:
@@ -349,6 +351,6 @@ def load_target(path) -> TargetSpace:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ValueError(f"malformed target file {path}: {exc}") from exc
     return target_from_json(data)

@@ -170,7 +170,7 @@ class TestVerify:
 
     def test_adams_slice_not_solved_again(self, capsys, monkeypatch):
         # the chi suite takes the Adams factor from the run's t = 0 slice
-        # instead of solving it again through adams_slice
+        # instead of solving the slice again
         assert self.verify_call_counts(capsys, monkeypatch, "--adams") == \
             {"parse_target": 1, "solve_phi0": 1}
 
@@ -333,6 +333,20 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "oracle", "--target", "point", "--kmax", "3",
                                "--workers", "1")
         assert code == 0 and out
+
+    def test_deeply_nested_target_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "compute", "--target", f"file:{path}")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: malformed target file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_dmax_too_large_to_index(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--target", "pn:1", "--kmax", "1",
+                                 "--dmax", "99999999999999999999")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_count_ff_too_large(self, capsys):
         code, out, err = run_cli(capsys, "count-ff", "--n", "3", "--d", "3", "--p", "5")

@@ -9,7 +9,7 @@ from stablemaps.eulerchi import (_log_fixed_point, chi_agrees, chi_potential, ch
                                  solve_phi0_chi, verify_log_equation, xseries)
 from stablemaps.qfield import RF_ONE, RF_U, RatFunc
 from stablemaps.series import MultiSeries, series_log1p
-from stablemaps.solver import adams_slice
+from stablemaps.solver import adams_factor, solve_phi0
 from stablemaps.target import point_target, projective_space
 from test_solver import p1xp1_target
 
@@ -59,8 +59,6 @@ class TestChiFixedPoint:
     def test_line_z_linear_matches_exact_limit(self):
         # the z-linear coefficient must be the u -> 1 value of the exact
         # solver's (u+1) N(W, beta)
-        from stablemaps.solver import solve_phi0
-
         w = projective_space(1)
         chi_phi = solve_phi0_chi(w, 2, (1,))
         exact_phi = solve_phi0(w, 2, (1,))
@@ -85,7 +83,8 @@ def limit_solutions():
     for box, (make, kmax, dmax) in LIMIT_BOXES.items():
         w = make()
         for adams in (False, True):
-            xs = xseries(w, dmax, factor=adams_slice(w, dmax)[1] if adams else None)
+            a = adams_factor(solve_phi0(w, 0, dmax, adams=True)) if adams else None
+            xs = xseries(w, dmax, factor=a)
             out[box, adams] = (w, xs, solve_phi0_chi(w, kmax, dmax, xs=xs))
     return out
 
@@ -116,15 +115,16 @@ class TestSliceAndLayers:
 
 def tampered_layers(monkeypatch, modules, k, d, value):
     """Replace the t-layer builder seen by `modules` with one that adds
-    value(u) to the t**k z**d coefficient of what it returns (a box without
-    t**k, such as the slice solve of adams_slice, is left as it is)."""
+    value(u) to the t**k z**d coefficient of the series it returns (a box
+    without t**k, such as the t = 0 slice of the Adams-corrected solve, is
+    left as it is)."""
     real = solver.t_layers
 
     def faulty(r0, kmax, u=RF_U):
-        layers = real(r0, kmax, u)
+        phi = real(r0, kmax, u)
         if k <= kmax:
-            layers[k] = layers[k] + MultiSeries.monomial(r0.grading, 0, r0.dmax, 0, d, value(u))
-        return layers
+            phi = phi + MultiSeries.monomial(r0.grading, kmax, r0.dmax, k, d, value(u))
+        return phi
     for module in modules:
         monkeypatch.setattr(module, "t_layers", faulty)
 

@@ -5,7 +5,7 @@ import pytest
 from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, UPoly,
                                div_exact, is_palindromic)
 from stablemaps.series import MultiSeries
-from stablemaps.solver import (ClassTable, _fixed_point, adams_slice,
+from stablemaps.solver import (ClassTable, _fixed_point, adams_factor,
                                extract_classes, potential, solve_phi0,
                                verify_dt, verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
@@ -39,24 +39,14 @@ class TestFixedPoint:
             assert got == RatFunc(LINE_CLASS) * nclass(w, (1,))
 
     def test_uniqueness_under_restart(self):
+        # the slice iteration started from a z coefficient other than the
+        # root's reaches the same t = 0 slice
         w = projective_space(1)
-        reference = solve_phi0(w, 3, (2,))
-        seed = MultiSeries.monomial(w.grading, 3, (2,), 2, (1,),
+        reference = solve_phi0(w, 3, (2,)).truncate(kmax=0)
+        seed = MultiSeries.monomial(w.grading, 0, (2,), 0, (1,),
                                     RatFunc(UPoly((3, 7, 1))))
-        assert solve_phi0(w, 3, (2,), initial=seed) == reference
-
-    def test_rejects_bad_seed(self):
-        w = point_target()
-        seed = MultiSeries.const(w.grading, 3, (), RatFunc(1))
-        with pytest.raises(ValueError, match="constant term"):
-            solve_phi0(w, 3, initial=seed)
-
-    def test_rejects_seed_on_other_box(self):
-        # a seed on a smaller z-box would leave the cells outside it unsolved
-        w = projective_space(1)
-        seed = MultiSeries.zero(w.grading, 3, (1,))
-        with pytest.raises(ValueError, match="z-box"):
-            solve_phi0(w, 3, (2,), initial=seed)
+        assert seed.coeff(0, (1,)) != reference.coeff(0, (1,))
+        assert _fixed_point(w, 0, (2,), seed) == reference
 
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("box", ["point", "pn:1", "pn:2", "p1xp1"])
@@ -72,7 +62,8 @@ class TestFixedPoint:
         }[box]
         zero = MultiSeries.zero(w.grading, kmax, dmax)
         if adams:
-            a = MultiSeries(w.grading, kmax, dmax, adams_slice(w, dmax)[1].coeffs)
+            a = MultiSeries(w.grading, kmax, dmax,
+                            adams_factor(solve_phi0(w, 0, dmax, adams=True)).coeffs)
             reference = _fixed_point(w, kmax, dmax, zero, factor=lambda _: a)
         else:
             reference = _fixed_point(w, kmax, dmax, zero)

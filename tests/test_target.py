@@ -289,6 +289,27 @@ class TestLoadTarget:
         with pytest.raises(ValueError, match="pole at u = 1"):
             target_from_json(data)
 
+    @pytest.mark.parametrize("place, message", [
+        ("rank", "rank must be an integer"),
+        ("beta", "beta must be a JSON list of integers"),
+        ("pw", "pw must be a JSON list"),
+        ("num", "num must be a JSON list"),
+        ("den", "den must be a JSON list"),
+    ])
+    def test_json_booleans_rejected(self, place, message):
+        # true is an int to Python; it must not pass as rank 1, degree 1 or 1
+        data = p2_descriptor()
+        if place == "rank":
+            data["rank"] = True
+        elif place == "beta":
+            data["classes"][0]["beta"] = [True]
+        elif place == "pw":
+            data["pw"] = [True, "1", "1"]
+        else:
+            data["classes"][0]["value"][place] = [True]
+        with pytest.raises(ValueError, match=message):
+            target_from_json(data)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
