@@ -8,9 +8,9 @@ coefficient: a closed-form solver built on the unique root of a functional
 equation, and a brute-force sum over isomorphism classes of marked trees.
 A further battery of exact identities (map-space degree recurrence,
 finite-field point counts, the universal differential equation, the
-derivative identity, the functional equation's own residual, the potential
-expansion, the Euler-characteristic limit and its own residual) ties every
-layer to an independent computation.
+derivative identity, the closed form over the whole box, the functional
+equation's own residual, the potential expansion, the Euler-characteristic
+limit and its own residual) ties every layer to an independent computation.
 """
 
 from .qfield import (LINE_CLASS, MOEBIUS_CLASS, RatFunc, UPoly, binom_falling,
@@ -25,7 +25,7 @@ from .trees import (MarkedTree, Tree, enum_marked, enum_trees, stratum_class,
 from .solver import (ClassTable, extract_classes, potential, solve_phi0,
                      verify_dt, verify_functional_equation,
                      verify_implicit_numeric, verify_ode,
-                     verify_potential_expansion)
+                     verify_potential_expansion, verify_quadratic)
 from .eulerchi import (chi_agrees, chi_potential, chi_table, crosscheck_chi,
                        is_constant_series, solve_phi0_chi, verify_log_equation,
                        xseries)
@@ -44,7 +44,7 @@ __all__ = [
     "stratum_class", "tree_code", "tree_sum_potential", "vertex_bound",
     "ClassTable", "extract_classes", "potential", "solve_phi0", "verify_dt",
     "verify_functional_equation", "verify_implicit_numeric", "verify_ode",
-    "verify_potential_expansion",
+    "verify_potential_expansion", "verify_quadratic",
     "chi_agrees", "chi_potential", "chi_table", "crosscheck_chi",
     "is_constant_series", "solve_phi0_chi", "verify_log_equation", "xseries",
 ]

@@ -20,7 +20,7 @@ from functools import cached_property
 from .eulerchi import chi_agrees, chi_table
 from .solver import (extract_classes, potential, solve_phi0, verify_dt,
                      verify_functional_equation, verify_implicit_numeric,
-                     verify_ode, verify_potential_expansion)
+                     verify_ode, verify_potential_expansion, verify_quadratic)
 from .target import (check_count_request, count_maps_bruteforce, parse_target,
                      projective_space, verify_recurrence)
 from .trees import enum_trees, tree_sum_potential
@@ -127,8 +127,11 @@ def _run_suite(suite, run):
         ok = res_a.is_zero and res_b.is_zero
         return ok, "both residuals vanish" if ok else f"residuals {res_a} ; {res_b}"
     if suite == "dt":
-        ok = verify_dt(run.potential, run.phi0, w)
-        return ok, "d/dt potential reproduces the fixed point" if ok else "mismatch"
+        if not verify_dt(run.potential, run.phi0, w):
+            return False, "mismatch"
+        res = verify_quadratic(w, run.phi0, run.potential, adams=adams)
+        return res.is_zero, ("d/dt potential reproduces the fixed point" if res.is_zero
+                             else f"closed-form residual {res}")
     if suite == "fe":
         res = verify_functional_equation(w, run.phi0, adams=adams)
         return res.is_zero, ("functional equation holds on the box" if res.is_zero

@@ -83,6 +83,12 @@ class UPoly:
         return p
 
     @classmethod
+    def from_numer(cls, numer: list, denom: int) -> "UPoly":
+        """sum(numer[i] * u**i) / denom for an int list numer and an int
+        denom > 0, put in the canonical form (numer may be consumed)."""
+        return _poly(numer, denom)
+
+    @classmethod
     def monomial(cls, degree: int, coeff=1) -> "UPoly":
         c = _const(Fraction(coeff))
         if not c:

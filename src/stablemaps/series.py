@@ -9,7 +9,11 @@ d <= dmax componentwise.  The z-exponents live in the free semigroup
 Z+**r; a rank of 0 is allowed and means there are no z-variables at all
 (series in t only).  Multiplication is full convolution into the box, so
 every box cell of a product is exact; the box is closed downward, which is
-what makes box truncation a quotient ring.
+what makes box truncation a quotient ring.  When every coefficient of both
+factors is a polynomial in u, the product runs on ints by Kronecker
+substitution: each cell's numerator is packed once as its value at
+u = 2**bits, each in-box pair costs one int multiply, and each output cell
+is unpacked once.
 
 Besides ring operations the module provides the two compositions the
 moduli computation needs, both finite inside a box because their argument
@@ -30,6 +34,7 @@ are stored sparsely; an absent key is a zero coefficient.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -73,6 +78,47 @@ def _coerce_coeff(c) -> RatFunc:
     if isinstance(c, (int, Fraction, UPoly)):
         return RatFunc(c)
     raise TypeError(f"bad series coefficient {c!r}")
+
+
+def _scaled_numerators(cells: dict):
+    """For polynomial coefficients: their lcm denominator L, each cell's
+    numerator of L * c as an int list, the largest |coefficient| and the
+    largest length among those lists."""
+    lcm = math.lcm(*(c.num.denom for c in cells.values()))
+    rows, top, length = {}, 0, 0
+    for key, c in cells.items():
+        p = c.num
+        m = lcm // p.denom
+        row = p.numer if m == 1 else [x * m for x in p.numer]
+        rows[key] = row
+        top = max(top, max(map(abs, row)))
+        length = max(length, len(row))
+    return lcm, rows, top, length
+
+
+def _pack(row, bits: int) -> int:
+    """sum(row[i] * 2**(bits*i)) by signed Horner: the Kronecker image of a
+    polynomial at u = 2**bits."""
+    acc = 0
+    for c in reversed(row):
+        acc = (acc << bits) + c
+    return acc
+
+
+def _unpack(acc: int, bits: int) -> list:
+    """The int list row with _pack(row, bits) == acc and every entry in
+    [-2**(bits-1), 2**(bits-1)), read slot by slot with a signed borrow."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    row = []
+    while acc:
+        c = acc & mask
+        acc >>= bits
+        if c >= half:
+            c -= mask + 1
+            acc += 1
+        row.append(c)
+    return row
 
 
 class MultiSeries:
@@ -215,9 +261,13 @@ class MultiSeries:
     def __mul__(self, other):
         """Product on the common box, or scaling by a scalar.  Each term of
         the smaller operand visits only the partners of the larger with
-        k2 <= kmax - k1 (bucketed by t-order) and d2 within dmax - d1.  When
-        every coefficient is a polynomial, the UPoly numerators are convolved
-        directly and each nonzero cell becomes a RatFunc once, at the end."""
+        k2 <= kmax - k1 (bucketed by t-order) and d2 within dmax - d1.
+
+        When every coefficient is a polynomial, each operand is put over the
+        lcm of its denominators and each cell's numerator is packed once into
+        one int (Kronecker substitution, _pack), in slots wide enough that no
+        sum of products overflows; a pair is then one int multiply and add,
+        and each output cell is unpacked once into one UPoly."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
@@ -226,33 +276,38 @@ class MultiSeries:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
+        if not a:
+            return MultiSeries._new(self.grading, kmax, dmax, {})
         poly = all(c.den == P_ONE for c in itertools.chain(a.values(), b.values()))
+        if poly:
+            la, rows_a, top_a, len_a = _scaled_numerators(a)
+            lb, rows_b, top_b, len_b = _scaled_numerators(b)
+            bits = (top_a * top_b * min(len_a, len_b) * len(a)).bit_length() + 2
+            a = {key: _pack(row, bits) for key, row in rows_a.items()}
+            b = {key: _pack(row, bits) for key, row in rows_b.items()}
         by_order = [[] for _ in range(kmax + 1)]
         for (k, d), c in b.items():
             if k <= kmax:
-                by_order[k].append((d, c.num if poly else c))
+                by_order[k].append((d, c))
         out = {}
         for (k1, d1), c1 in a.items():
             room = tuple(map(sub, dmax, d1))
             if k1 > kmax or any(x < 0 for x in room):
                 continue
-            if poly:
-                c1 = c1.num
             for k2 in range(kmax - k1 + 1):
                 k = k1 + k2
                 for d2, c2 in by_order[k2]:
                     if not all(map(le, d2, room)):
                         continue
                     key = (k, tuple(map(add, d1, d2)))
-                    p = c1 * c2
                     s = out.get(key)
-                    s = p if s is None else s + p
-                    if s.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    out[key] = c1 * c2 if s is None else s + c1 * c2
         if poly:
-            out = {key: RatFunc._reduced(s, P_ONE) for key, s in out.items()}
+            den = la * lb
+            out = {key: RatFunc._reduced(UPoly.from_numer(_unpack(s, bits), den), P_ONE)
+                   for key, s in out.items() if s}
+        else:
+            out = {key: s for key, s in out.items() if not s.is_zero}
         return MultiSeries._new(self.grading, kmax, dmax, out)
 
     def __rmul__(self, other):

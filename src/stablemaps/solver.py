@@ -12,7 +12,10 @@ by the closed form
 
     Phi = P_W * ( -u/(2(u+1)) * phi0**2 + phi0/(u+1) - t**2/(2(u+1)) ).
 
-closed_form and t_layers (below) take u as a parameter: the Euler limit in
+closed_form (below) evaluates that formula only on the t = 0 slice, where
+it is a z-only square, and builds every t-layer k >= 1 from the derivative
+identity d/dt (Phi / P_W) = phi0 below, as phi0's layer k - 1 divided by k.
+closed_form and t_layers take u as a parameter: the Euler limit in
 stablemaps.eulerchi calls them, and extract_classes, at u = 1.
 
 Because phi0 solves (*) it also solves the universal differential equation
@@ -58,9 +61,11 @@ differential equation
     (1 - u*phi0) phi0_t = (u+1) phi0 + t,      equivalently, with
     psi = phi0 + t:   (1 + u t - u psi) psi_t = 1 + psi,
 
-the derivative identity d/dt (Phi / P_W) = phi0, the expansion of the
-formal potential whose critical point phi0 is (coefficient comparison in an
-auxiliary variable), and a floating-point check of the implicit closed-form
+the derivative identity d/dt (Phi / P_W) = phi0, which the potential meets
+by construction, and therefore the closed form itself with one full-box
+square (verify_quadratic); the expansion of the formal potential whose
+critical point phi0 is (coefficient comparison in an auxiliary variable),
+and a floating-point check of the implicit closed-form
 solution of the differential equation, whose integration constant must
 depend on z only.  All checks except the last are exact in Q(u).
 """
@@ -171,13 +176,31 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> Mul
     return t_layers(r0, kmax)
 
 
-def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
-    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi: the
-    potential over P_W.  `u` is the variable by default; the Euler limit
-    passes the constant 1."""
+def _quadratic(phi: MultiSeries, u) -> MultiSeries:
+    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi."""
     two_up1 = (u + 1) * 2
     t2 = MultiSeries.t_power(phi.grading, phi.kmax, phi.dmax, 2)
     return (phi * phi).scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
+
+
+def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
+    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi: the
+    potential over P_W.  `u` is the variable by default; the Euler limit
+    passes the constant 1.
+
+    Only the t = 0 slice R0 is evaluated by the formula, where the t**2
+    term vanishes and the square is z-only: -u/(2(u+1)) R0**2 + R0/(u+1).
+    Every further cell is integrated in t, (k+1, d) <- phi[k, d] / (k+1).
+    That is exact whenever (1 - u phi) phi_t = (u+1) phi + t holds, since
+    the t-derivative of the quadratic is ((1 - u phi) phi_t - t)/(u+1) = phi;
+    t_layers builds every phi it is given here so that it does, for both
+    callers.  verify_quadratic evaluates the formula on the whole box."""
+    quad = _quadratic(phi.truncate(kmax=0), u)
+    coeffs = dict(quad.coeffs)
+    for (k, d), c in phi.coeffs.items():
+        if k < phi.kmax:
+            coeffs[(k + 1, d)] = c * Fraction(1, k + 1)
+    return MultiSeries._new(phi.grading, phi.kmax, phi.dmax, coeffs)
 
 
 def adams_term(w: TargetSpace, r0: MultiSeries) -> MultiSeries:
@@ -304,6 +327,17 @@ def verify_dt(pot: MultiSeries, phi0: MultiSeries, w: TargetSpace) -> bool:
     point exactly."""
     lhs = series_dt(pot).scale(RatFunc(P_ONE, w.pw))
     return lhs == phi0.truncate(kmax=phi0.kmax - 1)
+
+
+def verify_quadratic(w: TargetSpace, phi0: MultiSeries, pot: MultiSeries,
+                     adams: bool = False) -> MultiSeries:
+    """Residual of the closed form on the whole box of phi0:
+    P_W (-u/(2(u+1)) phi0**2 + phi0/(u+1) - t**2/(2(u+1))), plus
+    adams_term(w, phi0) when adams=True, minus pot.  One full-box square,
+    independent of the t-integration by which closed_form builds the
+    t-layers; the zero series exactly when pot is the closed form."""
+    res = _quadratic(phi0, RF_U).scale(RatFunc(w.pw)) - pot
+    return res + adams_term(w, phi0) if adams else res
 
 
 def _epsilon_correction(w: TargetSpace, n: int, kmax: int, dmax) -> MultiSeries:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .qfield import MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly
@@ -66,17 +67,20 @@ class TargetSpace:
 
     def box(self, dmax=None, kmax: int = 0) -> tuple:
         """The z-truncation dmax as a tuple, the zero box for None; rejects
-        a dmax of the wrong rank, a negative component and a negative kmax."""
+        a dmax of the wrong rank, a negative component and a negative kmax,
+        and a kmax or dmax component above sys.maxsize, which no box can be
+        indexed by."""
         if kmax < 0:
             raise ValueError(f"kmax {kmax} must be >= 0")
-        if dmax is None:
-            return self.grading.zero
-        dmax = tuple(int(x) for x in dmax)
+        dmax = self.grading.zero if dmax is None else tuple(int(x) for x in dmax)
         if len(dmax) != self.grading.rank:
             raise ValueError(f"dmax {dmax} does not match the z-grading of rank "
                              f"{self.grading.rank} of target {self.name}")
         if any(x < 0 for x in dmax):
             raise ValueError(f"dmax {dmax} has a negative component")
+        if max((kmax,) + dmax) > sys.maxsize:
+            raise ValueError(f"box too large: a truncation order above {sys.maxsize} "
+                             "cannot be indexed")
         return dmax
 
     def map_class(self, beta) -> RatFunc:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import stablemaps
 from stablemaps import cli, eulerchi, solver
 from stablemaps.cli import main
+from stablemaps.qfield import RatFunc
+from stablemaps.series import MultiSeries
 from stablemaps.solver import ClassTable
 
 
@@ -141,6 +144,20 @@ class TestVerify:
                                "--dmax", "2")
         assert code == 0
         assert "PASS oracle" in out and "PASS fe" in out
+
+    @pytest.mark.parametrize("flags", [(), ("--adams",)])
+    def test_dt_suite_checks_the_closed_form(self, capsys, monkeypatch, flags):
+        # a wrong t-layer of phi0 passes the derivative identity, which the
+        # potential meets by construction, but not the closed form
+        def tampered(w, kmax, dmax, adams=False):
+            phi = solver.solve_phi0(w, kmax, dmax, adams=adams)
+            return phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, 1, (1,),
+                                              RatFunc(Fraction(1, 7)))
+        monkeypatch.setattr(cli, "solve_phi0", tampered)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "dt", "--target", "pn:1",
+                               "--kmax", "3", "--dmax", "2", *flags)
+        assert code == 1
+        assert out.startswith("FAIL dt: closed-form residual ")
 
     def verify_call_counts(self, capsys, monkeypatch, *flags):
         # solve_phi0 is counted through every binding that verify can reach
@@ -347,6 +364,19 @@ class TestErrors:
                                  "--dmax", "99999999999999999999")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("box", [("--target", "pn:1", "--kmax", "1",
+                                      "--dmax", "99999999999999999999"),
+                                     ("--target", "point", "--kmax", "99999999999999999999")])
+    def test_box_too_large_to_index(self, capsys, box):
+        # refused before any work, with the same line from every command
+        errors = set()
+        for command in ("compute", "oracle", "euler"):
+            code, out, err = run_cli(capsys, command, *box)
+            assert code == 2 and out == "" and err.count("\n") == 1
+            errors.add(err)
+        assert errors == {"error: box too large: a truncation order above "
+                          f"{sys.maxsize} cannot be indexed\n"}
 
     def test_count_ff_too_large(self, capsys):
         code, out, err = run_cli(capsys, "count-ff", "--n", "3", "--d", "3", "--p", "5")

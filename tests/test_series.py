@@ -70,7 +70,12 @@ DENOMINATORS = (UPoly((-1, 1)), UPoly((1, 1)), UPoly((1, 0, 1)))
 
 def coefficients(kind):
     """Coefficients of one kind: polynomials in u ("poly"), fractions over a
-    nonconstant denominator ("rational"), or either ("mixed")."""
+    nonconstant denominator ("rational"), either ("mixed"), or polynomials
+    with Fraction coefficients of numerators up to 2**200 in size over
+    denominators up to 2**40 ("wide")."""
+    if kind == "wide":
+        wide = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 40))
+        return st.lists(wide, min_size=1, max_size=4).map(UPoly).map(RatFunc)
     poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UPoly)
     rational = st.builds(RatFunc, poly, st.sampled_from(DENOMINATORS))
     if kind == "poly":
@@ -160,6 +165,29 @@ class TestArithmetic:
         assert a * b == naive_mul(a, b)
         assert (a * b + a * (-b)).is_zero
         assert (b + c) * (b - c) == naive_mul(b + c, b - c)
+
+    @given(data=st.data())
+    def test_mul_matches_naive_with_wide_coefficients(self, data):
+        # the polynomial path packs each cell into one int over the lcm of
+        # its operand's denominators: non-1 denominators and coefficients of
+        # hundreds of bits exercise the scaling and the slot width
+        rank = data.draw(st.sampled_from([0, 1, 2]))
+        a, b, c = (data.draw(boxed_series(rank, "wide")) for _ in range(3))
+        assert a * b == naive_mul(a, b)
+        assert (a * b + a * (-b)).is_zero
+        assert (b + c) * (b - c) == naive_mul(b + c, b - c)
+
+    def test_mul_attains_the_slot_bound(self):
+        # every cell pairs with one partner in the top cell (3, (2,)), all
+        # with the same sign, so its u^3 coefficient is exactly the bound
+        # max|a| max|b| len #cells the packed product sizes its slots by
+        c = Fraction(2 ** 200 - 1, 3)
+        full = MultiSeries(G1, 3, (2,), {(k, (d,)): RatFunc(UPoly([c] * 4))
+                                         for k in range(4) for d in range(3)})
+        for other, sign in ((full, 1), (-full, -1)):
+            got = full * other
+            assert got == naive_mul(full, other)
+            assert got.coeff(3, (2,)).num.coeffs[3] == sign * 48 * c * c
 
     def test_coeff_beyond_truncation(self):
         a = rand_series(random.Random(6))

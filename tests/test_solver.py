@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -9,7 +10,7 @@ from stablemaps.solver import (ClassTable, _fixed_point, adams_factor,
                                extract_classes, potential, solve_phi0,
                                verify_dt, verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
-                               verify_potential_expansion)
+                               verify_potential_expansion, verify_quadratic)
 from stablemaps.target import (nclass, point_target, projective_space,
                                target_from_json)
 
@@ -22,6 +23,28 @@ def gaussian_binomial(n, k):
         num = num * (UPoly.monomial(n - k + i) - P_ONE)
         den = den * (UPoly.monomial(i) - P_ONE)
     return div_exact(num, den)
+
+
+def keel_classes(nmax):
+    """Classes of Mbar_{0,n} for n = 3..nmax as Fraction coefficient lists,
+    lowest degree first, from Keel's recursion
+
+        P_{n+1} = (1+u) P_n + (u/2) sum_{j=2}^{n-2} C(n,j) P_{j+1} P_{n-j+1},
+
+    with P_3 = 1: no series, trees or qfield."""
+    classes = {3: [Fraction(1)]}
+    for n in range(3, nmax):
+        nxt = [Fraction(0)] * (n - 1)
+        for i, c in enumerate(classes[n]):
+            nxt[i] += c
+            nxt[i + 1] += c
+        for j in range(2, n - 1):
+            half_binom = Fraction(comb(n, j), 2)
+            for i, a in enumerate(classes[j + 1]):
+                for m, b in enumerate(classes[n - j + 1]):
+                    nxt[i + m + 1] += half_binom * a * b
+        classes[n + 1] = nxt
+    return classes
 
 
 class TestFixedPoint:
@@ -99,6 +122,15 @@ class TestExtractClasses:
         assert table.entry(4) == UPoly((1, 1))
         assert table.entry(5) == UPoly((1, 5, 1))
 
+    def test_point_classes_match_keel_recursion(self):
+        w = point_target()
+        table = extract_classes(potential(w, solve_phi0(w, 20)), w)
+        keel = keel_classes(20)
+        for k in range(3, 21):
+            assert list(table.entry(k).coeffs) == keel[k]
+        # the u^1 coefficient of Mbar_{0,20} is its Picard rank
+        assert keel[20][1] == 524097 == 2 ** 19 - comb(20, 2) - 1
+
     def test_gaussian_binomial_line_classes(self, p1_run, p2_run):
         # the no-marking degree-one space is the Grassmannian of lines
         assert gaussian_binomial(2, 2) == P_ONE
@@ -171,6 +203,27 @@ class TestIdentities:
         bad = pot + MultiSeries.monomial(pot.grading, pot.kmax, pot.dmax, 3,
                                          (1,), RatFunc(1))
         assert not verify_dt(bad, phi, w)
+
+    def test_quadratic_residual_vanishes(self, point_run, p1_run, p2_run,
+                                         p1_adams_run, p2_adams_run):
+        for run, adams in ((point_run, False), (p1_run, False), (p2_run, False),
+                           (p1_adams_run, True), (p2_adams_run, True)):
+            assert verify_quadratic(run["w"], run["phi0"], run["pot"], adams=adams).is_zero
+        # the Adams term is part of the relation
+        assert not verify_quadratic(p1_run["w"], p1_run["phi0"], p1_run["pot"],
+                                    adams=True).is_zero
+
+    @pytest.mark.parametrize("k, d", [(1, (0,)), (2, (1,)), (4, (2,))])
+    def test_quadratic_detects_tampered_layer(self, p2_run, p2_adams_run, k, d):
+        # the potential of a tampered phi0 passes the derivative identity,
+        # which holds by construction, but not the closed form
+        for run, adams in ((p2_run, False), (p2_adams_run, True)):
+            phi, w = run["phi0"], run["w"]
+            bad = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, k, d,
+                                             RatFunc(Fraction(1, 7)))
+            pot = potential(w, bad, adams=adams)
+            assert verify_dt(pot, bad, w)
+            assert not verify_quadratic(w, bad, pot, adams=adams).is_zero
 
     def test_potential_expansion(self):
         assert verify_potential_expansion(point_target(), 4, 5)
