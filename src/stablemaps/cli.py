@@ -27,6 +27,9 @@ from .trees import enum_trees, tree_sum_potential
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+# the census up to 18 vertices has 205,004 trees; each further vertex
+# multiplies that by about 6
+TREES_VMAX = 18
 
 SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
@@ -75,6 +78,9 @@ def cmd_euler(args) -> int:
 
 
 def cmd_trees(args) -> int:
+    if args.vmax > TREES_VMAX:
+        raise ValueError(f"--vmax above {TREES_VMAX}: the census grows about sixfold "
+                         f"per vertex and would not finish")
     lines = [f"{t.vcount}\t{aut}\t{t.canonical_code.decode('ascii')}"
              for t, aut in enum_trees(args.vmax)]
     _emit("\n".join(lines) + "\n", args.out)

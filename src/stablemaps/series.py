@@ -13,7 +13,9 @@ what makes box truncation a quotient ring.  When every coefficient of both
 factors is a polynomial in u, the product runs on ints by Kronecker
 substitution: each cell's numerator is packed once as its value at
 u = 2**bits, each in-box pair costs one int multiply, and each output cell
-is unpacked once.
+is unpacked once.  A series is never changed once built, so each one
+scales its numerators to ints at most once, on its first product, and the
+in-box pairs of each box are planned once per process.
 
 Besides ring operations the module provides the two compositions the
 moduli computation needs, both finite inside a box because their argument
@@ -36,7 +38,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import add, le, sub
+from functools import lru_cache
+from operator import add, sub
 
 from .qfield import P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
 
@@ -83,7 +86,10 @@ def _coerce_coeff(c) -> RatFunc:
 def _scaled_numerators(cells: dict):
     """For polynomial coefficients: their lcm denominator L, each cell's
     numerator of L * c as an int list, the largest |coefficient| and the
-    largest length among those lists."""
+    largest length among those lists.  False when some coefficient is not
+    a polynomial."""
+    if not all(c.den == P_ONE for c in cells.values()):
+        return False
     lcm = math.lcm(*(c.num.denom for c in cells.values()))
     rows, top, length = {}, 0, 0
     for key, c in cells.items():
@@ -94,6 +100,21 @@ def _scaled_numerators(cells: dict):
         top = max(top, max(map(abs, row)))
         length = max(length, len(row))
     return lcm, rows, top, length
+
+
+@lru_cache(maxsize=None)
+def _pair_plan(kmax: int, dmax: tuple) -> dict:
+    """{cell: {partner: cell of their product}} over the cells (k, d) of the
+    box, listing only the partners whose product stays in the box.  Every
+    entry refers to the one key tuple of its cell."""
+    cells = {(k, d): (k, d) for k in range(kmax + 1) for d in box_vectors(dmax)}
+    plan = {}
+    for cell in cells:
+        k1, d1 = cell
+        room = tuple(map(sub, dmax, d1))
+        plan[cell] = {cells[(k2, d2)]: cells[(k1 + k2, tuple(map(add, d1, d2)))]
+                      for k2 in range(kmax - k1 + 1) for d2 in box_vectors(room)}
+    return plan
 
 
 def _pack(row, bits: int) -> int:
@@ -128,7 +149,7 @@ class MultiSeries:
     series only known at t-order 0.
     """
 
-    __slots__ = ("grading", "kmax", "dmax", "coeffs")
+    __slots__ = ("grading", "kmax", "dmax", "coeffs", "_scaled")
 
     def __init__(self, grading: Grading, kmax: int, dmax, coeffs=None):
         dmax = tuple(int(x) for x in dmax)
@@ -151,6 +172,7 @@ class MultiSeries:
                 if not c.is_zero:
                     clean[(k, d)] = c
         self.coeffs = clean
+        self._scaled = None
 
     @classmethod
     def _new(cls, grading, kmax, dmax, coeffs) -> "MultiSeries":
@@ -160,6 +182,7 @@ class MultiSeries:
         s.kmax = kmax
         s.dmax = dmax
         s.coeffs = coeffs
+        s._scaled = None
         return s
 
     @classmethod
@@ -258,51 +281,56 @@ class MultiSeries:
             return NotImplemented
         return self + (-other)
 
+    def _int_numerators(self):
+        """_scaled_numerators of the coefficients, computed on the first
+        product: a series is never changed once built (only const and
+        monomial write into coeffs, before they return)."""
+        got = self._scaled
+        if got is None:
+            got = self._scaled = _scaled_numerators(self.coeffs)
+        return got
+
     def __mul__(self, other):
         """Product on the common box, or scaling by a scalar.  Each term of
-        the smaller operand visits only the partners of the larger with
-        k2 <= kmax - k1 (bucketed by t-order) and d2 within dmax - d1.
+        the smaller operand visits only its partners in the larger whose
+        product stays in the box, as the box's pair plan lists them.
 
-        When every coefficient is a polynomial, each operand is put over the
-        lcm of its denominators and each cell's numerator is packed once into
-        one int (Kronecker substitution, _pack), in slots wide enough that no
-        sum of products overflows; a pair is then one int multiply and add,
-        and each output cell is unpacked once into one UPoly."""
+        When every coefficient is a polynomial and the smaller operand has
+        more than one cell, each operand is put over the lcm of its
+        denominators and each cell's numerator is packed into one int
+        (Kronecker substitution, _pack), in slots wide enough that no sum of
+        products overflows; a pair is then one int multiply and add, and
+        each output cell is unpacked once into one UPoly.  A one-cell
+        operand shares no output cell between pairs, so it multiplies the
+        coefficients directly."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
             return NotImplemented
         kmax, dmax = self._common_box(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
+        small, large = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        a, b = small.coeffs, large.coeffs
         if not a:
             return MultiSeries._new(self.grading, kmax, dmax, {})
-        poly = all(c.den == P_ONE for c in itertools.chain(a.values(), b.values()))
-        if poly:
-            la, rows_a, top_a, len_a = _scaled_numerators(a)
-            lb, rows_b, top_b, len_b = _scaled_numerators(b)
+        plan = _pair_plan(kmax, dmax)
+        packed = len(a) > 1 and small._int_numerators() and large._int_numerators()
+        if packed:
+            la, rows_a, top_a, len_a = small._int_numerators()
+            lb, rows_b, top_b, len_b = large._int_numerators()
             bits = (top_a * top_b * min(len_a, len_b) * len(a)).bit_length() + 2
-            a = {key: _pack(row, bits) for key, row in rows_a.items()}
-            b = {key: _pack(row, bits) for key, row in rows_b.items()}
-        by_order = [[] for _ in range(kmax + 1)]
-        for (k, d), c in b.items():
-            if k <= kmax:
-                by_order[k].append((d, c))
+            a = {key: _pack(row, bits) for key, row in rows_a.items() if key in plan}
+            b = {key: _pack(row, bits) for key, row in rows_b.items() if key in plan}
         out = {}
-        for (k1, d1), c1 in a.items():
-            room = tuple(map(sub, dmax, d1))
-            if k1 > kmax or any(x < 0 for x in room):
+        for key1, c1 in a.items():
+            partners = plan.get(key1)
+            if partners is None:
                 continue
-            for k2 in range(kmax - k1 + 1):
-                k = k1 + k2
-                for d2, c2 in by_order[k2]:
-                    if not all(map(le, d2, room)):
-                        continue
-                    key = (k, tuple(map(add, d1, d2)))
+            for key2, key in partners.items():
+                c2 = b.get(key2)
+                if c2 is not None:
                     s = out.get(key)
                     out[key] = c1 * c2 if s is None else s + c1 * c2
-        if poly:
+        if packed:
             den = la * lb
             out = {key: RatFunc._reduced(UPoly.from_numer(_unpack(s, bits), den), P_ONE)
                    for key, s in out.items() if s}

@@ -42,7 +42,14 @@ when bicentral, averaged over its two halves (with the swap when they are
 isomorphic).  Both weightings run through this one recursion, memoised per
 rooted subtree: the 1/|Aut| sum is its identity term, which keeps only the
 all-1-cycles term sub**m / m! of each class of m identical children and
-drops the swap of a symmetric bicentral tree.
+drops the swap of a symmetric bicentral tree.  Each series product is
+formed once per run.  The children's products, per cycle type, depend
+only on the children tuple, not on how many special points the root
+fixes, and are memoised per children tuple; each tuple extends the same
+tuple without its last class of identical children, so codes that begin
+with the same children share those products.  The powers psi_j(sub)**e
+are memoised per subtree, the square of a symmetric bicentral tree's half
+among them, and the vertex factor N(W, beta) * (M_1)_n once per (beta, n).
 
 Trees are enumerated without isomorphism duplicates and without
 re-rooting (the centre construction of Wright, Richmond, Odlyzko and
@@ -459,6 +466,16 @@ def _falling(m_j: RatFunc, count: int) -> RatFunc:
     return binom_falling(m_j, count) * factorial(count)
 
 
+def _vertex_factor(w: TargetSpace, beta, n: int, memo) -> RatFunc:
+    """N(W, beta) * (L)_n for a vertex of class beta with n fixed special
+    points, L = [P^1]."""
+    key = ("vertex", beta, n)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = nclass(w, beta) * _falling(RatFunc(LINE_CLASS), n)
+    return got
+
+
 def _root_series(w: TargetSpace, ctype, fixed: int, kmax: int, dmax, memo) -> MultiSeries:
     """sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k z**beta for a
     vertex whose children have cycle type ctype (a sorted (j, m_j) tuple)
@@ -473,16 +490,73 @@ def _root_series(w: TargetSpace, ctype, fixed: int, kmax: int, dmax, memo) -> Mu
         if j > 1:
             moved = moved * _falling(RatFunc(necklace(j)), m_j)
     n_base = fixed + sum(j * m_j for j, m_j in cycles.items())
+    n_fixed = cycles.get(1, 0) + fixed
     zero = (0,) * len(dmax)
     coeffs = {}
     for kv in range(kmax + 1):
-        trace = moved * _falling(RatFunc(LINE_CLASS), cycles.get(1, 0) + fixed + kv) \
-            * Fraction(1, factorial(kv))
+        weight = moved * Fraction(1, factorial(kv))
         for beta in box_vectors(dmax):
             if beta == zero and n_base + kv <= 2:
                 continue
-            coeffs[(kv, beta)] = nclass(w, beta) * trace
+            coeffs[(kv, beta)] = _vertex_factor(w, beta, n_fixed + kv, memo) * weight
     got = MultiSeries(w.grading, kmax, dmax, coeffs)
+    memo[key] = got
+    return got
+
+
+def _power(w: TargetSpace, child, j: int, e: int, kmax: int, dmax, adams: bool,
+           memo) -> MultiSeries:
+    """psi_j(sub)**e, sub the rooted sum of child with one fixed point (the
+    edge up)."""
+    key = ("power", child, j, e)
+    got = memo.get(key)
+    if got is None:
+        if e == 1:
+            got = series_adams(_rooted_sum(w, child, 1, kmax, dmax, adams, memo), j)
+        else:
+            got = (_power(w, child, j, e - 1, kmax, dmax, adams, memo)
+                   * _power(w, child, j, 1, kmax, dmax, adams, memo))
+        memo[key] = got
+    return got
+
+
+def _children_sum(w: TargetSpace, code, kmax: int, dmax, adams: bool, memo) -> dict:
+    """{cycle type: series} for the children of a rooted code: per combined
+    cycle type of the averaged automorphisms on the children, the product
+    over the classes of identical children of their cycle-index terms.  It
+    depends on the children alone, not on the root's fixed points, and is
+    built from the same code without its last class; canonical codes sort
+    their children, so codes that begin alike share these products."""
+    key = ("children", code)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if not code:
+        got = {(): MultiSeries.const(w.grading, kmax, dmax, RF_ONE)}
+        memo[key] = got
+        return got
+    child, m = _runs(code)[-1]
+    by_type = _children_sum(w, code[:-m], kmax, dmax, adams, memo)
+    got = {}
+    for lam in _partitions(m) if adams else ({1: m},):
+        # cycle-index term prod_j psi_j(sub)**e_j / (j**e_j e_j!); the
+        # j**e_j cancels against the trace in the root factor
+        term = reduce(mul, (_power(w, child, j, e, kmax, dmax, adams, memo)
+                            for j, e in lam.items()))
+        if term.is_zero:
+            continue
+        weight = prod(map(factorial, lam.values()))
+        if weight > 1:
+            term = term.scale(Fraction(1, weight))
+        for ctype, acc in by_type.items():
+            cycles = dict(ctype)
+            for j, e in lam.items():
+                cycles[j] = cycles.get(j, 0) + e
+            merged = tuple(sorted(cycles.items()))
+            # the empty cycle type holds the unit series
+            product = acc * term if ctype else term
+            prev = got.get(merged)
+            got[merged] = product if prev is None else prev + product
     memo[key] = got
     return got
 
@@ -497,40 +571,8 @@ def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
     got = memo.get(key)
     if got is not None:
         return got
-    by_type = {(): MultiSeries.const(w.grading, kmax, dmax, RF_ONE)}
-    for child, m in _runs(code):
-        sub = _rooted_sum(w, child, 1, kmax, dmax, adams, memo)
-        powers = {}
-
-        def power(j, e):
-            got = powers.get((j, e))
-            if got is None:
-                got = series_adams(sub, j) if e == 1 else power(j, e - 1) * power(j, 1)
-                powers[(j, e)] = got
-            return got
-
-        nxt = {}
-        for lam in _partitions(m) if adams else ({1: m},):
-            # cycle-index term prod_j psi_j(sub)**e_j / (j**e_j e_j!); the
-            # j**e_j cancels against the trace in the root factor
-            term = reduce(mul, (power(j, e) for j, e in lam.items()))
-            if term.is_zero:
-                continue
-            weight = prod(map(factorial, lam.values()))
-            if weight > 1:
-                term = term.scale(Fraction(1, weight))
-            for ctype, acc in by_type.items():
-                cycles = dict(ctype)
-                for j, e in lam.items():
-                    cycles[j] = cycles.get(j, 0) + e
-                merged = tuple(sorted(cycles.items()))
-                # the empty cycle type holds the unit series
-                product = acc * term if ctype else term
-                prev = nxt.get(merged)
-                nxt[merged] = product if prev is None else prev + product
-        by_type = nxt
     total = MultiSeries.zero(w.grading, kmax, dmax)
-    for ctype, acc in by_type.items():
+    for ctype, acc in _children_sum(w, code, kmax, dmax, adams, memo).items():
         root = _root_series(w, ctype, fixed, kmax, dmax, memo)
         total = total + (acc * root if ctype else root)
     memo[key] = total
@@ -562,8 +604,10 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
         if h1 != h2:
             total = total + g1 * _rooted_sum(w, h2, 1, kmax, dmax, adams, memo)
         else:
-            # the swap of the halves adds psi_2(g1) to the average
-            pair = g1 * g1 + series_adams(g1, 2) if adams else g1 * g1
+            # g1 * g1; the swap of the halves adds psi_2(g1) to the average
+            pair = _power(w, h1, 1, 2, kmax, dmax, adams, memo)
+            if adams:
+                pair = pair + series_adams(g1, 2)
             total = total + pair.scale(Fraction(1, 2))
     return total
 

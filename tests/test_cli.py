@@ -378,6 +378,17 @@ class TestErrors:
         assert errors == {"error: box too large: a truncation order above "
                           f"{sys.maxsize} cannot be indexed\n"}
 
+    def test_trees_census_too_large(self, capsys, monkeypatch):
+        # refused before any tree is built; 18, the largest census allowed,
+        # is checked with the enumeration stubbed out (it takes ~30 s)
+        for vmax in ("19", "30"):
+            code, out, err = run_cli(capsys, "trees", "--vmax", vmax)
+            assert code == 2 and out == ""
+            assert err == ("error: --vmax above 18: the census grows about sixfold "
+                           "per vertex and would not finish\n")
+        monkeypatch.setattr(cli, "enum_trees", lambda vmax: [])
+        assert run_cli(capsys, "trees", "--vmax", "18")[0] == 0
+
     def test_count_ff_too_large(self, capsys):
         code, out, err = run_cli(capsys, "count-ff", "--n", "3", "--d", "3", "--p", "5")
         assert code == 2 and out == ""

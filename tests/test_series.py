@@ -177,6 +177,30 @@ class TestArithmetic:
         assert (a * b + a * (-b)).is_zero
         assert (b + c) * (b - c) == naive_mul(b + c, b - c)
 
+    @given(data=st.data())
+    def test_cached_operand_serves_every_partner(self, data):
+        # an operand scales its numerators on its first product and keeps
+        # them: partners that need narrow or wide slots, a single cell, or
+        # a smaller box (leaving some of its cells outside the common box)
+        # must each get the exact product, and the operand must not change
+        rank = data.draw(st.sampled_from([0, 1, 2]))
+
+        def drawn(kmax, dmax, kind, min_size, max_size=8):
+            cells = [(k, d) for k in range(kmax + 1) for d in box_vectors(dmax)]
+            chosen = data.draw(st.dictionaries(st.sampled_from(cells), coefficients(kind),
+                                               min_size=min_size, max_size=max_size))
+            return MultiSeries(Grading(rank), kmax, dmax, chosen)
+
+        full, small = (2,) * rank, (1,) * rank
+        a = drawn(3, full, data.draw(st.sampled_from(["poly", "wide"])), 2)
+        before = MultiSeries.from_json(a.to_json())
+        partners = [drawn(3, full, "poly", 2), drawn(3, full, "wide", 2),
+                    drawn(3, full, "wide", 1, 1), drawn(1, small, "poly", 1)]
+        for b in partners + partners[:1]:
+            assert a * b == naive_mul(a, b)
+            assert b * a == naive_mul(b, a)
+        assert a == before
+
     def test_mul_attains_the_slot_bound(self):
         # every cell pairs with one partner in the top cell (3, (2,)), all
         # with the same sign, so its u^3 coefficient is exactly the bound

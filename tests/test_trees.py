@@ -8,6 +8,7 @@ import pytest
 
 from stablemaps.qfield import RatFunc, UPoly, is_palindromic
 from stablemaps.series import MultiSeries
+from stablemaps.solver import potential, solve_phi0
 from stablemaps.target import point_target, projective_space
 from stablemaps import trees
 from stablemaps.trees import (MarkedTree, _adjacency, _contributing_trees, _free_aut,
@@ -227,6 +228,25 @@ class TestTreeSum:
         for k in range(3, 8):
             p = (point_run["oracle"].coeff(k, ()) * factorial(k)).as_upoly()
             assert is_palindromic(p, k - 3)
+
+    @pytest.mark.parametrize("adams, parent_count", [(False, 140), (True, 174)])
+    def test_products_are_shared(self, monkeypatch, adams, parent_count):
+        # the children's products are formed once per children tuple and
+        # each power once per subtree; before that sharing this box took
+        # parent_count series products (102 and 130 with it)
+        w, kmax, dmax = projective_space(2), 5, (3,)
+        calls = []
+        product = MultiSeries.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(MultiSeries, "__mul__", counting)
+        got = tree_sum_potential(w, kmax, dmax, adams=adams)
+        monkeypatch.undo()
+        assert len(calls) < parent_count
+        assert got == potential(w, solve_phi0(w, kmax, dmax, adams=adams), adams=adams)
 
     def test_vertex_bound(self):
         assert vertex_bound(4, (2,)) == 8
