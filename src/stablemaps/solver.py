@@ -238,7 +238,7 @@ class ClassTable:
                 and self.kmax == other.kmax and self.dmax == other.dmax
                 and self.entries == other.entries)
 
-    def to_json_obj(self) -> dict:
+    def to_json(self) -> str:
         rows = []
         for (k, d) in self.cells():
             p = self.entries[(k, d)]
@@ -249,22 +249,17 @@ class ClassTable:
                 "class_q": [str(c) for c in p.q_coeffs()],
                 "chi": str(p.eval(1)),
             })
-        return {"target": self.target_name, "kmax": self.kmax,
-                "dmax": list(self.dmax), "entries": rows}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        obj = {"target": self.target_name, "kmax": self.kmax,
+               "dmax": list(self.dmax), "entries": rows}
+        return json.dumps(obj, indent=2) + "\n"
 
     @classmethod
-    def from_json_obj(cls, data) -> "ClassTable":
+    def from_json(cls, text: str) -> "ClassTable":
+        data = json.loads(text)
         entries = {}
         for row in data["entries"]:
             entries[(row["k"], tuple(row["beta"]))] = UPoly.from_json(row["class_u"])
         return cls(data["target"], data["kmax"], tuple(data["dmax"]), entries)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClassTable":
-        return cls.from_json_obj(json.loads(text))
 
     def to_csv(self) -> str:
         lines = ['"k","beta","class_u","class_q","chi"']

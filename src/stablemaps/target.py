@@ -129,7 +129,7 @@ def parse_target(spec: str) -> TargetSpace:
     """Resolve a CLI-style target spec: 'point', 'pn:N' or 'file:PATH'."""
     if spec == "point":
         return point_target()
-    if spec.startswith("pn:"):
+    if spec.startswith("pn:") and spec[3:].isascii() and spec[3:].isdigit():
         return projective_space(int(spec[3:]))
     if spec.startswith("file:"):
         return load_target(spec[5:])

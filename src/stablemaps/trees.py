@@ -38,18 +38,19 @@ over its classes of m identical child subtrees c, so the average factors
 through the cycle index of S_m (Polya), a j-cycle of copies of c
 contributing psi_j of c's own average; the root factor depends only on the
 combined cycle type of the children.  A tree is rooted at its centre, or,
-when bicentral, averaged over its two halves (with the swap when they are
-isomorphic).  Both weightings run through this one recursion, memoised per
-rooted subtree: the 1/|Aut| sum is its identity term, which keeps only the
-all-1-cycles term sub**m / m! of each class of m identical children and
-drops the swap of a symmetric bicentral tree.  Each series product is
-formed once per run.  The children's products, per cycle type, depend
-only on the children tuple, not on how many special points the root
-fixes, and are memoised per children tuple; each tuple extends the same
-tuple without its last class of identical children, so codes that begin
-with the same children share those products.  The powers psi_j(sub)**e
-are memoised per subtree, the square of a symmetric bicentral tree's half
-among them, and the vertex factor N(W, beta) * (M_1)_n once per (beta, n).
+when bicentral, at its central edge: the two halves hang from the edge as
+two children hang from a vertex (the swap when they are isomorphic), and
+with no root factor to take up the j**e_j of the cycle index, the edge's
+sum is divided by prod_j j**e_j.  Both weightings run through this one
+recursion: the 1/|Aut| sum is its identity term, which keeps only the
+all-1-cycles term sub**m / m! of each class of m identical children.  The
+recursion's caches live for one call.  The children's products, per cycle
+type, depend only on the children tuple, not on how many special points
+the root fixes; each tuple extends the same tuple without its last class
+of identical children, so codes that begin alike, and a central edge and
+every vertex with the same two children, share those products.  The
+powers psi_j(sub)**e are cached per subtree and the vertex factor
+N(W, beta) * (M_1)_n per (beta, n).
 
 Trees are enumerated without isomorphism duplicates and without
 re-rooting (the centre construction of Wright, Richmond, Odlyzko and
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from math import factorial, prod
 from operator import mul
 
@@ -466,119 +467,6 @@ def _falling(m_j: RatFunc, count: int) -> RatFunc:
     return binom_falling(m_j, count) * factorial(count)
 
 
-def _vertex_factor(w: TargetSpace, beta, n: int, memo) -> RatFunc:
-    """N(W, beta) * (L)_n for a vertex of class beta with n fixed special
-    points, L = [P^1]."""
-    key = ("vertex", beta, n)
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = nclass(w, beta) * _falling(RatFunc(LINE_CLASS), n)
-    return got
-
-
-def _root_series(w: TargetSpace, ctype, fixed: int, kmax: int, dmax, memo) -> MultiSeries:
-    """sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k z**beta for a
-    vertex whose children have cycle type ctype (a sorted (j, m_j) tuple)
-    and which has `fixed` more special points fixed besides its k marks."""
-    key = ("root", ctype, fixed)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    cycles = dict(ctype)
-    moved = RF_ONE
-    for j, m_j in cycles.items():
-        if j > 1:
-            moved = moved * _falling(RatFunc(necklace(j)), m_j)
-    n_base = fixed + sum(j * m_j for j, m_j in cycles.items())
-    n_fixed = cycles.get(1, 0) + fixed
-    zero = (0,) * len(dmax)
-    coeffs = {}
-    for kv in range(kmax + 1):
-        weight = moved * Fraction(1, factorial(kv))
-        for beta in box_vectors(dmax):
-            if beta == zero and n_base + kv <= 2:
-                continue
-            coeffs[(kv, beta)] = _vertex_factor(w, beta, n_fixed + kv, memo) * weight
-    got = MultiSeries(w.grading, kmax, dmax, coeffs)
-    memo[key] = got
-    return got
-
-
-def _power(w: TargetSpace, child, j: int, e: int, kmax: int, dmax, adams: bool,
-           memo) -> MultiSeries:
-    """psi_j(sub)**e, sub the rooted sum of child with one fixed point (the
-    edge up)."""
-    key = ("power", child, j, e)
-    got = memo.get(key)
-    if got is None:
-        if e == 1:
-            got = series_adams(_rooted_sum(w, child, 1, kmax, dmax, adams, memo), j)
-        else:
-            got = (_power(w, child, j, e - 1, kmax, dmax, adams, memo)
-                   * _power(w, child, j, 1, kmax, dmax, adams, memo))
-        memo[key] = got
-    return got
-
-
-def _children_sum(w: TargetSpace, code, kmax: int, dmax, adams: bool, memo) -> dict:
-    """{cycle type: series} for the children of a rooted code: per combined
-    cycle type of the averaged automorphisms on the children, the product
-    over the classes of identical children of their cycle-index terms.  It
-    depends on the children alone, not on the root's fixed points, and is
-    built from the same code without its last class; canonical codes sort
-    their children, so codes that begin alike share these products."""
-    key = ("children", code)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    if not code:
-        got = {(): MultiSeries.const(w.grading, kmax, dmax, RF_ONE)}
-        memo[key] = got
-        return got
-    child, m = _runs(code)[-1]
-    by_type = _children_sum(w, code[:-m], kmax, dmax, adams, memo)
-    got = {}
-    for lam in _partitions(m) if adams else ({1: m},):
-        # cycle-index term prod_j psi_j(sub)**e_j / (j**e_j e_j!); the
-        # j**e_j cancels against the trace in the root factor
-        term = reduce(mul, (_power(w, child, j, e, kmax, dmax, adams, memo)
-                            for j, e in lam.items()))
-        if term.is_zero:
-            continue
-        weight = prod(map(factorial, lam.values()))
-        if weight > 1:
-            term = term.scale(Fraction(1, weight))
-        for ctype, acc in by_type.items():
-            cycles = dict(ctype)
-            for j, e in lam.items():
-                cycles[j] = cycles.get(j, 0) + e
-            merged = tuple(sorted(cycles.items()))
-            # the empty cycle type holds the unit series
-            product = acc * term if ctype else term
-            prev = got.get(merged)
-            got[merged] = product if prev is None else prev + product
-    memo[key] = got
-    return got
-
-
-def _rooted_sum(w: TargetSpace, code, fixed: int, kmax: int, dmax, adams: bool,
-                memo) -> MultiSeries:
-    """(1/|Aut|) sum_{h in Aut(code)} of the h-fixed weightings of a rooted
-    tree, each a product over h's vertex orbits as in the module docstring;
-    every h fixes the root and `fixed` further special points at it.
-    Without adams only h = 1 is kept: the sum over all weightings / |Aut|."""
-    key = (code, fixed)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    total = MultiSeries.zero(w.grading, kmax, dmax)
-    for ctype, acc in _children_sum(w, code, kmax, dmax, adams, memo).items():
-        root = _root_series(w, ctype, fixed, kmax, dmax, memo)
-        total = total + (acc * root if ctype else root)
-    memo[key] = total
-    return total
-
-
 def _contributing_trees(kmax: int, dmax) -> list:
     """The trees with an admissible marking in the box: a vertex needs
     valency + k_v >= 3 unless it carries a class, so the deficits left after
@@ -593,22 +481,106 @@ def _contributing_trees(kmax: int, dmax) -> list:
 
 
 def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries:
-    memo = {}
-    total = MultiSeries.zero(w.grading, kmax, dmax)
-    for tree in _contributing_trees(kmax, dmax):
-        if tree.centred[0] == "C":
-            total = total + _rooted_sum(w, tree.centred[1], 0, kmax, dmax, adams, memo)
-            continue
-        _, h1, h2 = tree.centred
-        g1 = _rooted_sum(w, h1, 1, kmax, dmax, adams, memo)
-        if h1 != h2:
-            total = total + g1 * _rooted_sum(w, h2, 1, kmax, dmax, adams, memo)
-        else:
-            # g1 * g1; the swap of the halves adds psi_2(g1) to the average
-            pair = _power(w, h1, 1, 2, kmax, dmax, adams, memo)
-            if adams:
-                pair = pair + series_adams(g1, 2)
-            total = total + pair.scale(Fraction(1, 2))
+    """The tree sum before the factor [W], as one recursion over rooted
+    subtrees whose caches live for this call only."""
+    grading = w.grading
+    zero = (0,) * len(dmax)
+
+    @cache
+    def vertex(beta, n: int) -> RatFunc:
+        """N(W, beta) * (L)_n for a vertex of class beta with n fixed
+        special points, L = [P^1]."""
+        return nclass(w, beta) * _falling(RatFunc(LINE_CLASS), n)
+
+    @cache
+    def root(ctype, fixed: int) -> MultiSeries:
+        """sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k z**beta
+        for a vertex whose children have cycle type ctype (a sorted
+        (j, m_j) tuple) and which has `fixed` more special points fixed
+        besides its k marks."""
+        cycles = dict(ctype)
+        moved = RF_ONE
+        for j, m_j in cycles.items():
+            if j > 1:
+                moved = moved * _falling(RatFunc(necklace(j)), m_j)
+        n_base = fixed + sum(j * m_j for j, m_j in cycles.items())
+        n_fixed = cycles.get(1, 0) + fixed
+        coeffs = {}
+        for kv in range(kmax + 1):
+            weight = moved * Fraction(1, factorial(kv))
+            for beta in box_vectors(dmax):
+                if beta == zero and n_base + kv <= 2:
+                    continue
+                coeffs[(kv, beta)] = vertex(beta, n_fixed + kv) * weight
+        return MultiSeries(grading, kmax, dmax, coeffs)
+
+    @cache
+    def power(child, j: int, e: int) -> MultiSeries:
+        """psi_j(sub)**e, sub the rooted sum of child with one fixed point
+        (the edge up)."""
+        if e == 1:
+            return series_adams(rooted(child, 1), j)
+        return power(child, j, e - 1) * power(child, j, 1)
+
+    @cache
+    def children(code) -> dict:
+        """{cycle type: series} for the children of a rooted code: per
+        combined cycle type of the averaged automorphisms on the children,
+        the product of the cycle-index terms of its classes of identical
+        children, built from the same code without its last class."""
+        if not code:
+            return {(): MultiSeries.const(grading, kmax, dmax, RF_ONE)}
+        child, m = _runs(code)[-1]
+        by_type = children(code[:-m])
+        got = {}
+        for lam in _partitions(m) if adams else ({1: m},):
+            # cycle-index term prod_j psi_j(sub)**e_j / (j**e_j e_j!); the
+            # j**e_j is left to the root factor's trace or the central edge
+            term = reduce(mul, (power(child, j, e) for j, e in lam.items()))
+            if term.is_zero:
+                continue
+            weight = prod(map(factorial, lam.values()))
+            if weight > 1:
+                term = term.scale(Fraction(1, weight))
+            for ctype, acc in by_type.items():
+                cycles = dict(ctype)
+                for j, e in lam.items():
+                    cycles[j] = cycles.get(j, 0) + e
+                merged = tuple(sorted(cycles.items()))
+                # the empty cycle type holds the unit series
+                product = acc * term if ctype else term
+                prev = got.get(merged)
+                got[merged] = product if prev is None else prev + product
+        return got
+
+    @cache
+    def rooted(code, fixed: int) -> MultiSeries:
+        """(1/|Aut|) sum_{h in Aut(code)} of the h-fixed weightings of a
+        rooted tree, each a product over h's vertex orbits as in the module
+        docstring; every h fixes the root and `fixed` further special points
+        at it.  Without adams only h = 1 is kept: the sum over all
+        weightings / |Aut|."""
+        total = MultiSeries.zero(grading, kmax, dmax)
+        for ctype, acc in children(code).items():
+            r = root(ctype, fixed)
+            total = total + (acc * r if ctype else r)
+        return total
+
+    total = MultiSeries.zero(grading, kmax, dmax)
+    try:
+        for tree in _contributing_trees(kmax, dmax):
+            if tree.centred[0] == "C":
+                total = total + rooted(tree.centred[1], 0)
+                continue
+            # the halves hang from the central edge as two children from a
+            # vertex; no root factor takes up the j**e_j, so divide it out
+            for ctype, acc in children(tree.centred[1:]).items():
+                weight = prod(j ** m_j for j, m_j in ctype)
+                total = total + (acc.scale(Fraction(1, weight)) if weight > 1 else acc)
+    finally:
+        # the nested functions form a reference cycle: free the series now
+        for f in (vertex, root, power, children, rooted):
+            f.cache_clear()
     return total
 
 
@@ -627,5 +599,5 @@ def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None,
     the module docstring), in one process.  Exact and deterministic.
     """
     dmax = w.box(dmax, kmax)
-    # the sum runs in its own frame, so its memo is freed before the scale
+    # the sum's caches are cleared on its return, before the scale
     return _tree_sum_cells(w, kmax, dmax, adams).scale(RatFunc(w.pw))

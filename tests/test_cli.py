@@ -248,10 +248,15 @@ class TestSmallCommands:
 
 
 class TestErrors:
-    def test_unknown_target(self, capsys):
-        code, _, err = run_cli(capsys, "compute", "--target", "torus", "--kmax", "2")
+    # int() would read "pn:1_0" as P^10 and "pn: 1" as P^1
+    @pytest.mark.parametrize("spec", [
+        "torus", "pn:1_0", "pn: 1", "pn:", "pn:1.5", "pn:-1", "pn:\u0661",
+    ], ids=["torus", "underscore", "space", "empty", "decimal", "negative", "non-ascii"])
+    def test_unknown_target(self, capsys, spec):
+        code, _, err = run_cli(capsys, "compute", "--target", spec, "--kmax", "2")
         assert code == 2
-        assert "error" in err
+        assert err.count("\n") == 1
+        assert "unknown target spec" in err
 
     def test_point_with_dmax(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--target", "point",

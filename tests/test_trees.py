@@ -229,11 +229,13 @@ class TestTreeSum:
             p = (point_run["oracle"].coeff(k, ()) * factorial(k)).as_upoly()
             assert is_palindromic(p, k - 3)
 
-    @pytest.mark.parametrize("adams, parent_count", [(False, 140), (True, 174)])
+    @pytest.mark.parametrize("adams, parent_count", [
+        (False, 140), (True, 174), (False, 102), (True, 130)])
     def test_products_are_shared(self, monkeypatch, adams, parent_count):
         # the children's products are formed once per children tuple and
-        # each power once per subtree; before that sharing this box took
-        # parent_count series products (102 and 130 with it)
+        # each power once per subtree (140 and 174 products before that
+        # sharing, 102 and 130 with it); a central edge now shares them
+        # with every vertex that has the same two children (94 and 122)
         w, kmax, dmax = projective_space(2), 5, (3,)
         calls = []
         product = MultiSeries.__mul__
