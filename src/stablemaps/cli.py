@@ -163,7 +163,7 @@ def _run_suite(suite, run):
     if suite == "ffcount":
         primes = [int(p) for p in args.primes.split(",")]
         w = projective_space(args.n)
-        for d in range(1, args.dmaxff + 1):
+        for d in range(args.dmaxff + 1):
             for p in primes:
                 counted = count_maps_bruteforce(args.n, d, p)
                 expected = w.map_class((d,)).eval_at(p)
@@ -175,8 +175,10 @@ def _run_suite(suite, run):
 
 def cmd_verify(args) -> int:
     run = _Run(args)
+    if args.dmaxff < 0:
+        raise ValueError(f"--dmaxff {args.dmaxff} must be >= 0")
     if "ffcount" in args.suite:  # refuse an oversized count before any suite runs
-        for d in range(1, args.dmaxff + 1):
+        for d in range(args.dmaxff + 1):
             for p in args.primes.split(","):
                 check_count_request(args.n, d, int(p))
     results = []

@@ -9,11 +9,12 @@ d <= dmax componentwise.  The z-exponents live in the free semigroup
 Z+**r; a rank of 0 is allowed and means there are no z-variables at all
 (series in t only).  Multiplication is full convolution into the box, so
 every box cell of a product is exact; the box is closed downward, which is
-what makes box truncation a quotient ring.  When every coefficient of both
-factors is a polynomial in u, the product runs on ints by Kronecker
-substitution: each cell's numerator is packed once as its value at
-u = 2**bits, each in-box pair costs one int multiply, and each output cell
-is unpacked once.  A series is never changed once built, so each one
+what makes box truncation a quotient ring.  A product whose smaller factor
+has two or more cells runs on ints by Kronecker substitution: each factor
+is put over one denominator L * D (an int L and a monic polynomial D), each
+cell's int numerator is packed once as its value at u = 2**bits, each
+in-box pair costs one int multiply, and each output cell is unpacked once
+and reduced once.  A series is never changed once built, so each one
 scales its numerators to ints at most once, on its first product, and the
 in-box pairs of each box are planned once per process.
 
@@ -41,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .qfield import P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
+from .qfield import P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling, upoly_gcd
 
 
 class Grading:
@@ -84,22 +85,25 @@ def _coerce_coeff(c) -> RatFunc:
 
 
 def _scaled_numerators(cells: dict):
-    """For polynomial coefficients: their lcm denominator L, each cell's
-    numerator of L * c as an int list, the largest |coefficient| and the
-    largest length among those lists.  False when some coefficient is not
-    a polynomial."""
-    if not all(c.den == P_ONE for c in cells.values()):
-        return False
-    lcm = math.lcm(*(c.num.denom for c in cells.values()))
+    """The coefficients over one denominator L * D: an int L and the monic
+    lcm D of their denominators.  Returns (L, D, rows, top, length), where
+    rows maps each cell to the numerator of L * D * c as an int list, top
+    is the largest |entry| and length the largest length among the rows."""
+    den = P_ONE
+    for c in cells.values():
+        if c.den != P_ONE:
+            den = den * (c.den // upoly_gcd(den, c.den))
+    nums = {key: c.num if c.den == den else c.num * (den // c.den)
+            for key, c in cells.items()}
+    lcm = math.lcm(*(p.denom for p in nums.values()))
     rows, top, length = {}, 0, 0
-    for key, c in cells.items():
-        p = c.num
+    for key, p in nums.items():
         m = lcm // p.denom
         row = p.numer if m == 1 else [x * m for x in p.numer]
         rows[key] = row
         top = max(top, max(map(abs, row)))
         length = max(length, len(row))
-    return lcm, rows, top, length
+    return lcm, den, rows, top, length
 
 
 @lru_cache(maxsize=None)
@@ -261,20 +265,18 @@ class MultiSeries:
     def __add__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        kmax, dmax = self._common_box(other)
-        out = {}
-        for key, c in self.coeffs.items():
-            if key[0] <= kmax and all(x <= m for x, m in zip(key[1], dmax)):
-                out[key] = c
-        for key, c in other.coeffs.items():
-            if key[0] <= kmax and all(x <= m for x, m in zip(key[1], dmax)):
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return MultiSeries._new(self.grading, kmax, dmax, out)
+        box = self._common_box(other)
+        a, b = (x.coeffs if (x.kmax, x.dmax) == box else x.truncate(*box).coeffs
+                for x in (self, other))
+        out = dict(a)
+        for key, c in b.items():
+            s = out.get(key)
+            s = c if s is None else s + c
+            if s.is_zero:
+                del out[key]
+            else:
+                out[key] = s
+        return MultiSeries._new(self.grading, *box, out)
 
     def __sub__(self, other):
         if not isinstance(other, MultiSeries):
@@ -282,9 +284,10 @@ class MultiSeries:
         return self + (-other)
 
     def _int_numerators(self):
-        """_scaled_numerators of the coefficients, computed on the first
-        product: a series is never changed once built (only const and
-        monomial write into coeffs, before they return)."""
+        """The coefficients over one denominator L * D, as
+        _scaled_numerators returns them, computed on the first product that
+        packs this series: a series is never changed once built (only const
+        and monomial write into coeffs, before they return)."""
         got = self._scaled
         if got is None:
             got = self._scaled = _scaled_numerators(self.coeffs)
@@ -295,14 +298,13 @@ class MultiSeries:
         the smaller operand visits only its partners in the larger whose
         product stays in the box, as the box's pair plan lists them.
 
-        When every coefficient is a polynomial and the smaller operand has
-        more than one cell, each operand is put over the lcm of its
-        denominators and each cell's numerator is packed into one int
-        (Kronecker substitution, _pack), in slots wide enough that no sum of
-        products overflows; a pair is then one int multiply and add, and
-        each output cell is unpacked once into one UPoly.  A one-cell
-        operand shares no output cell between pairs, so it multiplies the
-        coefficients directly."""
+        An empty or one-cell operand shares no output cell between pairs, so
+        it multiplies the coefficients directly.  Otherwise each operand is
+        put over its denominator L * D and each cell's numerator is packed
+        into one int (Kronecker substitution, _pack), in slots wide enough
+        that no sum of products overflows; a pair is then one int multiply
+        and add, and each output cell is unpacked once into the RatFunc of
+        its numerator over La * Lb * Da * Db."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
@@ -310,32 +312,26 @@ class MultiSeries:
         kmax, dmax = self._common_box(other)
         small, large = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         a, b = small.coeffs, large.coeffs
-        if not a:
-            return MultiSeries._new(self.grading, kmax, dmax, {})
         plan = _pair_plan(kmax, dmax)
-        packed = len(a) > 1 and small._int_numerators() and large._int_numerators()
-        if packed:
-            la, rows_a, top_a, len_a = small._int_numerators()
-            lb, rows_b, top_b, len_b = large._int_numerators()
-            bits = (top_a * top_b * min(len_a, len_b) * len(a)).bit_length() + 2
-            a = {key: _pack(row, bits) for key, row in rows_a.items() if key in plan}
-            b = {key: _pack(row, bits) for key, row in rows_b.items() if key in plan}
+        if len(a) <= 1:
+            out = {key: c1 * b[key2] for key1, c1 in a.items()
+                   for key2, key in plan.get(key1, {}).items() if key2 in b}
+            return MultiSeries._new(self.grading, kmax, dmax, out)
+        la, da, rows_a, top_a, len_a = small._int_numerators()
+        lb, db, rows_b, top_b, len_b = large._int_numerators()
+        bits = (top_a * top_b * min(len_a, len_b) * len(a)).bit_length() + 2
+        a = {key: _pack(row, bits) for key, row in rows_a.items() if key in plan}
+        b = {key: _pack(row, bits) for key, row in rows_b.items() if key in plan}
         out = {}
         for key1, c1 in a.items():
-            partners = plan.get(key1)
-            if partners is None:
-                continue
-            for key2, key in partners.items():
+            for key2, key in plan[key1].items():
                 c2 = b.get(key2)
                 if c2 is not None:
                     s = out.get(key)
                     out[key] = c1 * c2 if s is None else s + c1 * c2
-        if packed:
-            den = la * lb
-            out = {key: RatFunc._reduced(UPoly.from_numer(_unpack(s, bits), den), P_ONE)
-                   for key, s in out.items() if s}
-        else:
-            out = {key: s for key, s in out.items() if not s.is_zero}
+        lcm, den = la * lb, da * db
+        out = {key: RatFunc(UPoly.from_numer(_unpack(s, bits), lcm), den)
+               for key, s in out.items() if s}
         return MultiSeries._new(self.grading, kmax, dmax, out)
 
     def __rmul__(self, other):

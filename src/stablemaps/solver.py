@@ -200,7 +200,7 @@ def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
     for (k, d), c in phi.coeffs.items():
         if k < phi.kmax:
             coeffs[(k + 1, d)] = c * Fraction(1, k + 1)
-    return MultiSeries._new(phi.grading, phi.kmax, phi.dmax, coeffs)
+    return MultiSeries(phi.grading, phi.kmax, phi.dmax, coeffs)
 
 
 def adams_term(w: TargetSpace, r0: MultiSeries) -> MultiSeries:

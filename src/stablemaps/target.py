@@ -48,16 +48,15 @@ from .series import Grading, MultiSeries, box_vectors
 class TargetSpace:
     """Descriptor of a target: name, grading, class [W], map-space classes."""
 
-    __slots__ = ("name", "grading", "pw", "builtin", "n", "classes", "_cache")
+    __slots__ = ("name", "grading", "pw", "n", "classes", "_cache")
 
     def __init__(self, name: str, grading: Grading, pw: UPoly,
-                 classes=None, builtin: bool = False, n=None):
+                 classes=None, n=None):
         if pw.is_zero:
             raise ValueError("target class must be nonzero")
         self.name = name
         self.grading = grading
         self.pw = pw
-        self.builtin = builtin
         self.n = n
         self.classes = dict(classes) if classes else {}
         self._cache = {}
@@ -95,7 +94,7 @@ class TargetSpace:
         key = ("map", beta)
         got = self._cache.get(key)
         if got is None:
-            if self.builtin:
+            if self.n is not None:  # the builtin P^n
                 got = RatFunc(_pn_map_class(self.n, beta[0]))
             else:
                 got = self.classes.get(beta)
@@ -117,12 +116,12 @@ def projective_space(n: int) -> TargetSpace:
     """Builtin rank-1 target P^n, n >= 1, with closed-form map classes."""
     if n < 1:
         raise ValueError("projective space needs n >= 1")
-    return TargetSpace(f"pn:{n}", Grading(1), UPoly([1] * (n + 1)), builtin=True, n=n)
+    return TargetSpace(f"pn:{n}", Grading(1), UPoly([1] * (n + 1)), n=n)
 
 
 def point_target() -> TargetSpace:
     """The one-point target: rank 0, [W] = 1, constant maps only."""
-    return TargetSpace("point", Grading(0), P_ONE, builtin=True)
+    return TargetSpace("point", Grading(0), P_ONE)
 
 
 def parse_target(spec: str) -> TargetSpace:
@@ -164,8 +163,8 @@ def nclass(w: TargetSpace, beta) -> RatFunc:
 def verify_recurrence(n: int, dmax: int) -> bool:
     """Exact polynomial identity check of the degree recurrence for P^n,
     for every d <= dmax."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 1 or dmax < 0:
+        raise ValueError("need n >= 1 and dmax >= 0")
     w = projective_space(n)
     for d in range(dmax + 1):
         lhs = RatFunc(0)

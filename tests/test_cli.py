@@ -120,6 +120,25 @@ class TestVerify:
         assert code == 0
         assert "PASS ffcount" in out
 
+    def test_ffcount_suite_counts_constant_maps(self, capsys, monkeypatch):
+        # degree 0 is counted too: a miscount of the constant maps must fail
+        # the suite, also when it is the only degree asked for
+        real = cli.count_maps_bruteforce
+        monkeypatch.setattr(cli, "count_maps_bruteforce",
+                            lambda n, d, p: real(n, d, p) + (d == 0))
+        for dmaxff in ("0", "1"):
+            code, out, _ = run_cli(capsys, "verify", "--suite", "ffcount",
+                                   "--n", "2", "--dmaxff", dmaxff, "--primes", "3")
+            assert code == 1
+            assert "FAIL ffcount: (n=2, d=0, p=3): 14 != 13" in out
+
+    def test_negative_dmaxff_is_refused(self, capsys):
+        # before, both suites checked nothing and passed
+        code, out, err = run_cli(capsys, "verify", "--suite", "recurrence",
+                                 "--suite", "ffcount", "--n", "1", "--dmaxff", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --dmaxff -1 must be >= 0\n"
+
     def test_multiple_suites_and_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "recurrence",
                                "--suite", "chi", "--suite", "dt",

@@ -33,6 +33,15 @@ def naive_mul(a, b):
     return MultiSeries(a.grading, kmax, dmax, out)
 
 
+def naive_add(a, b):
+    """Cell-by-cell sum on the common box, the oracle for sums."""
+    kmax = min(a.kmax, b.kmax)
+    dmax = tuple(min(x, y) for x, y in zip(a.dmax, b.dmax))
+    return MultiSeries(a.grading, kmax, dmax,
+                       {(k, d): a.coeffs.get((k, d), RatFunc(0)) + b.coeffs.get((k, d), RatFunc(0))
+                        for k in range(kmax + 1) for d in box_vectors(dmax)})
+
+
 def rand_series(rng, kmax=3, dmax=(2,), zero_const=False, grading=G1):
     coeffs = {}
     for k in range(kmax + 1):
@@ -70,12 +79,16 @@ DENOMINATORS = (UPoly((-1, 1)), UPoly((1, 1)), UPoly((1, 0, 1)))
 
 def coefficients(kind):
     """Coefficients of one kind: polynomials in u ("poly"), fractions over a
-    nonconstant denominator ("rational"), either ("mixed"), or polynomials
-    with Fraction coefficients of numerators up to 2**200 in size over
-    denominators up to 2**40 ("wide")."""
-    if kind == "wide":
+    nonconstant denominator ("rational"), either ("mixed"), polynomials with
+    Fraction coefficients of numerators up to 2**200 in size over
+    denominators up to 2**40 ("wide"), or such polynomials over a
+    nonconstant denominator ("wide-rational")."""
+    if kind.startswith("wide"):
         wide = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 40))
-        return st.lists(wide, min_size=1, max_size=4).map(UPoly).map(RatFunc)
+        numer = st.lists(wide, min_size=1, max_size=4).map(UPoly)
+        if kind == "wide":
+            return numer.map(RatFunc)
+        return st.builds(RatFunc, numer, st.sampled_from(DENOMINATORS))
     poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UPoly)
     rational = st.builds(RatFunc, poly, st.sampled_from(DENOMINATORS))
     if kind == "poly":
@@ -154,23 +167,25 @@ class TestArithmetic:
         assert (a * b) * c == a * (b * c)
         assert a * b == naive_mul(a, b)
 
-    @pytest.mark.parametrize("kind", ["poly", "rational", "mixed"])
+    @pytest.mark.parametrize("kind", ["poly", "rational", "mixed", "wide-rational"])
     @given(data=st.data())
     def test_mul_matches_naive_on_unequal_boxes(self, kind, data):
-        # "poly" takes the polynomial path of the product, "rational" and
-        # "mixed" the RatFunc one; (x + y)(x - y) makes cells cancel inside
-        # one product, and a b + a (-b) across two
+        # "poly" puts each operand over an int denominator, the other kinds
+        # over an int times a polynomial, and "wide-rational" needs wide
+        # slots; (x + y)(x - y) makes cells cancel inside one product, and
+        # a b + a (-b) across two
         rank = data.draw(st.sampled_from([0, 1, 2]))
         a, b, c = (data.draw(boxed_series(rank, kind)) for _ in range(3))
+        assert b + c == naive_add(b, c)
         assert a * b == naive_mul(a, b)
         assert (a * b + a * (-b)).is_zero
         assert (b + c) * (b - c) == naive_mul(b + c, b - c)
 
     @given(data=st.data())
     def test_mul_matches_naive_with_wide_coefficients(self, data):
-        # the polynomial path packs each cell into one int over the lcm of
-        # its operand's denominators: non-1 denominators and coefficients of
-        # hundreds of bits exercise the scaling and the slot width
+        # the product packs each cell into one int over its operand's one
+        # denominator: non-1 denominators and coefficients of hundreds of
+        # bits exercise the scaling and the slot width
         rank = data.draw(st.sampled_from([0, 1, 2]))
         a, b, c = (data.draw(boxed_series(rank, "wide")) for _ in range(3))
         assert a * b == naive_mul(a, b)
@@ -179,10 +194,11 @@ class TestArithmetic:
 
     @given(data=st.data())
     def test_cached_operand_serves_every_partner(self, data):
-        # an operand scales its numerators on its first product and keeps
-        # them: partners that need narrow or wide slots, a single cell, or
-        # a smaller box (leaving some of its cells outside the common box)
-        # must each get the exact product, and the operand must not change
+        # an operand puts itself over one denominator on its first product
+        # and keeps the numerators: partners that need narrow or wide slots,
+        # one over a polynomial denominator, a single cell, or a smaller box
+        # (leaving some of its cells outside the common box) must each get
+        # the exact product, and the operand must not change
         rank = data.draw(st.sampled_from([0, 1, 2]))
 
         def drawn(kmax, dmax, kind, min_size, max_size=8):
@@ -192,10 +208,11 @@ class TestArithmetic:
             return MultiSeries(Grading(rank), kmax, dmax, chosen)
 
         full, small = (2,) * rank, (1,) * rank
-        a = drawn(3, full, data.draw(st.sampled_from(["poly", "wide"])), 2)
+        a = drawn(3, full, data.draw(st.sampled_from(["poly", "wide", "rational"])), 2)
         before = MultiSeries.from_json(a.to_json())
         partners = [drawn(3, full, "poly", 2), drawn(3, full, "wide", 2),
-                    drawn(3, full, "wide", 1, 1), drawn(1, small, "poly", 1)]
+                    drawn(3, full, "rational", 2), drawn(3, full, "wide", 1, 1),
+                    drawn(1, small, "poly", 1)]
         for b in partners + partners[:1]:
             assert a * b == naive_mul(a, b)
             assert b * a == naive_mul(b, a)

@@ -96,6 +96,11 @@ class TestRecurrence:
     def test_holds(self, n):
         assert verify_recurrence(n, 4)
 
+    def test_negative_dmax_is_refused(self):
+        # a negative dmax would check no degree at all and pass
+        with pytest.raises(ValueError, match="need n >= 1 and dmax >= 0"):
+            verify_recurrence(1, -1)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_forward_substitution_recovers_classes(self, n):
         # solving the recurrence for [Map_d] must reproduce the closed form
