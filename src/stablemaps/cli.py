@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 from .eulerchi import chi_agrees, chi_table
 from .solver import (extract_classes, potential, solve_phi0, verify_dt,
@@ -33,6 +33,9 @@ TREES_VMAX = 18
 
 SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
+# phi-degree of the potential suite, and the (u, z) sample of the implicit suite
+POTENTIAL_NMAX = 4
+IMPLICIT_U, IMPLICIT_Z = "4", "1/1000"
 
 
 def _resolve(args):
@@ -143,13 +146,13 @@ def _run_suite(suite, run):
         return res.is_zero, ("functional equation holds on the box" if res.is_zero
                              else f"residual {res}")
     if suite == "potential":
-        ok = verify_potential_expansion(w, args.nmax, args.kmax, dmax)
-        return ok, f"expansions agree through degree {args.nmax}" if ok else "mismatch"
+        ok = verify_potential_expansion(w, POTENTIAL_NMAX, args.kmax, dmax)
+        return ok, f"expansions agree through degree {POTENTIAL_NMAX}" if ok else "mismatch"
     if suite == "implicit":
         # without --dmax the check keeps its own default box: on the zero
         # box the series is z-free and the spread says nothing about z
         spread = verify_implicit_numeric(
-            w, args.uval, args.zval, [0, "1/200", "1/100"],
+            w, IMPLICIT_U, IMPLICIT_Z, [0, "1/200", "1/100"],
             kmax=max(args.kmax, 10), dmax=dmax if args.dmax else None)
         ok = spread <= args.tolerance
         return ok, f"relative spread {spread:.3e} (tolerance {args.tolerance:.1e})"
@@ -191,7 +194,10 @@ def cmd_verify(args) -> int:
     return 0 if summary["ok"] else VERIFY_ERROR
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="stablemaps",
         description="Exact classes of genus-zero stable-map moduli spaces.")
@@ -229,12 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_adams(p)
     p.add_argument("--suite", action="append", choices=SUITES, required=True,
                    help="repeatable; each suite prints one PASS/FAIL line")
-    p.add_argument("--nmax", type=int, default=4, help="phi-degree for the potential suite")
     p.add_argument("--n", type=int, default=1, help="projective dimension for recurrence/ffcount")
     p.add_argument("--dmaxff", type=int, default=2, help="max degree for recurrence/ffcount")
     p.add_argument("--primes", default="2,3,5", help="primes for ffcount")
-    p.add_argument("--uval", default="4", help="u sample for the implicit suite")
-    p.add_argument("--zval", default="1/1000", help="z sample for the implicit suite")
     p.add_argument("--tolerance", type=float, default=1e-5,
                    help="relative-spread tolerance for the implicit suite")
     p.set_defaults(func=cmd_verify)

@@ -41,8 +41,6 @@ Series here have constant rational coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .qfield import RF_ONE, RatFunc
 from .series import MultiSeries, box_vectors, series_log1p, stationary
 from .solver import (ClassTable, adams_factor, adams_term, closed_form, extract_classes,
@@ -57,9 +55,11 @@ def is_constant_series(s: MultiSeries) -> bool:
 def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
     """The z-series X driving the Euler-limit equation.
 
-    Each z**beta coefficient, beta != 0, is the first-order Taylor
-    coefficient of [Map_beta] / P_W at u = 1 (the value there is 0, so this
-    is the actual limit of ([Map_beta]/P_W) / (u - 1)); the beta = 0 term
+    Each z**beta coefficient, beta != 0, is the derivative at u = 1 of the
+    ratio [Map_beta] / P_W, which must vanish there: X is the limit of
+    ([Map_beta]/P_W) / (u - 1).  With the ratio reduced to num/den that is
+    num'(1)/den(1).  A ratio with a pole or a nonzero value at u = 1 has no
+    such limit and raises ValueError naming beta.  The beta = 0 term
     vanishes because constant maps contribute the target class itself.
     `factor`, a z-series equal to 1 at u = 1 such as the Adams factor A,
     replaces [Map_beta] by the coefficients of E * factor.
@@ -74,8 +74,13 @@ def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
         if all(b == 0 for b in beta):
             continue
         ratio = eff.coeff(0, beta) * inv_pw
-        c = ratio.expand_at_one(1)[1]
-        coeffs[(0, beta)] = RatFunc(Fraction(c))
+        num1, den1 = ratio.num.eval(1), ratio.den.eval(1)
+        if not den1:
+            raise ValueError(f"[Map_beta]/[W] for beta {beta} has a pole at u = 1")
+        if num1:
+            raise ValueError(f"[Map_beta]/[W] for beta {beta} is {num1 / den1} at u = 1, "
+                             f"not 0: the Euler limit needs it to vanish there")
+        coeffs[(0, beta)] = RatFunc(ratio.num.derivative().eval(1) / den1)
     return MultiSeries(w.grading, 0, dmax, coeffs)
 
 

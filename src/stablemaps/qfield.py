@@ -14,10 +14,10 @@ Layers:
               one positive common denominator in lowest terms
     RatFunc   reduced num/den pairs of UPoly with monic denominator
 
-plus polynomial gcd, evaluation at rational points, Taylor expansion around
-u = 1, and the falling-factorial binomial C(alpha, k) for a rational-function
-alpha.  Polynomial arithmetic runs on Python ints with one gcd per result, not
-one Fraction per coefficient.  All values are immutable and all operations are
+plus polynomial gcd, evaluation at rational points, the derivative in u, and
+the falling-factorial binomial C(alpha, k) for a rational-function alpha.
+Polynomial arithmetic runs on Python ints with one gcd per result, not one
+Fraction per coefficient.  All values are immutable and all operations are
 pure.
 """
 
@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _poly(numer: list, denom: int) -> "UPoly":
@@ -202,19 +201,6 @@ class UPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = P_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def scale(self, c) -> "UPoly":
         c = Fraction(c)
         return _poly([x * c.numerator for x in self.numer], self.denom * c.denominator)
@@ -261,16 +247,9 @@ class UPoly:
             mpow *= m
         return Fraction(acc, self.denom * (mpow // m))
 
-    def taylor_shift_one(self) -> "UPoly":
-        """Coefficients of p(1 + e) as a polynomial in e."""
-        # repeated synthetic division by u - 1; a unimodular change of basis,
-        # so the content, the degree and the denominator stay as they are
-        out = list(self.numer)
-        n = len(out)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                out[j] += out[j + 1]
-        return UPoly._make(tuple(out), self.denom)
+    def derivative(self) -> "UPoly":
+        """The formal derivative d/du."""
+        return _poly([i * c for i, c in enumerate(self.numer)][1:], self.denom)
 
     def adams(self, k: int) -> "UPoly":
         """The Adams operation psi_k: the substitution u -> u**k."""
@@ -490,12 +469,8 @@ class RatFunc:
             if g.degree > 0:
                 return RatFunc._reduced(num // g, da // g)
             return RatFunc._reduced(num, da)
+        # gcd(num, den) divides g = gcd(da, db); coprime denominators give g = 1
         g = upoly_gcd(da, db)
-        if g.degree == 0:
-            num = self.num * db + other.num * da
-            if num.is_zero:
-                return RF_ZERO
-            return RatFunc._reduced(num, da * db)
         da_red = da // g
         db_red = db // g
         num = self.num * db_red + other.num * da_red
@@ -583,29 +558,6 @@ class RatFunc:
         if not d:
             raise ZeroDivisionError("pole")
         return self.num.eval(s) / d
-
-    def expand_at_one(self, order: int) -> list:
-        """Taylor coefficients c_0..c_order at u = 1.
-
-        Returns [c_0, ..., c_order] with
-        f = sum c_j (u-1)**j + O((u-1)**(order+1)).  Since the fraction is
-        kept reduced, a vanishing shifted denominator constant means a
-        genuine pole.
-        """
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        num_e = self.num.taylor_shift_one().coeffs
-        den_e = self.den.taylor_shift_one().coeffs
-        if not den_e or not den_e[0]:
-            raise ZeroDivisionError("pole at unity")
-        inv0 = _F1 / den_e[0]
-        out = []
-        for j in range(order + 1):
-            s = num_e[j] if j < len(num_e) else _F0
-            for i in range(1, min(j, len(den_e) - 1) + 1):
-                s -= den_e[i] * out[j - i]
-            out.append(s * inv0)
-        return out
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -108,6 +108,19 @@ class TestVerify:
         assert code == 0
         assert "PASS ode" in out
 
+    def test_parser_reused_across_calls(self, capsys):
+        # one parser per process; each call still parses only its own suites
+        assert cli.build_parser() is cli.build_parser()
+        for suites in (("ode",), ("recurrence", "fe")):
+            argv = ["verify", "--target", "point", "--kmax", "2"]
+            for suite in suites:
+                argv += ["--suite", suite]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert [line.split()[1].rstrip(":") for line in lines[:-1]] == list(suites)
+            assert [r["suite"] for r in json.loads(lines[-1])["results"]] == list(suites)
+
     def test_oracle_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle",
                                "--target", "pn:1", "--kmax", "4", "--dmax", "2")
@@ -267,6 +280,25 @@ class TestSmallCommands:
 
 
 class TestErrors:
+    # [Map_1]/[W] is u(u+1) in the first target and (3u^2+1)/((u^2+1)(u+1))
+    # in the second: neither vanishes at u = 1, so there is no Euler limit
+    @pytest.mark.parametrize("pw, value, at_one, command", [
+        (["-1", "1"], {"num": ["0", "-1", "0", "1"], "den": ["1"]}, "2", ("euler",)),
+        (["-1", "1"], {"num": ["0", "-1", "0", "1"], "den": ["1"]}, "2",
+         ("verify", "--suite", "chi")),
+        (["1", "1"], {"num": ["1", "0", "3"], "den": ["1", "0", "1"]}, "1", ("euler",)),
+    ], ids=["euler", "verify-chi", "euler-rational"])
+    def test_euler_limit_needs_vanishing_ratio(self, tmp_path, capsys, pw, value, at_one,
+                                               command):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"name": "t", "rank": 1, "pw": pw,
+                                    "classes": [{"beta": [1], "value": value}]}))
+        code, out, err = run_cli(capsys, *command, "--target", f"file:{path}",
+                                 "--kmax", "3", "--dmax", "1")
+        assert code == 2 and out == ""
+        assert f"beta (1,) is {at_one} at u = 1, not 0" in err
+        assert err.count("\n") == 1
+
     # int() would read "pn:1_0" as P^10 and "pn: 1" as P^1
     @pytest.mark.parametrize("spec", [
         "torus", "pn:1_0", "pn: 1", "pn:", "pn:1.5", "pn:-1", "pn:\u0661",

@@ -10,7 +10,7 @@ from stablemaps.eulerchi import (_log_fixed_point, chi_agrees, chi_potential, ch
 from stablemaps.qfield import RF_ONE, RF_U, RatFunc
 from stablemaps.series import MultiSeries, series_log1p
 from stablemaps.solver import adams_factor, solve_phi0
-from stablemaps.target import point_target, projective_space
+from stablemaps.target import point_target, projective_space, target_from_json
 from test_solver import p1xp1_target
 
 
@@ -31,6 +31,14 @@ class TestXSeries:
 
     def test_point_has_no_terms(self):
         assert xseries(point_target(), ()).is_zero
+
+    def test_pole_at_one_raises(self):
+        # [Map_1]/[W] = (u+1)/(u-1)
+        w = target_from_json({"name": "pole", "rank": 1, "pw": ["-1", "1"],
+                              "classes": [{"beta": [1],
+                                           "value": {"num": ["1", "1"], "den": ["1"]}}]})
+        with pytest.raises(ValueError, match=r"beta \(1,\) has a pole at u = 1"):
+            xseries(w, (1,))
 
 
 def chi_residual(w, phi, kmax, dmax):

@@ -50,9 +50,11 @@ class TestUPoly:
         assert MOEBIUS_CLASS.eval(4) == 60  # order of the Moebius group over F_4
         assert LINE_CLASS.eval(1) == 2
 
-    def test_taylor_shift(self):
-        # p(u) = u^2 -> p(1+e) = 1 + 2e + e^2
-        assert poly(0, 0, 1).taylor_shift_one() == poly(1, 2, 1)
+    def test_derivative(self):
+        # d/du (u^3 - u) = 3u^2 - 1; constants differentiate to zero
+        assert MOEBIUS_CLASS.derivative() == poly(-1, 0, 3)
+        assert poly(Fraction(1, 2), Fraction(2, 3)).derivative() == poly(Fraction(2, 3))
+        assert poly(5).derivative() == P_ZERO == P_ZERO.derivative()
 
     def test_q_coeffs(self):
         assert poly(1, 5, 1).q_coeffs() == (1, 0, 5, 0, 1)
@@ -132,41 +134,6 @@ class TestRatFunc:
     def test_json_roundtrip(self):
         f = RatFunc(poly(1, -2, 3), poly(0, 0, 5))
         assert RatFunc.from_json(f.to_json()) == f
-
-
-class TestExpandAtOne:
-    def test_examples(self):
-        assert RatFunc(poly(0, 0, 1)).expand_at_one(2) == [1, 2, 1]
-        # apparent pole cancels after reduction: (u^2-1)/(u-1) = u+1
-        f = RatFunc(poly(-1, 0, 1), poly(-1, 1))
-        assert f.expand_at_one(1) == [2, 1]
-        assert RatFunc(P_ONE, U).expand_at_one(2) == [1, -1, 1]
-
-    def test_pole_detection(self):
-        with pytest.raises(ZeroDivisionError, match="pole at unity"):
-            RatFunc(P_ONE, poly(-1, 1)).expand_at_one(1)
-
-    def test_truncation_defect_exact(self):
-        # f minus its degree-m Taylor polynomial at u = 1 vanishes to order
-        # m+1 there: the numerator of the difference is divisible by
-        # (u-1)**(m+1), checked by exact division.
-        rng = random.Random(23)
-        um1 = poly(-1, 1)
-        for _ in range(60):
-            f = rand_ratfunc(rng)
-            if f.den.eval(1) == 0:
-                continue
-            m = rng.randint(0, 3)
-            cs = f.expand_at_one(m)
-            taylor = RatFunc(0)
-            for j, c in enumerate(cs):
-                taylor = taylor + RatFunc(um1 ** j) * c
-            h = f - taylor
-            assert h.expand_at_one(m) == [0] * (m + 1)
-            if not h.is_zero:
-                num = h.num
-                for _ in range(m + 1):
-                    num = div_exact(num, um1)
 
 
 class TestBinomFalling:
@@ -369,7 +336,9 @@ class TestUPolyProperties:
     @given(polys, small_fracs)
     def test_eval_shift_adams(self, a, s):
         assert a.eval(s) == ref_eval(a.coeffs, s)
-        assert a.taylor_shift_one().eval(s) == a.eval(1 + s)
+        # the divided difference (a - a(s)) / (u - s) is exact and equals a'(s) at s
+        quot = div_exact(a - a.eval(s), UPoly((-s, 1)))
+        assert quot.eval(s) == a.derivative().eval(s)
         for k in (2, 3):
             assert a.adams(k).eval(s) == a.eval(s ** k)
         assert a.monic().is_zero or a.monic().lead == 1
