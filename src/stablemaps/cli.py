@@ -157,8 +157,7 @@ def _run_suite(suite, run):
         ok = spread <= args.tolerance
         return ok, f"relative spread {spread:.3e} (tolerance {args.tolerance:.1e})"
     if suite == "chi":
-        r0 = run.phi0.truncate(kmax=0) if adams else None  # the run's slice, not a new solve
-        ok = chi_agrees(w, run.table, adams=adams, r0=r0)
+        ok = chi_agrees(w, run.table, adams=adams)
         return ok, "u -> 1 limit matches exact classes" if ok else "mismatch"
     if suite == "recurrence":
         ok = verify_recurrence(args.n, args.dmaxff)

@@ -32,19 +32,27 @@ uses nothing from the differential equation, so it is the independent
 check on the layers.
 
 With adams=True (see stablemaps.solver) the same limit runs on the
-effective map series E * A: X is read off E * A instead of E, and the
-chi-potential gains the solver's adams_term P_W u/(2(u+1)) psi_2(R0) at
-t**0, evaluated at u = 1, where psi_2(R0) has no pole.
+effective map series E * A, A = prod_{k>=2} (1 + psi_k R0)**M_k, without
+the solver's slice R0.  Every M_k with k >= 2 vanishes at u = 1, where its
+derivative is M_k'(1) = phi(k)/k, Euler's totient over k; and R0 at u = 1
+is the limit's own t = 0 slice R.  So A is 1 at u = 1 and
+
+    d/du (E A / P_W) |_{u=1} = X + sum_{k=2}^{|dmax|} phi(k)/k psi_k(log(1 + R)),
+
+which _log_step adds to X from the log(1 + t + phi) it already takes
+(psi_k sends t to 0).  At z-order n the sum sees R only below order n/2,
+so the iteration still settles one order per pass.  The chi-potential
+gains the solver's Adams term P_W u/(2(u+1)) psi_2(R0) at u = 1, that is
+chi(W)/4 psi_2(R).
 
 Series here have constant rational coefficients.
 """
 
 from __future__ import annotations
 
-from .qfield import RF_ONE, RatFunc
-from .series import MultiSeries, box_vectors, series_log1p, stationary
-from .solver import (ClassTable, adams_factor, adams_term, closed_form, extract_classes,
-                     potential, solve_phi0, t_layers)
+from .qfield import RF_ONE, RatFunc, necklace
+from .series import MultiSeries, box_vectors, series_adams, series_log1p, stationary
+from .solver import ClassTable, closed_form, extract_classes, potential, solve_phi0, t_layers
 from .target import TargetSpace, eisenstein_series
 
 
@@ -52,7 +60,7 @@ def is_constant_series(s: MultiSeries) -> bool:
     return all(c.num.degree <= 0 and c.den.degree <= 0 for c in s.coeffs.values())
 
 
-def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
+def xseries(w: TargetSpace, dmax=None) -> MultiSeries:
     """The z-series X driving the Euler-limit equation.
 
     Each z**beta coefficient, beta != 0, is the derivative at u = 1 of the
@@ -61,13 +69,9 @@ def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
     num'(1)/den(1).  A ratio with a pole or a nonzero value at u = 1 has no
     such limit and raises ValueError naming beta.  The beta = 0 term
     vanishes because constant maps contribute the target class itself.
-    `factor`, a z-series equal to 1 at u = 1 such as the Adams factor A,
-    replaces [Map_beta] by the coefficients of E * factor.
     """
     dmax = w.box(dmax)
     eff = eisenstein_series(w, dmax)
-    if factor is not None:
-        eff = eff * factor
     inv_pw = RatFunc(1) / RatFunc(w.pw)
     coeffs = {}
     for beta in box_vectors(dmax):
@@ -84,39 +88,43 @@ def xseries(w: TargetSpace, dmax=None, factor=None) -> MultiSeries:
     return MultiSeries(w.grading, 0, dmax, coeffs)
 
 
-def _log_step(w: TargetSpace, kmax: int, dmax, xs=None):
+def _log_step(w: TargetSpace, kmax: int, dmax, adams: bool = False):
     """The map phi -> phi + F(phi) on the box, with
 
         F(phi) = (1+t+phi) log(1+t+phi) - 2 phi - t + X (1+t+phi);
 
     its fixed points are the solutions of the logarithmic equation and its
-    value minus phi is the residual.  X is xseries(w, dmax) unless given."""
-    if xs is None:
-        xs = xseries(w, dmax)
-    xs = MultiSeries(w.grading, kmax, dmax, xs.coeffs)
+    value minus phi is the residual.  X is xseries(w, dmax), plus
+    sum_{k>=2} phi(k)/k psi_k(log(1+t+phi)) with adams=True."""
+    xs = MultiSeries(w.grading, kmax, dmax, xseries(w, dmax).coeffs)
     one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
     t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
+    weights = [(k, necklace(k).derivative().eval(1))
+               for k in range(2, sum(dmax) + 1)] if adams else []
 
     def step(phi):
         g = t_ser + phi
-        return (one + g) * series_log1p(g) - phi - t_ser + xs * (one + g)
+        log = series_log1p(g)
+        x = sum((series_adams(log, k).scale(c) for k, c in weights), xs)
+        return (one + g) * log - phi - t_ser + x * (one + g)
     return step
 
 
-def _log_fixed_point(w: TargetSpace, kmax: int, dmax, xs=None) -> MultiSeries:
+def _log_fixed_point(w: TargetSpace, kmax: int, dmax, adams: bool = False) -> MultiSeries:
     """Stationary iteration of _log_step on any box, from zero.  The
     phi-derivative of phi + F(phi) is log(1+t+phi) + X, which vanishes at
     the origin, so each pass determines exactly one more total order; this
     is the order-by-order linear solve in iterated form."""
-    phi = stationary(_log_step(w, kmax, dmax, xs), MultiSeries.zero(w.grading, kmax, dmax))
+    phi = stationary(_log_step(w, kmax, dmax, adams), MultiSeries.zero(w.grading, kmax, dmax))
     if not is_constant_series(phi):
         raise RuntimeError("Euler-limit solution left the constant field")
     return phi
 
 
-def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> MultiSeries:
+def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
     """Unique zero-constant-term solution of the Euler-limit equation,
-    exact over Q within the truncation box.
+    exact over Q within the truncation box; with adams=True, of the limit
+    of E * A (see the module docstring).
 
     Only the t = 0 slice is found by the fixed point of the logarithmic
     equation (_log_fixed_point on the z-box); the t-layers come from the
@@ -126,15 +134,15 @@ def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, xs=None) -> MultiSeries
     on the whole box without that equation.
     """
     dmax = w.box(dmax, kmax)
-    return t_layers(_log_fixed_point(w, 0, dmax, xs), kmax, RF_ONE)
+    return t_layers(_log_fixed_point(w, 0, dmax, adams), kmax, RF_ONE)
 
 
-def verify_log_equation(w: TargetSpace, phi: MultiSeries, xs: MultiSeries) -> MultiSeries:
-    """Residual F(phi) of the logarithmic equation with driving series X =
-    `xs` on the whole box of phi; the zero series exactly when phi solves
-    it.  One full-box log(1+t+phi), and nothing from the
+def verify_log_equation(w: TargetSpace, phi: MultiSeries, adams: bool = False) -> MultiSeries:
+    """Residual F(phi) of the logarithmic equation (with the Adams terms of
+    X when adams=True) on the whole box of phi; the zero series exactly
+    when phi solves it.  One full-box log(1+t+phi), and nothing from the
     differential equation that builds the t-layers of solve_phi0_chi."""
-    step = _log_step(w, phi.kmax, phi.dmax, xs)
+    step = _log_step(w, phi.kmax, phi.dmax, adams)
     return step(phi) - phi
 
 
@@ -145,45 +153,34 @@ def chi_potential(w: TargetSpace, phi0chi: MultiSeries) -> MultiSeries:
     return closed_form(phi0chi, RF_ONE).scale(w.pw.eval(1))
 
 
-def _euler_limit(w: TargetSpace, kmax: int, dmax, adams: bool, r0=None):
-    """(phi, X, chi-potential) of the Euler limit on the box.  With
-    adams=True, X is read off E * A(R0) and the chi-potential carries the
-    solver's Adams term at u = 1; R0 is the t = 0 slice of the
-    Adams-corrected solver fixed point, solved here unless given."""
-    if adams and r0 is None:
-        r0 = solve_phi0(w, 0, dmax, adams=True)
-    xs = xseries(w, dmax, factor=adams_factor(r0) if adams else None)
-    phi = solve_phi0_chi(w, kmax, dmax, xs=xs)
-    pot = chi_potential(w, phi)
-    if adams:
-        corr = {key: RatFunc(c.eval_at(1)) for key, c in adams_term(w, r0).coeffs.items()}
-        pot = pot + MultiSeries(w.grading, kmax, dmax, corr)
-    return phi, xs, pot
-
-
 def _at_one(table: ClassTable) -> dict:
     return {cell: p.eval(1) for cell, p in table.entries.items()}
+
+
+def _limit_chis(w: TargetSpace, phi: MultiSeries, adams: bool) -> dict:
+    """Euler characteristics per cell from the Euler-limit solution phi:
+    the chi-potential, plus chi(W)/4 psi_2(R) with adams=True."""
+    pot = chi_potential(w, phi)
+    if adams:
+        pot = pot + series_adams(phi, 2).scale(w.pw.eval(1) / 4)
+    return _at_one(extract_classes(pot))
 
 
 def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
     """Euler characteristics per cell, as exact rationals."""
     dmax = w.box(dmax, kmax)
-    return _at_one(extract_classes(_euler_limit(w, kmax, dmax, adams)[2]))
+    return _limit_chis(w, solve_phi0_chi(w, kmax, dmax, adams), adams)
 
 
-def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False,
-               r0=None) -> bool:
+def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False) -> bool:
     """The Euler-limit solution has zero log-equation residual on the
     table's box (verify_log_equation), and each class of the exact table
-    evaluated at u = 1 equals the Euler-limit value of its cell.  With
-    adams=True, `r0` must be the t = 0 slice of the Adams-corrected solver
-    fixed point that produced the table; it is not solved again."""
-    if adams and r0 is None:
-        raise ValueError("chi_agrees with adams=True needs the solver's t = 0 slice r0")
-    phi, xs, chi_pot = _euler_limit(w, table.kmax, table.dmax, adams, r0)
-    if not verify_log_equation(w, phi, xs).is_zero:
+    evaluated at u = 1 equals the Euler-limit value of its cell.  Nothing
+    of the exact solve enters the limit, in either mode."""
+    phi = solve_phi0_chi(w, table.kmax, table.dmax, adams)
+    if not verify_log_equation(w, phi, adams).is_zero:
         return False
-    return _at_one(extract_classes(chi_pot)) == _at_one(table)
+    return _limit_chis(w, phi, adams) == _at_one(table)
 
 
 def crosscheck_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> bool:
@@ -193,4 +190,4 @@ def crosscheck_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) ->
     dmax = w.box(dmax, kmax)
     phi0 = solve_phi0(w, kmax, dmax, adams=adams)
     table = extract_classes(potential(w, phi0, adams=adams), w)
-    return chi_agrees(w, table, adams=adams, r0=phi0.truncate(kmax=0) if adams else None)
+    return chi_agrees(w, table, adams=adams)

@@ -220,7 +220,8 @@ class MultiSeries:
         return cls.monomial(grading, kmax, dmax, power, grading.zero, RF_ONE)
 
     def _in_box(self, k, d) -> bool:
-        return 0 <= k <= self.kmax and all(0 <= di <= mi for di, mi in zip(d, self.dmax))
+        return (0 <= k <= self.kmax and len(d) == len(self.dmax)
+                and all(0 <= di <= mi for di, mi in zip(d, self.dmax)))
 
     def coeff(self, k: int, d=()) -> RatFunc:
         d = tuple(d)

@@ -191,8 +191,9 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL dt: closed-form residual ")
 
-    def verify_call_counts(self, capsys, monkeypatch, *flags):
-        # solve_phi0 is counted through every binding that verify can reach
+    @staticmethod
+    def count_calls(monkeypatch):
+        # solve_phi0 is counted through every binding that the CLI can reach
         calls = {"parse_target": 0, "solve_phi0": 0}
 
         def counted(module, name):
@@ -207,6 +208,10 @@ class TestVerify:
         counted(cli, "solve_phi0")
         counted(eulerchi, "solve_phi0")
         counted(solver, "solve_phi0")
+        return calls
+
+    def verify_call_counts(self, capsys, monkeypatch, *flags):
+        calls = self.count_calls(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--suite", "ode",
                                "--suite", "dt", "--suite", "fe", "--suite", "chi",
                                "--target", "pn:1", "--kmax", "3", "--dmax", "2", *flags)
@@ -218,10 +223,17 @@ class TestVerify:
             {"parse_target": 1, "solve_phi0": 1}
 
     def test_adams_slice_not_solved_again(self, capsys, monkeypatch):
-        # the chi suite takes the Adams factor from the run's t = 0 slice
-        # instead of solving the slice again
+        # the chi suite reads the Adams correction off the Euler limit's own
+        # slice, so the run's one solve is the only one
         assert self.verify_call_counts(capsys, monkeypatch, "--adams") == \
             {"parse_target": 1, "solve_phi0": 1}
+
+    def test_euler_adams_runs_no_exact_solve(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        code, out, _ = run_cli(capsys, "euler", "--target", "pn:2", "--kmax", "2",
+                               "--dmax", "3", "--adams")
+        assert code == 0 and entry_for(json.loads(out), 0, (2,))["chi"] == "12"
+        assert calls == {"parse_target": 1, "solve_phi0": 0}
 
     def test_implicit_suite_uses_dmax(self, capsys):
         # the z-truncation moves the spread at z = 1/1000; both boxes pass

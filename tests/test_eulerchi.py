@@ -1,15 +1,15 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
 from stablemaps import cli, eulerchi, solver
-from stablemaps.eulerchi import (_log_fixed_point, chi_agrees, chi_potential, chi_table,
-                                 crosscheck_chi, is_constant_series,
-                                 solve_phi0_chi, verify_log_equation, xseries)
-from stablemaps.qfield import RF_ONE, RF_U, RatFunc
+from stablemaps.eulerchi import (_log_fixed_point, chi_potential, chi_table, crosscheck_chi,
+                                 is_constant_series, solve_phi0_chi, verify_log_equation,
+                                 xseries)
+from stablemaps.qfield import RF_ONE, RF_U, RatFunc, necklace
 from stablemaps.series import MultiSeries, series_log1p
-from stablemaps.solver import adams_factor, solve_phi0
+from stablemaps.solver import solve_phi0
 from stablemaps.target import point_target, projective_space, target_from_json
 from test_solver import p1xp1_target
 
@@ -83,17 +83,23 @@ LIMIT_BOXES = {
 }
 
 
+def rational_target():
+    """Rank 1, P_W = u + 1, with classes that are not polynomials in u but
+    whose ratio to P_W vanishes at u = 1."""
+    return target_from_json({"name": "rational", "rank": 1, "pw": ["1", "1"], "classes": [
+        {"beta": [1], "value": {"num": ["-1", "0", "1"], "den": ["1", "0", "1"]}},
+        {"beta": [2], "value": {"num": ["-1", "0", "0", "1"], "den": ["2", "1"]}},
+        {"beta": [3], "value": {"num": ["-1", "1"], "den": ["3"]}}]})
+
+
 @pytest.fixture(scope="module")
 def limit_solutions():
-    """(w, X, solve_phi0_chi) per (box, adams); with adams, X is read off
-    E * A of the Adams-corrected slice."""
+    """(w, solve_phi0_chi) per (box, adams)."""
     out = {}
     for box, (make, kmax, dmax) in LIMIT_BOXES.items():
         w = make()
         for adams in (False, True):
-            a = adams_factor(solve_phi0(w, 0, dmax, adams=True)) if adams else None
-            xs = xseries(w, dmax, factor=a)
-            out[box, adams] = (w, xs, solve_phi0_chi(w, kmax, dmax, xs=xs))
+            out[box, adams] = (w, solve_phi0_chi(w, kmax, dmax, adams))
     return out
 
 
@@ -103,29 +109,64 @@ class TestSliceAndLayers:
     def test_equals_full_box_iteration(self, limit_solutions, box, adams):
         # the slice fixed point with t-layers from the differential equation
         # at u = 1 against the log-equation iteration run on the whole box
-        w, xs, phi = limit_solutions[box, adams]
-        assert phi == _log_fixed_point(w, phi.kmax, phi.dmax, xs)
+        w, phi = limit_solutions[box, adams]
+        assert phi == _log_fixed_point(w, phi.kmax, phi.dmax, adams)
 
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("box", LIMIT_BOXES)
     def test_log_residual_vanishes(self, limit_solutions, box, adams):
-        w, xs, phi = limit_solutions[box, adams]
-        assert verify_log_equation(w, phi, xs).is_zero
+        w, phi = limit_solutions[box, adams]
+        assert verify_log_equation(w, phi, adams).is_zero
 
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("k, d", [(1, (0,)), (2, (1,)), (4, (2,))])
     def test_log_residual_detects_tampering(self, limit_solutions, k, d, adams):
-        w, xs, phi = limit_solutions["pn:2", adams]
+        w, phi = limit_solutions["pn:2", adams]
         bad = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, k, d,
                                          RatFunc(Fraction(1, 7)))
-        assert not verify_log_equation(w, bad, xs).is_zero
+        assert not verify_log_equation(w, bad, adams).is_zero
+
+
+class TestAdamsLimit:
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("make, dmax", [(make, dmax) for make, _, dmax in
+                                            LIMIT_BOXES.values()] + [(rational_target, (3,))],
+                             ids=[*LIMIT_BOXES, "rational"])
+    def test_solver_slice_at_one_is_the_limit_slice(self, make, dmax, adams):
+        # the identity that lets the limit read the Adams correction off
+        # its own slice: the exact slice R0 at u = 1 is the Euler slice R
+        w = make()
+        r0 = solve_phi0(w, 0, dmax, adams=adams)
+        at_one = MultiSeries(w.grading, 0, dmax,
+                             {key: RatFunc(c.eval_at(1)) for key, c in r0.coeffs.items()})
+        assert at_one == solve_phi0_chi(w, 0, dmax, adams)
+
+    def test_rational_slice_moves_with_adams(self):
+        # the Adams correction changes the limit slice of this target, so
+        # the comparison above tells the two modes apart
+        w = rational_target()
+        assert solve_phi0_chi(w, 0, (3,), True) != solve_phi0_chi(w, 0, (3,))
+
+    @pytest.mark.parametrize("k", range(1, 31))
+    def test_necklace_derivative_at_one_is_totient_over_k(self, k):
+        totient = sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+        assert necklace(k).derivative().eval(1) == Fraction(totient, k)
+
+    def test_chi_suite_catches_doubled_necklace_exponent(self, monkeypatch, capsys):
+        # doubling M_2 in the exact solver keeps the fe, dt and ode
+        # suites passing, since they check the solver against itself
+        real = solver.necklace
+        monkeypatch.setattr(solver, "necklace",
+                            lambda k: real(k).scale(2) if k == 2 else real(k))
+        code = cli.main(["verify", "--suite", "chi", "--adams", "--target", "pn:1",
+                         "--kmax", "3", "--dmax", "2"])
+        assert code == 1 and "FAIL chi" in capsys.readouterr().out
 
 
 def tampered_layers(monkeypatch, modules, k, d, value):
     """Replace the t-layer builder seen by `modules` with one that adds
     value(u) to the t**k z**d coefficient of the series it returns (a box
-    without t**k, such as the t = 0 slice of the Adams-corrected solve, is
-    left as it is)."""
+    without t**k is left as it is)."""
     real = solver.t_layers
 
     def faulty(r0, kmax, u=RF_U):
@@ -199,17 +240,11 @@ class TestCrosscheck:
     def test_with_adams_operations(self, n, kmax, dmax):
         assert crosscheck_chi(projective_space(n), kmax, (dmax,), adams=True)
 
-    def test_adams_needs_the_solver_slice(self):
-        from stablemaps.solver import ClassTable
-
-        with pytest.raises(ValueError, match="r0"):
-            chi_agrees(projective_space(1), ClassTable("pn:1", 1, (1,), {}), adams=True)
-
     def test_complete_conics(self):
         # 1 + 2u + 3u^2 + 3u^3 + 2u^4 + u^5 at u = 1
         assert chi_table(projective_space(2), 0, (2,), adams=True)[(0, (2,))] == 12
 
-    def test_perturbed_x_detected(self):
+    def test_perturbed_x_detected(self, monkeypatch):
         # feed a wrong X into the limit pipeline and compare tables by hand
         from stablemaps.solver import extract_classes, potential, solve_phi0
 
@@ -218,7 +253,8 @@ class TestCrosscheck:
         xs = xseries(w, dmax)
         wrong = MultiSeries(w.grading, 0, dmax,
                             {**xs.coeffs, (0, (1,)): RatFunc(5)})
-        chi_pot = chi_potential(w, solve_phi0_chi(w, kmax, dmax, xs=wrong))
+        monkeypatch.setattr(eulerchi, "xseries", lambda w, dmax=None: wrong)
+        chi_pot = chi_potential(w, solve_phi0_chi(w, kmax, dmax))
         table = extract_classes(potential(w, solve_phi0(w, kmax, dmax)), w)
         mismatch = False
         for (k, d) in table.cells():

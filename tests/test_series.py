@@ -237,6 +237,17 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="beyond truncation"):
             a.coeff(0, (a.dmax[0] + 1,))
 
+    def test_z_exponent_of_the_wrong_length(self):
+        # a key whose z-exponent is shorter or longer than dmax is outside
+        # the box, whether stored, read or made a monomial
+        for d in ((), (1, 0)):
+            with pytest.raises(ValueError, match="outside the truncation box"):
+                MultiSeries(G1, 1, (2,), {(0, d): 5})
+            with pytest.raises(ValueError, match="beyond truncation"):
+                MultiSeries(G1, 1, (2,)).coeff(0, d)
+            with pytest.raises(ValueError, match="outside the truncation box"):
+                MultiSeries.monomial(G1, 1, (2,), 0, d, 5)
+
     def test_json_roundtrip(self):
         a = rand_series(random.Random(7))
         assert MultiSeries.from_json(a.to_json(), G1) == a
