@@ -1,11 +1,12 @@
 """The identity battery tying the solver output to independent computations.
 
-The solver finds only the t = 0 slice of phi0 by a fixed point and builds
-the t-layers from the differential equation.  The root phi0 of the
-functional equation satisfies, exactly within truncation:
+The solver solves only the t = 0 slice of phi0 from the functional
+equation, cell by cell in total z-degree, and builds the t-layers from the
+differential equation.  The root phi0 of the functional equation
+satisfies, exactly within truncation:
 
   * the functional equation itself over the whole box, the check that is
-    independent of how the t-layers were built;
+    independent of how the slice and the t-layers were built;
   * the universal differential equation (1 - u phi0) phi0_t = (u+1) phi0 + t,
     whose shape does not depend on the target at all;
   * its shifted form (1 + u t - u psi) psi_t = 1 + psi with psi = phi0 + t;

@@ -30,8 +30,8 @@ the formal t-derivative, and the Adams operations series_adams(g, k), the
 lambda-ring endomorphisms u -> u**k, z**b -> z**(k b), t -> 0 (t tracks
 labelled marked points, which no nontrivial symmetry can move).
 stationary(step, phi) is the order-by-order stationary iteration that
-solves both the functional equation and its u -> 1 limit.  Coefficients
-are stored sparsely; an absent key is a zero coefficient.
+solves the u -> 1 limit, and the functional equation in the tests.
+Coefficients are stored sparsely; an absent key is a zero coefficient.
 """
 
 from __future__ import annotations
@@ -385,10 +385,10 @@ class MultiSeries:
 
 
 def stationary(step, phi: MultiSeries) -> MultiSeries:
-    """Iterate phi <- step(phi) until it stops changing and return that
-    series.  A step that settles one more total order per pass is
-    stationary after at most phi.max_total_order() + 2 updates; a
-    RuntimeError says the iteration never settled."""
+    """Iterate phi <- step(phi) until it stops changing and return that series:
+    the Euler limit's slice, or the tests' full-box root of the solver's (*).
+    A step that settles one more total order per pass is stationary after at
+    most phi.max_total_order() + 2 updates; a RuntimeError says it never did."""
     for _ in range(phi.max_total_order() + 3):
         nxt = step(phi)
         if nxt == phi:

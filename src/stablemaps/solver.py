@@ -1,4 +1,4 @@
-"""Closed-form route: fixed point of the functional equation, the potential,
+"""Closed-form route: the root of the functional equation, the potential,
 class extraction, and the exact identity checks.
 
 The generating series Phi(t, z) of the moduli classes, with coefficient of
@@ -20,19 +20,17 @@ stablemaps.eulerchi calls them, and extract_classes, at u = 1.
 
 Because phi0 solves (*) it also solves the universal differential equation
 (below), and solve_phi0 uses that split.  Only the z-only t = 0 slice
-R0 = phi0|_{t=0} is found by the fixed point, of the rearrangement
-
-    phi  <-  E(W,z)*(1+t+phi)**u / (u(u-1) P_W) - (phi + t)/(u-1) - 1/(u(u-1))
-
-at t = 0, whose phi-derivative ((1+t+phi)**(u-1) - 1)/(u-1) vanishes at the
-origin, so every pass is exact to one more z-order and the iteration is
-stationary after as many passes as the slice has total orders.  (Moving the
-phi u/(u-1) term to the left instead leaves a phi-linear factor 1/u on the
-right, which contracts only u-adically and never becomes stationary.)  Each
-further t-layer phi_{k+1}, the t**(k+1) coefficient of phi0, is a z-only
-series solved from the t**k coefficient of the differential equation, with
-(1 - u R0) inverted once.  The same iteration runs on any box, which is how
-the tests compare the two.
+R0 = phi0|_{t=0} is solved from (*), by _slice: one z-cell d != 0 at a time
+by increasing total degree |d|, each sum_f below running over the splits
+(f, d - f) with 0 < f <= d.  At t = 0, (*) times u(u-1) reads
+E H = P_W (u**2 R0 + 1), with H = (1 + R0)**u and E_0 = P_W.  Miller's
+recurrence for powers of a series (Knuth, TAOCP vol. 2, 4.7),
+|d| H_d = sum_f (u|f| - |d-f|) R0_f H_{d-f}, has the f = d term u |d| R0_d,
+so H_d = u R0_d + H'_d with H'_d from lower cells, and each cell is one
+division:  R0_d = (P_W H'_d + sum_f E_f H_{d-f}) / (u(u-1) P_W).  Each
+further t-layer phi_{k+1}, the t**(k+1) coefficient of phi0, is solved from
+the t**k coefficient of the differential equation, with (1 - u R0)
+inverted once.
 
 With adams=False (the default) this is the specialisation of the
 plethystic count at p_k = 0 for k >= 2: it divides each boundary stratum by
@@ -47,15 +45,20 @@ coarse spaces, u**2 + u + 1 in that example:
         A = prod_{k=2}^{|dmax|} (1 + psi_k R0)**M_k,
         M_k = (1/k) sum_{d | k} mu(k/d) u**d,   R0 = phi0|_{t=0},
 
-and Phi gains P_W * u/(2(u+1)) * psi_2(R0) at t**0.  Since psi_k R0 at
-z-order n only sees R0 below order n, the same stationary iteration on the
-t = 0 slice finds R0 with A recomputed from each iterate.  A does not depend
+and Phi gains P_W * u/(2(u+1)) * psi_2(R0) at t**0.  _slice builds A
+beside R0, from l = log(1 + R0) and Lambda = log A = sum_k M_k psi_k(l):
+
+    |d| l_d = |d| R0_d - sum_{f<d} |d-f| l_{d-f} R0_f,
+    Lambda_d = sum_{k>=2 dividing every component of d} M_k l_{d/k}(u -> u**k),
+    |d| A_d = sum_f |f| Lambda_f A_{d-f}.
+
+A_d needs l only at d/k, so E_f above becomes (E A)_f.  A does not depend
 on t, so the differential equation, the t-layers built from it, and the
 derivative identity below hold in both modes.
 
 The verification operations re-check the solution against everything the
-closed form implies: the residual of (*) itself over the whole box, one
-full-box power independent of how the t-layers were built; the universal
+closed form implies: the residual of (*) over the whole box, one full-box
+power sum that shares nothing with _slice or the t-layers; the universal
 differential equation
 
     (1 - u*phi0) phi0_t = (u+1) phi0 + t,      equivalently, with
@@ -65,67 +68,62 @@ the derivative identity d/dt (Phi / P_W) = phi0, which the potential meets
 by construction, and therefore the closed form itself with one full-box
 square (verify_quadratic); the expansion of the formal potential whose
 critical point phi0 is (coefficient comparison in an auxiliary variable),
-and a floating-point check of the implicit closed-form
-solution of the differential equation, whose integration constant must
-depend on z only.  All checks except the last are exact in Q(u).
+and a floating-point check of the implicit closed-form solution of the
+differential equation, whose integration constant must depend on z only.
+All checks except the last are exact in Q(u).
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
+from operator import sub
 
-from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RatFunc,
-                     U, UPoly, binom_falling, necklace)
-from .series import (MultiSeries, box_vectors, series_adams, series_dt,
-                     series_pow_binomial, stationary)
+from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RF_ZERO,
+                     RatFunc, U, UPoly, binom_falling, necklace)
+from .series import MultiSeries, box_vectors, series_adams, series_dt, series_pow_binomial
 from .target import TargetSpace, eisenstein_series, nclass
 
 _INV_UM1 = RatFunc(P_ONE, UPoly((-1, 1)))      # 1/(u-1)
 _INV_UUM1 = RatFunc(P_ONE, UPoly((0, -1, 1)))  # 1/(u(u-1))
 
 
-def _lifted_eisenstein(w: TargetSpace, kmax: int, dmax) -> MultiSeries:
-    e = eisenstein_series(w, dmax)
-    return MultiSeries(w.grading, kmax, dmax, e.coeffs)
-
-
-def _rearranged(w: TargetSpace, kmax: int, dmax, factor=None):
-    """The map whose fixed points on the box are the roots of (*):
-
-        phi -> E * F * (1+t+phi)**u / (u(u-1)P_W) - (phi + t)/(u-1) - 1/(u(u-1)),
-
-    where F = factor(phi) is a z-series multiplying E, or 1 when no factor
-    is given.  Its value minus phi is the residual of (*)."""
-    prefactor = RatFunc(P_ONE, U * UPoly((-1, 1)) * w.pw)  # 1/(u(u-1)P_W)
-    scaled_e = _lifted_eisenstein(w, kmax, dmax).scale(prefactor)
-    t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
-    const = MultiSeries.const(w.grading, kmax, dmax, _INV_UUM1)
-
-    def step(phi):
-        e = scaled_e if factor is None else scaled_e * factor(phi)
-        power = series_pow_binomial(t_ser + phi, RF_U)
-        return e * power - (phi + t_ser).scale(_INV_UM1) - const
-    return step
-
-
-def _fixed_point(w: TargetSpace, kmax: int, dmax, phi, factor=None) -> MultiSeries:
-    """Stationary iteration of the rearrangement of (*) on any box, from
-    the starting series phi on that box; `factor` is as in _rearranged."""
-    phi = stationary(_rearranged(w, kmax, dmax, factor), phi)
-    if not phi.constant_term.is_zero:
-        raise RuntimeError("fixed point has a nonzero constant term")
-    return phi
-
-
 def adams_factor(r0: MultiSeries) -> MultiSeries:
-    """A = prod_{k=2}^{|dmax|} (1 + psi_k r0)**M_k on the box of r0; only
-    the t = 0 slice of r0 enters, since psi_k sends t to 0."""
+    """A = prod_{k=2}^{|dmax|} (1 + psi_k r0)**M_k on the box of r0 as binomial
+    powers, the product form of the A that _slice builds from log(1 + R0);
+    only the t = 0 slice of r0 enters, since psi_k sends t to 0."""
     a = MultiSeries.const(r0.grading, r0.kmax, r0.dmax, RF_ONE)
     for k in range(2, sum(r0.dmax) + 1):
         a = a * series_pow_binomial(series_adams(r0, k), RatFunc(necklace(k)))
     return a
+
+
+def _slice(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
+    """R0 = phi0|_{t=0} on the z-box dmax, cell by cell as the module docstring
+    derives it.  Beside r = R0 it keeps h = (1 + R0)**u (h_lower is H'_d) and
+    ea = E * A, and with adams=True lg = log(1 + R0), lam = log A and A."""
+    e = eisenstein_series(w, dmax)
+    zero, pw = w.grading.zero, RatFunc(w.pw)
+    den = RatFunc(U * UPoly((-1, 1)) * w.pw)  # u(u-1)P_W
+    r, h, ea, a, lam, lg = {}, {zero: RF_ONE}, {zero: pw}, {zero: RF_ONE}, {}, {}
+    for d in sorted(box_vectors(dmax), key=sum)[1:]:
+        n = sum(d)
+        parts = [(f, tuple(map(sub, d, f)), sum(f)) for f in box_vectors(d)][1:]
+        inner = parts[:-1]  # the splits (f, d - f, |f|) with 0 < f < d; parts adds f = d
+        ea[d] = e.coeff(0, d)
+        if adams:
+            g = gcd(*d)
+            lam[d] = sum((lg[tuple(x // k for x in d)].adams(k) * necklace(k)
+                          for k in range(2, g + 1) if g % k == 0), RF_ZERO)
+            a[d] = sum((lam[f] * a[q] * m for f, q, m in parts), RF_ZERO) / n
+            ea[d] += pw * a[d] + sum((e.coeff(0, f) * a[q] for f, q, _ in inner), RF_ZERO)
+        h_lower = sum((r[f] * h[q] * UPoly((m - n, m)) for f, q, m in inner), RF_ZERO) / n
+        r[d] = (pw * h_lower + sum((ea[f] * h[q] for f, q, _ in parts), RF_ZERO)) / den
+        h[d] = RF_U * r[d] + h_lower
+        if adams:
+            lg[d] = r[d] - sum((lg[q] * r[f] * (n - m) for f, q, m in inner), RF_ZERO) / n
+    return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
 
 
 def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
@@ -167,13 +165,10 @@ def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
 def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
     """Unique zero-constant-term root of the functional equation (*), exact
     within the truncation box; with adams=True, of (*) with E replaced by
-    E * A (see the module docstring).  Only the t = 0 slice R0 is found by
-    the fixed point of (*); the t-layers come from the universal
-    differential equation (t_layers)."""
+    E * A (see the module docstring).  The t = 0 slice R0 comes from _slice,
+    the t-layers from the universal differential equation (t_layers)."""
     dmax = w.box(dmax, kmax)
-    r0 = _fixed_point(w, 0, dmax, MultiSeries.zero(w.grading, 0, dmax),
-                      factor=adams_factor if adams else None)
-    return t_layers(r0, kmax)
+    return t_layers(_slice(w, dmax, adams), kmax)
 
 
 def _quadratic(phi: MultiSeries, u) -> MultiSeries:
@@ -309,17 +304,21 @@ def verify_ode(phi0: MultiSeries):
 
 def verify_functional_equation(w: TargetSpace, phi0: MultiSeries,
                                adams: bool = False) -> MultiSeries:
-    """Residual of (*) on the whole box of phi0, with E * A(phi0|_{t=0}) in
-    place of E when adams=True; the zero series exactly when phi0 solves it.
-    One full-box (1+t+phi0)**u, and nothing from the differential equation
-    that builds the t-layers of solve_phi0."""
-    step = _rearranged(w, phi0.kmax, phi0.dmax, adams_factor if adams else None)
-    return step(phi0) - phi0
+    """Residual E A (1+t+phi0)**u / (u(u-1)P_W) - (u phi0 + t)/(u-1) - 1/(u(u-1))
+    of (*) on the whole box of phi0, with A = adams_factor(phi0) if adams else
+    1; zero exactly when phi0 solves (*).  One full-box power sum, and nothing
+    of the recurrences of _slice or of the t-layers' differential equation."""
+    kmax, dmax = phi0.kmax, phi0.dmax
+    e = MultiSeries(w.grading, kmax, dmax, eisenstein_series(w, dmax).coeffs)
+    e = e * adams_factor(phi0) if adams else e
+    t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
+    lhs = (e * series_pow_binomial(t_ser + phi0, RF_U)).scale(RatFunc(P_ONE, w.pw))
+    one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
+    return (lhs - (phi0.scale(RF_U) + t_ser).scale(RF_U) - one).scale(_INV_UUM1)
 
 
 def verify_dt(pot: MultiSeries, phi0: MultiSeries, w: TargetSpace) -> bool:
-    """d/dt of the reduced potential Phi / [W] must reproduce the fixed
-    point exactly."""
+    """d/dt of the reduced potential Phi / [W] must reproduce phi0 exactly."""
     lhs = series_dt(pot).scale(RatFunc(P_ONE, w.pw))
     return lhs == phi0.truncate(kmax=phi0.kmax - 1)
 
@@ -369,7 +368,7 @@ def verify_potential_expansion(w: TargetSpace, nmax: int, kmax: int, dmax=None) 
         raise ValueError("nmax must be >= 2")
     dmax = w.box(dmax, kmax)
     grading = w.grading
-    scaled_e = _lifted_eisenstein(w, kmax, dmax).scale(
+    scaled_e = MultiSeries(grading, kmax, dmax, eisenstein_series(w, dmax).coeffs).scale(
         RatFunc(P_ONE, MOEBIUS_CLASS * w.pw))
     t_ser = MultiSeries.t_power(grading, kmax, dmax, 1)
     um1 = UPoly((-1, 1))
@@ -414,7 +413,7 @@ def verify_implicit_numeric(w: TargetSpace, u_val, z_val, t_samples,
 
     With x = t + (u+1)/u, y = u*phi0 - 1 and s = y/x, the combination
     (s+1)**(1/(u-1)) * (s+u)**(u/(1-u)) / x is an integration constant: it
-    may depend on z but not on t.  The fixed point is evaluated exactly at
+    may depend on z but not on t.  The root phi0 is evaluated exactly at
     rational (t, z) and fed through the fractional powers in double
     precision; the return value is the relative spread of the combination
     across the t-samples, which must be tiny when phi0 is correct.

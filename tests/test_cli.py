@@ -191,6 +191,26 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL dt: closed-form residual ")
 
+    @pytest.mark.parametrize("flags", [(), ("--adams",)])
+    def test_wrong_slice_is_caught_by_fe_chi_and_oracle(self, capsys, monkeypatch, flags):
+        # the t-layers fit any t = 0 slice, so ode and dt pass a slice with
+        # its top cell off by 1/7; the functional equation, the Euler limit
+        # and the tree sum each catch it
+        real = solver._slice
+
+        def tampered(w, dmax, adams):
+            r0 = real(w, dmax, adams)
+            return r0 + MultiSeries.monomial(r0.grading, 0, r0.dmax, 0, r0.dmax,
+                                             RatFunc(Fraction(1, 7)))
+        monkeypatch.setattr(solver, "_slice", tampered)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "fe", "--suite", "ode",
+                               "--suite", "dt", "--suite", "chi", "--suite", "oracle",
+                               "--target", "pn:1", "--kmax", "3", "--dmax", "3", *flags)
+        assert code == 1
+        status = dict(line.split(":")[0].split()[::-1] for line in out.splitlines()[:5])
+        assert status == {"fe": "FAIL", "ode": "PASS", "dt": "PASS", "chi": "FAIL",
+                          "oracle": "FAIL"}
+
     @staticmethod
     def count_calls(monkeypatch):
         # solve_phi0 is counted through every binding that the CLI can reach

@@ -2,12 +2,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stablemaps import solver
 from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, UPoly,
                                div_exact, is_palindromic)
-from stablemaps.series import MultiSeries
-from stablemaps.solver import (ClassTable, _fixed_point, adams_factor,
-                               extract_classes, potential, solve_phi0,
+from stablemaps.series import MultiSeries, box_vectors, stationary
+from stablemaps.solver import (ClassTable, extract_classes, potential, solve_phi0,
                                verify_dt, verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
                                verify_potential_expansion, verify_quadratic)
@@ -62,35 +64,70 @@ class TestFixedPoint:
             assert got == RatFunc(LINE_CLASS) * nclass(w, (1,))
 
     def test_uniqueness_under_restart(self):
-        # the slice iteration started from a z coefficient other than the
-        # root's reaches the same t = 0 slice
+        # the full-box iteration started from a z coefficient other than
+        # the root's reaches the slice that solve_phi0 builds cell by cell
         w = projective_space(1)
-        reference = solve_phi0(w, 3, (2,)).truncate(kmax=0)
         seed = MultiSeries.monomial(w.grading, 0, (2,), 0, (1,),
                                     RatFunc(UPoly((3, 7, 1))))
-        assert seed.coeff(0, (1,)) != reference.coeff(0, (1,))
-        assert _fixed_point(w, 0, (2,), seed) == reference
+        for adams in (False, True):
+            reference = solve_phi0(w, 0, (2,), adams)
+            assert seed.coeff(0, (1,)) != reference.coeff(0, (1,))
+            assert full_box_root(w, 0, (2,), adams, seed) == reference
 
     @pytest.mark.parametrize("adams", [False, True])
-    @pytest.mark.parametrize("box", ["point", "pn:1", "pn:2", "p1xp1"])
+    @pytest.mark.parametrize("box", ["point", "pn:1", "pn:2", "p1xp1", "pn:1 slice",
+                                     "pn:3 slice"])
     def test_equals_full_box_iteration(self, box, adams):
-        # the slice fixed point with t-layers from the differential equation
+        # the slice recurrence with t-layers from the differential equation
         # against the stationary iteration of (*) run on the whole box, with
-        # the Adams factor of the corrected slice held fixed
+        # A from adams_factor of each iterate
         w, kmax, dmax = {
             "point": (point_target(), 8, ()),
             "pn:1": (projective_space(1), 5, (3,)),
             "pn:2": (projective_space(2), 4, (2,)),
             "p1xp1": (p1xp1_target(), 2, (2, 2)),
+            "pn:1 slice": (projective_space(1), 0, (12,)),
+            "pn:3 slice": (projective_space(3), 0, (8,)),
         }[box]
-        zero = MultiSeries.zero(w.grading, kmax, dmax)
-        if adams:
-            a = MultiSeries(w.grading, kmax, dmax,
-                            adams_factor(solve_phi0(w, 0, dmax, adams=True)).coeffs)
-            reference = _fixed_point(w, kmax, dmax, zero, factor=lambda _: a)
-        else:
-            reference = _fixed_point(w, kmax, dmax, zero)
-        assert solve_phi0(w, kmax, dmax, adams=adams) == reference
+        assert solve_phi0(w, kmax, dmax, adams=adams) == full_box_root(w, kmax, dmax, adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_one_binomial_power_per_solve(self, monkeypatch, adams):
+        # the slice takes no power sum; t_layers inverts 1 - u R0 once
+        calls = []
+        real = solver.series_pow_binomial
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(solver, "series_pow_binomial", counted)
+        w = projective_space(2)
+        solve_phi0(w, 0, (6,), adams)
+        assert len(calls) == 0
+        for kmax in (1, 4):
+            calls.clear()
+            solve_phi0(w, kmax, (6,), adams)
+            assert len(calls) == 1
+
+    @given(data=st.data())
+    def test_slice_solves_random_targets(self, data):
+        # rank-1 and rank-2 descriptors with polynomial classes: the slice
+        # zeroes the residual of (*) and equals the full-box iteration
+        rank = data.draw(st.sampled_from([1, 2]), label="rank")
+        dmax = tuple(data.draw(st.lists(st.integers(0, 4 if rank == 1 else 2),
+                                        min_size=rank, max_size=rank), label="dmax"))
+        poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+        pw = data.draw(poly.filter(any), label="pw")
+        classes = [{"beta": list(beta),
+                    "value": {"num": [str(c) for c in data.draw(poly, label=str(beta))],
+                              "den": ["1"]}}
+                   for beta in box_vectors(dmax) if any(beta)]
+        w = target_from_json({"name": "random", "rank": rank,
+                              "pw": [str(c) for c in pw], "classes": classes})
+        for adams in (False, True):
+            r0 = solve_phi0(w, 0, dmax, adams)
+            assert verify_functional_equation(w, r0, adams).is_zero
+            assert r0 == full_box_root(w, 0, dmax, adams)
 
 
 class TestPotential:
@@ -286,6 +323,16 @@ class TestStructuralInvariants:
         assert entry == UPoly((Fraction(1, 2), Fraction(1, 2), 1))
         assert not is_palindromic(entry, 2)
         assert p1_adams_run["table"].entry(0, (2,)) == UPoly((1, 1, 1))
+
+
+def full_box_root(w, kmax, dmax, adams, start=None):
+    """The root of (*) by the stationary iteration phi <- phi + residual on
+    the whole box, from zero or from `start`; in Adams mode A is rebuilt by
+    adams_factor from each iterate.  Nothing of the slice recurrence or of
+    the differential equation enters."""
+    if start is None:
+        start = MultiSeries.zero(w.grading, kmax, dmax)
+    return stationary(lambda phi: phi + verify_functional_equation(w, phi, adams), start)
 
 
 def p1xp1_target():
