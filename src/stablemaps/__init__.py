@@ -21,7 +21,7 @@ from .target import (TargetSpace, count_maps_bruteforce, eisenstein_series,
                      load_target, nclass, parse_target, point_target,
                      projective_space, target_from_json, verify_recurrence)
 from .trees import (MarkedTree, Tree, enum_marked, enum_trees, stratum_class,
-                    tree_code, tree_sum_potential, vertex_bound)
+                    tree_code, tree_sum_potential)
 from .solver import (ClassTable, extract_classes, potential, solve_phi0,
                      verify_dt, verify_functional_equation,
                      verify_implicit_numeric, verify_ode,
@@ -41,7 +41,7 @@ __all__ = [
     "nclass", "parse_target", "point_target", "projective_space",
     "target_from_json", "verify_recurrence",
     "MarkedTree", "Tree", "enum_marked", "enum_trees",
-    "stratum_class", "tree_code", "tree_sum_potential", "vertex_bound",
+    "stratum_class", "tree_code", "tree_sum_potential",
     "ClassTable", "extract_classes", "potential", "solve_phi0", "verify_dt",
     "verify_functional_equation", "verify_implicit_numeric", "verify_ode",
     "verify_potential_expansion", "verify_quadratic",

@@ -53,9 +53,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_compute(args) -> int:
-    w, dmax = _resolve(args)
-    phi0 = solve_phi0(w, args.kmax, dmax, adams=args.adams)
-    table = extract_classes(potential(w, phi0, adams=args.adams), w)
+    table = _Run(args).table
     text = table.to_csv() if args.format == "csv" else table.to_json()
     _emit(text, args.out)
     return 0
@@ -97,7 +95,7 @@ def cmd_count_ff(args) -> int:
 
 
 class _Run:
-    """What the suites of one verify run share, each computed on first use
+    """What compute and the verify suites share, each computed on first use
     and at most once: the target and its box, phi0, the potential and its
     class table.  With --adams these are the corrected routes."""
 
@@ -179,6 +177,8 @@ def cmd_verify(args) -> int:
     run = _Run(args)
     if args.dmaxff < 0:
         raise ValueError(f"--dmaxff {args.dmaxff} must be >= 0")
+    if not args.tolerance >= 0:  # also refuses nan
+        raise ValueError(f"--tolerance {args.tolerance} must be a number >= 0")
     if "ffcount" in args.suite:  # refuse an oversized count before any suite runs
         for d in range(args.dmaxff + 1):
             for p in args.primes.split(","):
@@ -202,36 +202,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classes of genus-zero stable-map moduli spaces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kmax_default=None):
+    def add_common(p):
         p.add_argument("--target", default="point",
                        help="point | pn:N | file:PATH (default: point)")
-        p.add_argument("--kmax", type=int, default=kmax_default,
-                       help="t-truncation order")
+        p.add_argument("--kmax", type=int, default=4, help="t-truncation order")
         p.add_argument("--dmax", default=None,
                        help="comma-separated z-truncation per component")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-
-    def add_adams(p):
         p.add_argument("--adams", action="store_true",
                        help="keep the Adams operations: coarse-space Poincare "
                             "polynomials instead of the p_k = 0 specialisation")
 
     p = sub.add_parser("compute", help="solver class table")
-    add_common(p, kmax_default=4)
-    add_adams(p)
+    add_common(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("oracle", help="tree-sum series (the brute-force route)")
-    add_common(p, kmax_default=4)
-    add_adams(p)
+    add_common(p)
     p.add_argument("--workers", type=int, default=1,
                    help="must be 1: the tree sum runs in one process")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run named verification suites")
-    add_common(p, kmax_default=4)
-    add_adams(p)
+    add_common(p)
     p.add_argument("--suite", action="append", choices=SUITES, required=True,
                    help="repeatable; each suite prints one PASS/FAIL line")
     p.add_argument("--n", type=int, default=1, help="projective dimension for recurrence/ffcount")
@@ -242,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("euler", help="Euler-characteristic table")
-    add_common(p, kmax_default=4)
-    add_adams(p)
+    add_common(p)
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("trees", help="tree census: vertex count, |Aut|, code")

@@ -461,14 +461,6 @@ class RatFunc:
         da, db = self.den, other.den
         if da == P_ONE and db == P_ONE:
             return RatFunc._reduced(self.num + other.num, P_ONE)
-        if da == db:
-            num = self.num + other.num
-            if num.is_zero:
-                return RF_ZERO
-            g = upoly_gcd(num, da)
-            if g.degree > 0:
-                return RatFunc._reduced(num // g, da // g)
-            return RatFunc._reduced(num, da)
         # gcd(num, den) divides g = gcd(da, db); coprime denominators give g = 1
         g = upoly_gcd(da, db)
         da_red = da // g

@@ -195,22 +195,15 @@ class MultiSeries:
 
     @classmethod
     def const(cls, grading, kmax, dmax, value) -> "MultiSeries":
-        s = cls(grading, kmax, dmax)
-        value = _coerce_coeff(value)
-        if kmax >= 0 and not value.is_zero:
-            s.coeffs[(0, s.grading.zero)] = value
-        return s
+        """The constant series value; on the empty box (kmax -1) zero."""
+        if kmax < 0:
+            return cls(grading, kmax, dmax)
+        return cls(grading, kmax, dmax, {(0, grading.zero): value})
 
     @classmethod
     def monomial(cls, grading, kmax, dmax, k, d, value) -> "MultiSeries":
-        s = cls(grading, kmax, dmax)
-        d = tuple(d)
-        if not s._in_box(k, d):
-            raise ValueError(f"monomial {(k, d)} outside the truncation box")
-        value = _coerce_coeff(value)
-        if not value.is_zero:
-            s.coeffs[(k, d)] = value
-        return s
+        """value * t**k z**d; the constructor refuses a (k, d) off the box."""
+        return cls(grading, kmax, dmax, {(k, d): value})
 
     @classmethod
     def t_power(cls, grading, kmax, dmax, power) -> "MultiSeries":
@@ -287,8 +280,7 @@ class MultiSeries:
     def _int_numerators(self):
         """The coefficients over one denominator L * D, as
         _scaled_numerators returns them, computed on the first product that
-        packs this series: a series is never changed once built (only const
-        and monomial write into coeffs, before they return)."""
+        packs this series: a series is never changed once built."""
         got = self._scaled
         if got is None:
             got = self._scaled = _scaled_numerators(self.coeffs)

@@ -69,7 +69,8 @@ Trees are enumerated under a stability-deficit budget.  The deficit of a
 vertex, max(0, 3 - valency), is the number of marks it lacks to be stable
 without a class.  A tree reaches the box only if its deficits, less the
 |dmax| largest (waived by the classes, each at most 2 once there is an
-edge), fit into kmax marks, so its total deficit is at most kmax + 2|dmax|.
+edge), fit into kmax marks: its total deficit is at most B = kmax + 2|dmax|,
+and as that is at least m + 2 on m >= 2 vertices, it has m <= B - 2.
 The deficit adds up over the rooted-code recursion, a non-root vertex
 having its child count + 1 as valency, so rooted trees and forests are
 memoised per (size, budget) and no subtree over budget is ever built.
@@ -441,16 +442,6 @@ def stratum_class(w: TargetSpace, marked: MarkedTree) -> RatFunc:
 
 # --- the tree-sum oracle --------------------------------------------------------
 
-def vertex_bound(kmax: int, dmax) -> int:
-    """Largest vertex count a tree can have and still contribute to the box.
-
-    At most |dmax| vertices carry a nonzero class; every other vertex needs
-    valency + k_v >= 3, and valencies over a tree sum to 2(vcount - 1), so
-    3(vcount - a) <= 2(vcount - 1) + kmax with a <= |dmax| gives the bound.
-    """
-    return max(1, 3 * sum(dmax) + kmax - 2)
-
-
 def _partitions(m: int, largest=None):
     """Partitions of m as {part: multiplicity} dicts."""
     if m == 0:
@@ -472,8 +463,11 @@ def _contributing_trees(kmax: int, dmax) -> list:
     valency + k_v >= 3 unless it carries a class, so the deficits left after
     waiving the |dmax| largest must fit into kmax marks."""
     waived = sum(dmax)
+    budget = kmax + 2 * waived
     out = []
-    for tree, _ in enum_trees(vertex_bound(kmax, dmax), kmax + 2 * waived):
+    # on m >= 2 vertices the valencies are >= 1 and sum to 2(m - 1), so the
+    # deficits sum to at least 3m - 2(m - 1) = m + 2 <= budget
+    for tree, _ in enum_trees(max(1, budget - 2), budget):
         deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
         if sum(deficits[waived:]) <= kmax:
             out.append(tree)
@@ -593,7 +587,7 @@ def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None,
         sum_trees 1/|Aut| sum_{(beta_v, k_v): sums (beta, k)}
             [W] * prod_v factor(valency_v, beta_v, k_v)
 
-    over all isomorphism classes of trees up to the vertex bound; with
+    over all isomorphism classes of trees within the deficit budget; with
     adams=True each tree's term is instead averaged over its automorphism
     group.  Both are computed by one recursion over rooted subtrees (see
     the module docstring), in one process.  Exact and deterministic.

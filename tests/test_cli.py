@@ -152,6 +152,14 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: --dmaxff -1 must be >= 0\n"
 
+    @pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_bad_tolerance_is_refused(self, capsys, tolerance, shown):
+        # before, the implicit suite ran and printed FAIL with exit 1
+        code, out, err = run_cli(capsys, "verify", "--suite", "implicit",
+                                 "--tolerance", tolerance)
+        assert code == 2 and out == ""
+        assert err == f"error: --tolerance {shown} must be a number >= 0\n"
+
     def test_multiple_suites_and_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "recurrence",
                                "--suite", "chi", "--suite", "dt",

@@ -1,4 +1,5 @@
-"""The demo scripts and the README quickstart run to completion."""
+"""The demo scripts, the README quickstart and the benchmark's self-test run
+to completion."""
 
 import os
 import subprocess
@@ -37,3 +38,10 @@ def test_readme_quickstart_runs():
     done = run_python(["-c", quickstart_code()])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "u^2 + u + 1\n"
+
+
+def test_benchmark_selftest_passes():
+    # the self-test calls into the package (MultiSeries.const and monomial
+    # among others) and writes only under the git-ignored .perfbench_work/
+    done = run_python([str(ROOT / "perfbench" / "selftest.py")])
+    assert done.returncode == 0, done.stderr

@@ -125,6 +125,16 @@ class TestRatFunc:
             assert (a + b) * c == a * c + b * c
             assert a - a == RatFunc(0)
 
+    def test_add_over_one_denominator(self):
+        um1 = poly(-1, 1)
+        assert RatFunc(P_ONE, um1) + RatFunc(U, um1) == RatFunc(poly(1, 1), um1)
+        # (1 + (u + 1)) / ((u - 1)(u + 2)) cancels to 1/(u - 1)
+        den = um1 * poly(2, 1)
+        got = RatFunc(P_ONE, den) + RatFunc(poly(1, 1), den)
+        assert (got.num, got.den) == (P_ONE, um1)
+        a = RatFunc(poly(1, 2), den)
+        assert a + (-a) == RF_ZERO
+
     def test_eval_at(self):
         assert RatFunc(MOEBIUS_CLASS).eval_at(4) == 60
         assert RatFunc(poly(1, 1)).eval_at(1) == 2
@@ -368,6 +378,13 @@ class TestRatFuncProperties:
         if a:
             assert a * a.inverse() == RF_ONE
             assert (b * a) / a == b
+
+    @given(polys, polys, nonzero_polys)
+    def test_add_over_one_denominator(self, p, q, d):
+        a, b = RatFunc(p, d.monic()), RatFunc(q, d.monic())
+        got = a + b
+        assert got == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+        assert got.is_zero or upoly_gcd(got.num, got.den) == P_ONE
 
     @given(ratfuncs)
     def test_reduced(self, f):

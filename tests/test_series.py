@@ -376,6 +376,7 @@ class TestTPower:
     def test_zero_beyond_kmax(self):
         assert MultiSeries.t_power(G1, 1, (2,), 2) == MultiSeries.zero(G1, 1, (2,))
         assert MultiSeries.t_power(G0, -1, (), 1).is_zero
+        assert MultiSeries.const(G0, -1, (), 5).is_zero  # the empty box has no t**0
 
 
 class TestStationary:

@@ -13,7 +13,7 @@ from stablemaps.target import point_target, projective_space
 from stablemaps import trees
 from stablemaps.trees import (MarkedTree, _adjacency, _contributing_trees, _free_aut,
                               _free_code, enum_marked, enum_trees, stratum_class,
-                              tree_code, tree_sum_potential, vertex_bound)
+                              tree_code, tree_sum_potential)
 from test_solver import p1xp1_target
 
 # free trees by vertex count (OEIS A000055)
@@ -118,6 +118,17 @@ def total_deficit(tree):
     return sum(max(0, 3 - v) for v in tree.valencies)
 
 
+def reference_vertex_bound(kmax, dmax):
+    """A vertex count no contributing tree exceeds, derived without the
+    deficit budget, for the enumerations the budgeted census is checked
+    against.  At most |dmax| vertices carry a class; every other vertex
+    needs valency + k_v >= 3, and the valencies sum to 2(vcount - 1), so
+    3(vcount - |dmax|) <= 2(vcount - 1) + kmax.  It is looser than the
+    budget's kmax + 2|dmax| - 2 because a vertex with a class also has an
+    edge."""
+    return max(1, 3 * sum(dmax) + kmax - 2)
+
+
 def waiver_filter(pairs, kmax, dmax):
     """Centred forms of the trees whose deficits, less the |dmax| largest,
     fit into kmax marks."""
@@ -144,7 +155,14 @@ class TestDeficitBudget:
     ])
     def test_oracle_visits_the_waived_trees(self, kmax, dmax):
         visited = [t.centred for t in _contributing_trees(kmax, dmax)]
-        assert visited == waiver_filter(enum_trees(vertex_bound(kmax, dmax)), kmax, dmax)
+        reference = enum_trees(reference_vertex_bound(kmax, dmax))
+        assert visited == waiver_filter(reference, kmax, dmax)
+
+    def test_budget_bounds_the_vertex_count(self):
+        # a tree on m >= 2 vertices has total deficit at least m + 2, so
+        # vertices beyond budget - 2 add nothing
+        assert [t.canonical_code for t, _ in enum_trees(13, 11)] == \
+            [t.canonical_code for t, _ in enum_trees(9, 11)]
 
     def test_oracle_enumerates_through_the_module_binding(self, monkeypatch):
         # a wrapper of trees.enum_trees sees the one budgeted enumeration
@@ -157,7 +175,7 @@ class TestDeficitBudget:
 
         monkeypatch.setattr(trees, "enum_trees", recording)
         tree_sum_potential(projective_space(2), 3, (2,))
-        full = len(enum_trees(vertex_bound(3, (2,))))
+        full = len(enum_trees(reference_vertex_bound(3, (2,))))
         assert len(seen) == 1 and seen[0] < full
 
 
@@ -251,9 +269,13 @@ class TestTreeSum:
         assert got == potential(w, solve_phi0(w, kmax, dmax, adams=adams), adams=adams)
 
     def test_vertex_bound(self):
-        assert vertex_bound(4, (2,)) == 8
-        assert vertex_bound(0, (1,)) == 1
-        assert vertex_bound(2, ()) == 1  # never below one vertex
+        # the deficit budget's vertex bound kmax + 2|dmax| - 2 is reached,
+        # except where it falls below the single vertex
+        for kmax, dmax in [(4, ()), (4, (2,)), (5, (3,)), (3, (2, 2)), (2, (1, 1))]:
+            largest = max(t.vcount for t in _contributing_trees(kmax, dmax))
+            assert largest == kmax + 2 * sum(dmax) - 2
+        for kmax, dmax in [(0, (1,)), (3, ())]:
+            assert [t.vcount for t in _contributing_trees(kmax, dmax)] == [1]
 
     @pytest.mark.parametrize("w, kmax, dmax", [
         (projective_space(1), 3, (1,)),
@@ -271,7 +293,7 @@ class TestTreeSum:
         zero = (0,) * len(dmax)
         got = tree_sum_potential(w, kmax, dmax)
         cells = {}
-        for tree, aut in enum_trees(vertex_bound(kmax, dmax)):
+        for tree, aut in enum_trees(reference_vertex_bound(kmax, dmax)):
             m, val = tree.vcount, tree.valencies
             for betas in bounded_assignments(m, dmax):
                 for kvs in bounded_assignments(m, (kmax,)):
@@ -306,7 +328,7 @@ def labelled_cell_sum(w, k, beta):
     """The stratum-class route: sum the class of every labelled marked tree,
     weighted by 1/|Aut|; must equal k! times the tree-sum coefficient."""
     total = RatFunc(0)
-    for tree, aut in enum_trees(vertex_bound(k, beta)):
+    for tree, aut in enum_trees(reference_vertex_bound(k, beta)):
         for marked in enum_marked(tree, k, beta):
             total = total + stratum_class(w, marked) * Fraction(1, aut)
     return total
@@ -383,7 +405,7 @@ def burnside_by_elements(w, kmax, dmax):
 
     zero = (0,) * len(dmax)
     cells = {}
-    for tree, aut in enum_trees(vertex_bound(kmax, dmax)):
+    for tree, aut in enum_trees(reference_vertex_bound(kmax, dmax)):
         nbrs = [[] for _ in range(tree.vcount)]
         for a, b in tree.edges:
             nbrs[a].append(b)
