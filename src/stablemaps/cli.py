@@ -183,13 +183,17 @@ def cmd_verify(args) -> int:
         for d in range(args.dmaxff + 1):
             for p in args.primes.split(","):
                 check_count_request(args.n, d, int(p))
-    results = []
+    results, lines = [], []
     for suite in args.suite:
         ok, detail = _run_suite(suite, run)
         results.append({"suite": suite, "pass": ok, "detail": detail})
-        print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
+        lines.append(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
+        print(lines[-1])
     summary = {"results": results, "ok": all(r["pass"] for r in results)}
-    print(json.dumps(summary))
+    lines.append(json.dumps(summary))
+    print(lines[-1])
+    if args.out:
+        _emit("\n".join(lines) + "\n", args.out)
     return 0 if summary["ok"] else VERIFY_ERROR
 
 

@@ -42,8 +42,8 @@ is the limit's own t = 0 slice R.  So A is 1 at u = 1 and
 which _log_step adds to X from the log(1 + t + phi) it already takes
 (psi_k sends t to 0).  At z-order n the sum sees R only below order n/2,
 so the iteration still settles one order per pass.  The chi-potential
-gains the solver's Adams term P_W u/(2(u+1)) psi_2(R0) at u = 1, that is
-chi(W)/4 psi_2(R).
+is the solver's closed form at u = 1 in the same mode, so its square
+phi**2 becomes phi**2 - psi_2(phi), which adds chi(W)/4 psi_2(R).
 
 Series here have constant rational coefficients.
 """
@@ -146,11 +146,11 @@ def verify_log_equation(w: TargetSpace, phi: MultiSeries, adams: bool = False) -
     return step(phi) - phi
 
 
-def chi_potential(w: TargetSpace, phi0chi: MultiSeries) -> MultiSeries:
-    """chi(W) * closed_form(phi) at u = 1, i.e. chi(W) * (-phi**2/4 + phi/2
-    - t**2/4); k! times its coefficient of t**k z**beta is the Euler
-    characteristic of the (k, beta) moduli space."""
-    return closed_form(phi0chi, RF_ONE).scale(w.pw.eval(1))
+def chi_potential(w: TargetSpace, phi0chi: MultiSeries, adams: bool = False) -> MultiSeries:
+    """chi(W) * closed_form(phi, 1, adams), the module docstring's formula;
+    k! times its coefficient of t**k z**beta is the Euler characteristic of
+    the (k, beta) moduli space."""
+    return closed_form(phi0chi, RF_ONE, adams).scale(w.pw.eval(1))
 
 
 def _at_one(table: ClassTable) -> dict:
@@ -158,12 +158,8 @@ def _at_one(table: ClassTable) -> dict:
 
 
 def _limit_chis(w: TargetSpace, phi: MultiSeries, adams: bool) -> dict:
-    """Euler characteristics per cell from the Euler-limit solution phi:
-    the chi-potential, plus chi(W)/4 psi_2(R) with adams=True."""
-    pot = chi_potential(w, phi)
-    if adams:
-        pot = pot + series_adams(phi, 2).scale(w.pw.eval(1) / 4)
-    return _at_one(extract_classes(pot))
+    """Euler characteristics per cell of the chi-potential of phi."""
+    return _at_one(extract_classes(chi_potential(w, phi, adams)))
 
 
 def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:

@@ -45,8 +45,9 @@ coarse spaces, u**2 + u + 1 in that example:
         A = prod_{k=2}^{|dmax|} (1 + psi_k R0)**M_k,
         M_k = (1/k) sum_{d | k} mu(k/d) u**d,   R0 = phi0|_{t=0},
 
-and Phi gains P_W * u/(2(u+1)) * psi_2(R0) at t**0.  _slice builds A
-beside R0, from l = log(1 + R0) and Lambda = log A = sum_k M_k psi_k(l):
+and the square phi0**2 in the closed form becomes phi0**2 - psi_2(phi0).
+_slice builds A beside R0, from l = log(1 + R0) and Lambda = log A =
+sum_k M_k psi_k(l):
 
     |d| l_d = |d| R0_d - sum_{f<d} |d-f| l_{d-f} R0_f,
     Lambda_d = sum_{k>=2 dividing every component of d} M_k l_{d/k}(u -> u**k),
@@ -171,15 +172,18 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> Mul
     return t_layers(_slice(w, dmax, adams), kmax)
 
 
-def _quadratic(phi: MultiSeries, u) -> MultiSeries:
-    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi."""
+def _quadratic(phi: MultiSeries, u, adams: bool) -> MultiSeries:
+    """-u/(2(u+1)) sq + phi/(u+1) - t**2/(2(u+1)) on the box of phi, where the
+    square sq is phi**2, or phi**2 - psi_2(phi) (t**0 only) with adams=True."""
     two_up1 = (u + 1) * 2
     t2 = MultiSeries.t_power(phi.grading, phi.kmax, phi.dmax, 2)
-    return (phi * phi).scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
+    sq = phi * phi - series_adams(phi, 2) if adams else phi * phi
+    return sq.scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
 
 
-def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
-    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi: the
+def closed_form(phi: MultiSeries, u=RF_U, adams: bool = False) -> MultiSeries:
+    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi, with
+    the square phi**2 - psi_2(phi) when adams=True (_quadratic): the
     potential over P_W.  `u` is the variable by default; the Euler limit
     passes the constant 1.
 
@@ -190,7 +194,7 @@ def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
     the t-derivative of the quadratic is ((1 - u phi) phi_t - t)/(u+1) = phi;
     t_layers builds every phi it is given here so that it does, for both
     callers.  verify_quadratic evaluates the formula on the whole box."""
-    quad = _quadratic(phi.truncate(kmax=0), u)
+    quad = _quadratic(phi.truncate(kmax=0), u, adams)
     coeffs = dict(quad.coeffs)
     for (k, d), c in phi.coeffs.items():
         if k < phi.kmax:
@@ -198,16 +202,9 @@ def closed_form(phi: MultiSeries, u=RF_U) -> MultiSeries:
     return MultiSeries(phi.grading, phi.kmax, phi.dmax, coeffs)
 
 
-def adams_term(w: TargetSpace, r0: MultiSeries) -> MultiSeries:
-    """P_W * u/(2(u+1)) * psi_2(R0), the term the Adams operations add to the
-    potential, on the box of r0; only its t = 0 slice R0 enters."""
-    return series_adams(r0, 2).scale(RatFunc(U * w.pw, LINE_CLASS.scale(2)))
-
-
 def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False) -> MultiSeries:
-    """Phi = P_W * closed_form(phi0), plus adams_term(w, phi0) with adams=True."""
-    pot = closed_form(phi0).scale(RatFunc(w.pw))
-    return pot + adams_term(w, phi0) if adams else pot
+    """Phi = P_W * closed_form(phi0) in the same mode."""
+    return closed_form(phi0, adams=adams).scale(RatFunc(w.pw))
 
 
 class ClassTable:
@@ -326,12 +323,11 @@ def verify_dt(pot: MultiSeries, phi0: MultiSeries, w: TargetSpace) -> bool:
 def verify_quadratic(w: TargetSpace, phi0: MultiSeries, pot: MultiSeries,
                      adams: bool = False) -> MultiSeries:
     """Residual of the closed form on the whole box of phi0:
-    P_W (-u/(2(u+1)) phi0**2 + phi0/(u+1) - t**2/(2(u+1))), plus
-    adams_term(w, phi0) when adams=True, minus pot.  One full-box square,
+    P_W (-u/(2(u+1)) phi0**2 + phi0/(u+1) - t**2/(2(u+1))), with the square
+    phi0**2 - psi_2(phi0) when adams=True, minus pot.  One full-box square,
     independent of the t-integration by which closed_form builds the
     t-layers; the zero series exactly when pot is the closed form."""
-    res = _quadratic(phi0, RF_U).scale(RatFunc(w.pw)) - pot
-    return res + adams_term(w, phi0) if adams else res
+    return _quadratic(phi0, RF_U, adams).scale(RatFunc(w.pw)) - pot
 
 
 def _epsilon_correction(w: TargetSpace, n: int, kmax: int, dmax) -> MultiSeries:

@@ -342,7 +342,10 @@ def target_from_json(data) -> TargetSpace:
         if not isinstance(value, dict) or not {"num", "den"} <= value.keys():
             raise ValueError(f"value for beta {beta} must be an object with "
                              "fields 'num' and 'den'")
-        value = RatFunc(_json_poly(value["num"], "num"), _json_poly(value["den"], "den"))
+        num, den = (_json_poly(value[f], f) for f in ("num", "den"))
+        if den.is_zero:
+            raise ValueError(f"class for beta {beta} has a zero denominator")
+        value = RatFunc(num, den)
         if value.den.eval(1) == 0:
             raise ValueError(f"class for beta {beta} has a pole at u = 1")
         classes[beta] = value

@@ -273,6 +273,19 @@ class TestVerify:
             spreads.append(out.split("relative spread ")[1].split()[0])
         assert spreads[0] != spreads[1]
 
+    @pytest.mark.parametrize("suites, expected", [(("recurrence", "ode"), 0),
+                                                  (("implicit",), 1)])
+    def test_out_file_holds_the_report(self, tmp_path, capsys, suites, expected):
+        # the report goes to stdout and, with --out, to the file as well
+        path = tmp_path / "report.txt"
+        argv = ["verify", "--target", "point", "--kmax", "10", "--tolerance", "1e-30",
+                "--out", str(path)]
+        for suite in suites:
+            argv += ["--suite", suite]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == expected and out.count("\n") == len(suites) + 1
+        assert path.read_text(encoding="utf-8") == out
+
     def test_failure_exit_code(self, capsys):
         # an impossible tolerance forces a verification failure
         code, out, _ = run_cli(capsys, "verify", "--suite", "implicit",
@@ -384,6 +397,10 @@ class TestErrors:
         ({"beta": 5, "value": {"num": ["1"], "den": ["1"]}}, "beta must be a JSON list"),
         ({"beta": [1], "value": {"num": 5, "den": ["1"]}}, "num must be a JSON list"),
         ({"beta": [1], "value": {"num": ["1"]}}, "fields 'num' and 'den'"),
+        ({"beta": [1], "value": {"num": ["1"], "den": ["0"]}},
+         "error: class for beta (1,) has a zero denominator"),
+        ({"beta": [1], "value": {"num": ["1"], "den": []}},
+         "error: class for beta (1,) has a zero denominator"),
     ])
     def test_bad_class_entry(self, tmp_path, capsys, entry, message):
         path = tmp_path / "bad.json"

@@ -11,7 +11,7 @@ from stablemaps.qfield import RF_ONE, RF_U, RatFunc, necklace
 from stablemaps.series import MultiSeries, series_log1p
 from stablemaps.solver import solve_phi0
 from stablemaps.target import point_target, projective_space, target_from_json
-from test_solver import p1xp1_target
+from test_solver import ADAMS_TERM_BOXES, p1xp1_target, psi_2_by_hand
 
 
 class TestXSeries:
@@ -227,6 +227,14 @@ class TestChiPotential:
         table = chi_table(projective_space(1), 4, (2,))
         assert table[(4, (0,))] == 4
         assert table[(3, (0,))] == 2
+
+    @ADAMS_TERM_BOXES
+    def test_adams_term_of_the_chi_potential(self, w, kmax, dmax):
+        # the solver's Adams term P_W u/(2(u+1)) psi_2(phi) at u = 1
+        phi = solve_phi0_chi(w, kmax, dmax, adams=True)
+        diff = chi_potential(w, phi, adams=True) - chi_potential(w, phi)
+        term = psi_2_by_hand(phi).scale(w.pw.eval(1) / 4)
+        assert diff == term and not term.is_zero
 
 
 class TestCrosscheck:

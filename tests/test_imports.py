@@ -58,3 +58,43 @@ def test_private_attribute_check_flags_a_reach_in(tmp_path):
         "x = RatFunc._reduced(UPoly.__new__, s._pack)\n"
         "y = object()._hidden\n", encoding="utf-8")
     assert private_attributes(tmp_path) == ["a.py: RatFunc._reduced", "a.py: s._pack"]
+
+
+def unused_imports(directory):
+    """'module: name' for every module-level import that its module never
+    uses; names the module lists in __all__ and __future__ imports are
+    exempt."""
+    found = []
+    for path in sorted(directory.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name not in used]
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_unused_import_check_flags_a_stranded_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "from .qfield import U, LINE_CLASS as L, RatFunc\n"
+        "from .series import series_adams\n"
+        "__all__ = ['RatFunc']\n"
+        "def f():\n"
+        "    return json.dumps(L)\n", encoding="utf-8")
+    assert unused_imports(tmp_path) == ["a.py: os", "a.py: U", "a.py: series_adams"]

@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablemaps import solver
-from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, UPoly,
+from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, U, UPoly,
                                div_exact, is_palindromic)
 from stablemaps.series import MultiSeries, box_vectors, stationary
-from stablemaps.solver import (ClassTable, extract_classes, potential, solve_phi0,
-                               verify_dt, verify_functional_equation,
+from stablemaps.solver import (ClassTable, closed_form, extract_classes, potential,
+                               solve_phi0, verify_dt, verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
                                verify_potential_expansion, verify_quadratic)
 from stablemaps.target import (nclass, point_target, projective_space,
@@ -350,6 +350,23 @@ def p1xp1_target():
                              "classes": classes})
 
 
+def psi_2_by_hand(s):
+    """psi_2(s) cell by cell, without series_adams: the t**0 cell c z**d goes
+    to c(u**2) z**(2d), a cell whose 2d leaves the box is dropped, and every
+    cell t**k z**d with k > 0 goes to 0."""
+    def u_squared(p):
+        return UPoly([c for a in p.coeffs for c in (a, 0)])
+    coeffs = {(0, tuple(2 * x for x in d)): RatFunc(u_squared(c.num), u_squared(c.den))
+              for (k, d), c in s.coeffs.items()
+              if k == 0 and all(2 * x <= m for x, m in zip(d, s.dmax))}
+    return MultiSeries(s.grading, s.kmax, s.dmax, coeffs)
+
+
+ADAMS_TERM_BOXES = pytest.mark.parametrize("w, kmax, dmax", [
+    (projective_space(1), 4, (4,)), (projective_space(2), 3, (3,)),
+    (p1xp1_target(), 2, (2, 2))], ids=["pn:1", "pn:2", "p1xp1"])
+
+
 class TestAdamsOperations:
     @pytest.mark.parametrize("n, k, d, expected", [
         (1, 0, 2, (1, 1, 1)),                       # P^2
@@ -379,3 +396,13 @@ class TestAdamsOperations:
                 if d[0] <= 1:
                     assert run["table"].entry(k, d) == corrected["table"].entry(k, d)
             assert run["table"].entry(0, (2,)) != corrected["table"].entry(0, (2,))
+
+    @ADAMS_TERM_BOXES
+    def test_adams_term_of_the_potential(self, w, kmax, dmax):
+        # with the Adams operations the potential differs from P_W times the
+        # plain closed form by P_W u/(2(u+1)) psi_2(phi0) alone, at t**0 only
+        phi0 = solve_phi0(w, kmax, dmax, adams=True)
+        diff = potential(w, phi0, adams=True) - closed_form(phi0).scale(RatFunc(w.pw))
+        term = psi_2_by_hand(phi0).scale(RatFunc(U * w.pw, LINE_CLASS.scale(2)))
+        assert diff == term
+        assert not diff.is_zero and all(k == 0 for k, _ in diff.coeffs)

@@ -294,6 +294,13 @@ class TestLoadTarget:
         with pytest.raises(ValueError, match="pole at u = 1"):
             target_from_json(data)
 
+    @pytest.mark.parametrize("den", [["0"], [], ["0", "0/5"]])
+    def test_zero_denominator_rejected(self, den):
+        data = p2_descriptor()
+        data["classes"][0]["value"] = {"num": ["1"], "den": den}
+        with pytest.raises(ValueError, match=r"^class for beta \(1,\) has a zero denominator$"):
+            target_from_json(data)
+
     @pytest.mark.parametrize("place, message", [
         ("rank", "rank must be an integer"),
         ("beta", "beta must be a JSON list of integers"),
