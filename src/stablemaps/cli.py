@@ -179,6 +179,9 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--dmaxff {args.dmaxff} must be >= 0")
     if not args.tolerance >= 0:  # also refuses nan
         raise ValueError(f"--tolerance {args.tolerance} must be a number >= 0")
+    if "ode" in args.suite and args.kmax < 1:
+        raise ValueError(f"--suite ode needs --kmax >= 1: at --kmax {args.kmax} "
+                         "both residuals live on an empty box")
     if "ffcount" in args.suite:  # refuse an oversized count before any suite runs
         for d in range(args.dmaxff + 1):
             for p in args.primes.split(","):

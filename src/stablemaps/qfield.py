@@ -347,13 +347,6 @@ def upoly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return P_ONE
 
 
-def div_exact(a: UPoly, b: UPoly) -> UPoly:
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ValueError(f"inexact polynomial division: ({a}) / ({b})")
-    return q
-
-
 def _as_poly(x) -> UPoly:
     if isinstance(x, UPoly):
         return x

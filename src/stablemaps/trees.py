@@ -1,4 +1,4 @@
-"""Marked trees: enumeration, stratum classes, and the tree-sum potential.
+"""Trees: the budgeted census, automorphism orders and the tree-sum potential.
 
 The boundary geometry of a space of genus-zero stable maps is indexed by
 trees whose vertices carry a curve class beta_v and a set S_v of marked-point
@@ -61,9 +61,7 @@ is an ordered pair of rooted halves of equal height joined at their
 roots.  Automorphism orders come from the same codes: the automorphisms of
 a rooted tree permute identical child subtrees, so |Aut| is a product of
 multiplicity factorials times child automorphisms, with the usual factor 2
-for a bicentral tree whose halves are isomorphic.  tree_code canonicalises
-an arbitrary labelled tree by finding its centre, independently of the
-enumeration.
+for a bicentral tree whose halves are isomorphic.
 
 Trees are enumerated under a stability-deficit budget.  The deficit of a
 vertex, max(0, 3 - valency), is the number of marks it lacks to be stable
@@ -78,26 +76,17 @@ memoised per (size, budget) and no subtree over budget is ever built.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import factorial, prod
 from operator import mul
 
-from .qfield import LINE_CLASS, RF_ONE, RF_ZERO, RatFunc, binom_falling, necklace
+from .qfield import LINE_CLASS, RF_ONE, RatFunc, binom_falling, necklace
 from .series import MultiSeries, box_vectors, series_adams
 from .target import TargetSpace, nclass
 
 
 # --- rooted tree enumeration (canonical nested tuples, children sorted) -------
-
-def _tree_size(code) -> int:
-    return 1 + sum(_tree_size(c) for c in code)
-
-
-def _tree_key(code):
-    return (_tree_size(code), code)
-
 
 def _clamp(budget, m: int) -> int:
     # a deficit on m vertices (one edge at least) is at most 2m: share memo entries
@@ -183,75 +172,12 @@ def _height(code) -> int:
     return 1 + max(map(_height, code)) if code else 0
 
 
-def _code_to_edges(code) -> list:
-    """Edge list of the canonical representative, vertices in DFS preorder."""
-    edges = []
-    counter = itertools.count(0)
-
-    def walk(node, parent):
-        me = next(counter)
-        if parent is not None:
-            edges.append((parent, me))
-        for child in node:
-            walk(child, me)
-
-    walk(code, None)
-    return edges
-
-
-def _adjacency(vcount, edges):
-    adj = [[] for _ in range(vcount)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
-def _centers(vcount, adj) -> list:
-    """The one or two middle vertices of a tree (iterated leaf removal)."""
-    if vcount == 1:
-        return [0]
-    degree = [len(nb) for nb in adj]
-    layer = [v for v in range(vcount) if degree[v] == 1]
-    remaining = vcount
-    removed = [False] * vcount
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = True
-        remaining -= len(layer)
-        for v in layer:
-            for w in adj[v]:
-                if not removed[w]:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return sorted(layer)
-
-
-def _rooted_code_at(adj, root, blocked=None):
-    """Canonical rooted code of the subtree at root, not crossing blocked."""
-    def walk(v, parent):
-        kids = [walk(w, v) for w in adj[v] if w != parent and w != blocked]
-        kids.sort(key=_tree_key, reverse=True)
-        return tuple(kids)
-
-    return walk(root, None)
-
-
-def _free_code(vcount, adj):
-    """Canonical form of a free tree: root at the center, or at the central
-    edge when the tree is bicentral."""
-    centers = _centers(vcount, adj)
-    if len(centers) == 1:
-        return ("C", _rooted_code_at(adj, centers[0]))
-    c1, c2 = centers
-    h1 = _rooted_code_at(adj, c1, blocked=c2)
-    h2 = _rooted_code_at(adj, c2, blocked=c1)
-    if _tree_key(h1) < _tree_key(h2):
-        h1, h2 = h2, h1
-    return ("B", h1, h2)
+def _valencies(code, up: int = 0):
+    """Valencies of a rooted tree's vertices in DFS preorder: each vertex's
+    child count, plus 1 for the edge up (at the root, up)."""
+    yield len(code) + up
+    for child in code:
+        yield from _valencies(child, 1)
 
 
 def _free_aut(fcode) -> int:
@@ -277,37 +203,25 @@ class Tree:
 
     Built from its centred form, ("C", code) rooted at the centre or
     ("B", h1, h2) with the halves at the central edge, larger first.
-    Carries a concrete representative (vertices 0..vcount-1 with an edge
-    list, vertex 0 a centre), the canonical code that identifies the class,
-    and the order of the abstract automorphism group.
+    Carries the valencies of a concrete representative (vertices in the
+    DFS preorder of that form, the second half of a bicentral tree hanging
+    from the first half's root, vertex 0 a centre), the canonical code that
+    identifies the class, and the order of the abstract automorphism group.
     """
 
-    __slots__ = ("vcount", "edges", "canonical_code", "aut_order", "valencies",
-                 "centred")
+    __slots__ = ("vcount", "canonical_code", "aut_order", "valencies", "centred")
 
     def __init__(self, centred):
         self.centred = centred
         rooted = centred[1] if centred[0] == "C" else centred[1] + (centred[2],)
-        self.edges = tuple(_code_to_edges(rooted))
-        self.vcount = vcount = len(self.edges) + 1
+        self.valencies = tuple(_valencies(rooted))
+        self.vcount = len(self.valencies)
         self.canonical_code = _code_bytes(centred)
         self.aut_order = _free_aut(centred)
-        val = [0] * vcount
-        for a, b in self.edges:
-            val[a] += 1
-            val[b] += 1
-        self.valencies = tuple(val)
 
     def __repr__(self):
         return (f"Tree(vcount={self.vcount}, aut={self.aut_order}, "
                 f"code={self.canonical_code.decode('ascii')})")
-
-
-def tree_code(vcount: int, edges) -> bytes:
-    """Canonical code of an arbitrary labelled tree; equal bytes iff the
-    trees are isomorphic."""
-    adj = _adjacency(vcount, [tuple(e) for e in edges])
-    return _code_bytes(_free_code(vcount, adj))
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +231,8 @@ def _free_trees(m: int, budget: int) -> tuple:
 
     A canonical rooted tree is centred at its root when it is a single
     vertex or its two highest children have equal height; a bicentral tree
-    is a pair of rooted halves of equal height, the larger by _tree_key
-    first, as _free_code orders them.
+    is a pair of rooted halves of equal height, the larger by (size, code)
+    first.
     """
     if m == 1:
         return (Tree(("C", ())),)
@@ -345,99 +259,6 @@ def enum_trees(vmax: int, budget=None) -> list:
         raise ValueError("vmax must be >= 1")
     return [(t, t.aut_order) for m in range(1, vmax + 1)
             for t in _free_trees(m, _clamp(2 * m if budget is None else budget, m))]
-
-
-# --- markings ------------------------------------------------------------------
-
-class MarkedTree:
-    """A tree with per-vertex curve class beta_v and label set S_v.
-
-    The nonempty label sets must partition {1..k}; stability of individual
-    vertices is not enforced here (unstable markings price to zero through
-    the eps factor in stratum_class).
-    """
-
-    __slots__ = ("tree", "beta", "labels")
-
-    def __init__(self, tree: Tree, beta, labels):
-        beta = tuple(tuple(int(x) for x in b) for b in beta)
-        labels = tuple(frozenset(s) for s in labels)
-        if len(beta) != tree.vcount or len(labels) != tree.vcount:
-            raise ValueError("need one (beta_v, S_v) per vertex")
-        seen = set()
-        for s in labels:
-            if seen & s:
-                raise ValueError("label sets must be disjoint")
-            seen |= s
-        if seen and seen != set(range(1, max(seen) + 1)):
-            raise ValueError("labels must cover 1..k")
-        self.tree = tree
-        self.beta = beta
-        self.labels = labels
-
-    def __repr__(self):
-        return f"MarkedTree(vcount={self.tree.vcount}, beta={self.beta}, labels={self.labels})"
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _vector_compositions(total_vec, parts: int):
-    """Ways to write total_vec as an ordered sum of `parts` nonnegative
-    vectors, yielded as tuples of per-part vectors."""
-    per_coord = [list(_compositions(c, parts)) for c in total_vec]
-    for combo in itertools.product(*per_coord):
-        yield tuple(tuple(coord[i] for coord in combo) for i in range(parts))
-
-
-def enum_marked(tree: Tree, k: int, beta_total) -> list:
-    """All admissible markings of the tree with labels {1..k} and total
-    curve class beta_total, as labelled data (no quotient by Aut)."""
-    beta_total = tuple(int(b) for b in beta_total)
-    m = tree.vcount
-    val = tree.valencies
-    zero = (0,) * len(beta_total)
-    out = []
-    for beta in _vector_compositions(beta_total, m):
-        # each label raises one vertex count by one, so the total stability
-        # deficit must fit into the label budget
-        deficit = sum(max(0, 3 - val[v]) for v in range(m) if beta[v] == zero)
-        if deficit > k:
-            continue
-        for assign in itertools.product(range(m), repeat=k):
-            sets = [set() for _ in range(m)]
-            for label, v in zip(range(1, k + 1), assign):
-                sets[v].add(label)
-            if all(beta[v] != zero or val[v] + len(sets[v]) >= 3 for v in range(m)):
-                out.append(MarkedTree(tree, beta, sets))
-    return out
-
-
-def stratum_class(w: TargetSpace, marked: MarkedTree) -> RatFunc:
-    """Class of the stratum of stable maps with the given combinatorial type.
-
-    Inadmissible markings return zero through the stability cutoff.
-    """
-    val = marked.tree.valencies
-    zero = w.grading.zero
-    acc = RatFunc(w.pw)
-    for v in range(marked.tree.vcount):
-        n_v = val[v] + len(marked.labels[v])
-        if marked.beta[v] == zero and n_v <= 2:
-            return RF_ZERO
-        acc = acc * nclass(w, marked.beta[v]) \
-                  * binom_falling(LINE_CLASS, n_v) * factorial(n_v)
-    return acc
 
 
 # --- the tree-sum oracle --------------------------------------------------------

@@ -1,0 +1,219 @@
+"""Independent references the tests compare the package against.
+
+- div_exact: exact polynomial division, refusing a remainder.
+- The labelled-marking route: MarkedTree, enum_marked and stratum_class
+  price every labelled marking of a tree separately, with no quotient by
+  Aut, so that summing them weighted by 1/|Aut| re-derives the tree sum's
+  cells.
+- A second canonicaliser: tree_code finds the centre of an arbitrary
+  labelled tree by iterated leaf removal and encodes it, independently of
+  the centre construction the census enumerates by.
+- _code_to_edges and tree_edges: a concrete edge list for a census tree,
+  for the relabelling and element-by-element automorphism checks.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import factorial
+
+from stablemaps.qfield import LINE_CLASS, RF_ZERO, RatFunc, UPoly, binom_falling
+from stablemaps.target import TargetSpace, nclass
+from stablemaps.trees import Tree, _code_bytes
+
+
+def div_exact(a: UPoly, b: UPoly) -> UPoly:
+    q, r = divmod(a, b)
+    if not r.is_zero:
+        raise ValueError(f"inexact polynomial division: ({a}) / ({b})")
+    return q
+
+
+# --- the independent canonicaliser ---------------------------------------------
+
+def _tree_size(code) -> int:
+    return 1 + sum(_tree_size(c) for c in code)
+
+
+def _tree_key(code):
+    return (_tree_size(code), code)
+
+
+def _code_to_edges(code) -> list:
+    """Edge list of the canonical representative, vertices in DFS preorder."""
+    edges = []
+    counter = itertools.count(0)
+
+    def walk(node, parent):
+        me = next(counter)
+        if parent is not None:
+            edges.append((parent, me))
+        for child in node:
+            walk(child, me)
+
+    walk(code, None)
+    return edges
+
+
+def tree_edges(tree: Tree) -> tuple:
+    """Edges of a census tree, vertices in the DFS preorder of its centred
+    code, vertex 0 a centre; a bicentral tree's second half hangs from the
+    first half's root."""
+    centred = tree.centred
+    rooted = centred[1] if centred[0] == "C" else centred[1] + (centred[2],)
+    return tuple(_code_to_edges(rooted))
+
+
+def _adjacency(vcount, edges):
+    adj = [[] for _ in range(vcount)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _centers(vcount, adj) -> list:
+    """The one or two middle vertices of a tree (iterated leaf removal)."""
+    if vcount == 1:
+        return [0]
+    degree = [len(nb) for nb in adj]
+    layer = [v for v in range(vcount) if degree[v] == 1]
+    remaining = vcount
+    removed = [False] * vcount
+    while remaining > 2:
+        nxt = []
+        for v in layer:
+            removed[v] = True
+        remaining -= len(layer)
+        for v in layer:
+            for w in adj[v]:
+                if not removed[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return sorted(layer)
+
+
+def _rooted_code_at(adj, root, blocked=None):
+    """Canonical rooted code of the subtree at root, not crossing blocked."""
+    def walk(v, parent):
+        kids = [walk(w, v) for w in adj[v] if w != parent and w != blocked]
+        kids.sort(key=_tree_key, reverse=True)
+        return tuple(kids)
+
+    return walk(root, None)
+
+
+def _free_code(vcount, adj):
+    """Canonical form of a free tree: root at the center, or at the central
+    edge when the tree is bicentral."""
+    centers = _centers(vcount, adj)
+    if len(centers) == 1:
+        return ("C", _rooted_code_at(adj, centers[0]))
+    c1, c2 = centers
+    h1 = _rooted_code_at(adj, c1, blocked=c2)
+    h2 = _rooted_code_at(adj, c2, blocked=c1)
+    if _tree_key(h1) < _tree_key(h2):
+        h1, h2 = h2, h1
+    return ("B", h1, h2)
+
+
+def tree_code(vcount: int, edges) -> bytes:
+    """Canonical code of an arbitrary labelled tree; equal bytes iff the
+    trees are isomorphic."""
+    adj = _adjacency(vcount, [tuple(e) for e in edges])
+    return _code_bytes(_free_code(vcount, adj))
+
+
+# --- the labelled-marking route -------------------------------------------------
+
+class MarkedTree:
+    """A tree with per-vertex curve class beta_v and label set S_v.
+
+    The nonempty label sets must partition {1..k}; stability of individual
+    vertices is not enforced here (unstable markings price to zero through
+    the eps factor in stratum_class).
+    """
+
+    __slots__ = ("tree", "beta", "labels")
+
+    def __init__(self, tree: Tree, beta, labels):
+        beta = tuple(tuple(int(x) for x in b) for b in beta)
+        labels = tuple(frozenset(s) for s in labels)
+        if len(beta) != tree.vcount or len(labels) != tree.vcount:
+            raise ValueError("need one (beta_v, S_v) per vertex")
+        seen = set()
+        for s in labels:
+            if seen & s:
+                raise ValueError("label sets must be disjoint")
+            seen |= s
+        if seen and seen != set(range(1, max(seen) + 1)):
+            raise ValueError("labels must cover 1..k")
+        self.tree = tree
+        self.beta = beta
+        self.labels = labels
+
+    def __repr__(self):
+        return f"MarkedTree(vcount={self.tree.vcount}, beta={self.beta}, labels={self.labels})"
+
+
+def _compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _vector_compositions(total_vec, parts: int):
+    """Ways to write total_vec as an ordered sum of `parts` nonnegative
+    vectors, yielded as tuples of per-part vectors."""
+    per_coord = [list(_compositions(c, parts)) for c in total_vec]
+    for combo in itertools.product(*per_coord):
+        yield tuple(tuple(coord[i] for coord in combo) for i in range(parts))
+
+
+def enum_marked(tree: Tree, k: int, beta_total) -> list:
+    """All admissible markings of the tree with labels {1..k} and total
+    curve class beta_total, as labelled data (no quotient by Aut)."""
+    beta_total = tuple(int(b) for b in beta_total)
+    m = tree.vcount
+    val = tree.valencies
+    zero = (0,) * len(beta_total)
+    out = []
+    for beta in _vector_compositions(beta_total, m):
+        # each label raises one vertex count by one, so the total stability
+        # deficit must fit into the label budget
+        deficit = sum(max(0, 3 - val[v]) for v in range(m) if beta[v] == zero)
+        if deficit > k:
+            continue
+        for assign in itertools.product(range(m), repeat=k):
+            sets = [set() for _ in range(m)]
+            for label, v in zip(range(1, k + 1), assign):
+                sets[v].add(label)
+            if all(beta[v] != zero or val[v] + len(sets[v]) >= 3 for v in range(m)):
+                out.append(MarkedTree(tree, beta, sets))
+    return out
+
+
+def stratum_class(w: TargetSpace, marked: MarkedTree) -> RatFunc:
+    """Class of the stratum of stable maps with the given combinatorial type.
+
+    Inadmissible markings return zero through the stability cutoff.
+    """
+    val = marked.tree.valencies
+    zero = w.grading.zero
+    acc = RatFunc(w.pw)
+    for v in range(marked.tree.vcount):
+        n_v = val[v] + len(marked.labels[v])
+        if marked.beta[v] == zero and n_v <= 2:
+            return RF_ZERO
+        acc = acc * nclass(w, marked.beta[v]) \
+                  * binom_falling(LINE_CLASS, n_v) * factorial(n_v)
+    return acc

@@ -152,6 +152,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: --dmaxff -1 must be >= 0\n"
 
+    def test_vacuous_ode_suite_is_refused(self, capsys):
+        # at --kmax 0 both residuals live on the empty box kmax - 1 = -1:
+        # before, any phi0 passed the suite
+        code, out, err = run_cli(capsys, "verify", "--suite", "recurrence",
+                                 "--suite", "ode", "--kmax", "0")
+        assert code == 2 and out == ""
+        assert err == ("error: --suite ode needs --kmax >= 1: at --kmax 0 "
+                       "both residuals live on an empty box\n")
+
     @pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0")])
     def test_bad_tolerance_is_refused(self, capsys, tolerance, shown):
         # before, the implicit suite ran and printed FAIL with exit 1

@@ -1,5 +1,6 @@
 """Package layout: no module imports a private name from a sibling module,
-or reaches into a private attribute of a name it imports from one."""
+or reaches into a private attribute of a name it imports from one, imports
+a name it never uses, or exports a name that only the tests use."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import stablemaps
 
 PACKAGE = Path(stablemaps.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]  # the checkout: perfbench/ and demos/
 
 
 def _sibling_imports(tree):
@@ -60,6 +62,14 @@ def test_private_attribute_check_flags_a_reach_in(tmp_path):
     assert private_attributes(tmp_path) == ["a.py: RatFunc._reduced", "a.py: s._pack"]
 
 
+def _all_names(tree):
+    """The string entries of a module's __all__ list, if it has one."""
+    return [e.value for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in node.value.elts if isinstance(e, ast.Constant)]
+
+
 def unused_imports(directory):
     """'module: name' for every module-level import that its module never
     uses; names the module lists in __all__ and __future__ imports are
@@ -68,11 +78,7 @@ def unused_imports(directory):
     for path in sorted(directory.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.List)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__"
-                            for t in node.targets)):
-                used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+        used |= set(_all_names(tree))
         for node in tree.body:
             if isinstance(node, ast.Import):
                 names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
@@ -98,3 +104,59 @@ def test_unused_import_check_flags_a_stranded_name(tmp_path):
         "def f():\n"
         "    return json.dumps(L)\n", encoding="utf-8")
     assert unused_imports(tmp_path) == ["a.py: os", "a.py: U", "a.py: series_adams"]
+
+
+def _uses(node, enclosing=()):
+    """The names a syntax tree refers to, as Name ids and Attribute attrs,
+    except a reference to a def or class from inside its own body."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing += (node.name,)
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+    if name is not None and name not in enclosing:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, enclosing)
+
+
+def unused_exports(package, *others):
+    """The names in the package's __all__ that no file outside the tests
+    refers to: neither a package module other than __init__.py nor a file
+    in the other directories.  Imports and docstrings do not count."""
+    files = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    files += [p for d in others for p in sorted(d.glob("*.py"))]
+    used = set()
+    for path in files:
+        used |= set(_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    exported = _all_names(ast.parse((package / "__init__.py").read_text(encoding="utf-8")))
+    return [name for name in exported if name not in used]
+
+
+def test_every_export_has_a_caller():
+    assert unused_exports(PACKAGE, ROOT / "perfbench", ROOT / "demos") == []
+
+
+def test_unused_export_check_flags_a_test_only_name(tmp_path):
+    package, demos = tmp_path / "pkg", tmp_path / "demos"
+    package.mkdir()
+    demos.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import called, recursive, documented, imported, only_init\n"
+        "only_init()\n"
+        "__all__ = ['called', 'recursive', 'documented', 'imported', 'only_init']\n",
+        encoding="utf-8")
+    (package / "a.py").write_text(
+        "def called():\n"
+        "    pass\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def documented():\n"
+        "    'unlike imported and called'\n"
+        "def imported():\n"
+        "    pass\n"
+        "def only_init():\n"
+        "    pass\n", encoding="utf-8")
+    (package / "b.py").write_text("from .a import imported\n", encoding="utf-8")
+    (demos / "d.py").write_text("import pkg\npkg.called()\n", encoding="utf-8")
+    assert unused_exports(package, demos) == ["recursive", "documented", "imported",
+                                              "only_init"]

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablemaps import solver
-from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, U, UPoly,
-                               div_exact, is_palindromic)
+from stablemaps.qfield import LINE_CLASS, P_ONE, RatFunc, U, UPoly, is_palindromic
 from stablemaps.series import MultiSeries, box_vectors, stationary
 from stablemaps.solver import (ClassTable, closed_form, extract_classes, potential,
                                solve_phi0, verify_dt, verify_functional_equation,
@@ -15,6 +14,8 @@ from stablemaps.solver import (ClassTable, closed_form, extract_classes, potenti
                                verify_potential_expansion, verify_quadratic)
 from stablemaps.target import (nclass, point_target, projective_space,
                                target_from_json)
+
+from reference import div_exact
 
 
 def gaussian_binomial(n, k):

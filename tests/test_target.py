@@ -4,14 +4,15 @@ import json
 import pytest
 
 from stablemaps.eulerchi import chi_table, xseries
-from stablemaps.qfield import (MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly,
-                               div_exact, necklace)
+from stablemaps.qfield import MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly, necklace
 from stablemaps.solver import solve_phi0
 from stablemaps.target import (_factor_masks, count_maps_bruteforce,
                                eisenstein_series, load_target, nclass,
                                parse_target, point_target, projective_space,
                                target_from_json, verify_recurrence)
 from stablemaps.trees import tree_sum_potential
+
+from reference import div_exact
 
 
 def pn_class(n):

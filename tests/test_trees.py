@@ -11,9 +11,10 @@ from stablemaps.series import MultiSeries
 from stablemaps.solver import potential, solve_phi0
 from stablemaps.target import point_target, projective_space
 from stablemaps import trees
-from stablemaps.trees import (MarkedTree, _adjacency, _contributing_trees, _free_aut,
-                              _free_code, enum_marked, enum_trees, stratum_class,
-                              tree_code, tree_sum_potential)
+from stablemaps.trees import (_contributing_trees, _free_aut, enum_trees,
+                              tree_sum_potential)
+from reference import (MarkedTree, _adjacency, _free_code, enum_marked, stratum_class,
+                       tree_code, tree_edges)
 from test_solver import p1xp1_target
 
 # free trees by vertex count (OEIS A000055)
@@ -60,7 +61,7 @@ class TestEnumeration:
 
     def test_single_vertex(self):
         (tree, aut), = [(t, a) for t, a in enum_trees(1)]
-        assert tree.vcount == 1 and tree.edges == () and aut == 1
+        assert tree.vcount == 1 and tree_edges(tree) == () and aut == 1
 
     def test_four_vertex_automorphisms(self):
         auts = sorted(a for t, a in enum_trees(4) if t.vcount == 4)
@@ -76,8 +77,19 @@ class TestEnumeration:
         # the enumerator builds each tree from its centre; re-centring the
         # representative's edges must give back its code and |Aut|
         for t, aut in enum_trees(13):
-            assert tree_code(t.vcount, t.edges) == t.canonical_code
-            assert _free_aut(_free_code(t.vcount, _adjacency(t.vcount, t.edges))) == aut
+            edges = tree_edges(t)
+            assert tree_code(t.vcount, edges) == t.canonical_code
+            assert _free_aut(_free_code(t.vcount, _adjacency(t.vcount, edges))) == aut
+
+    def test_valencies_match_the_edge_list(self):
+        # Tree reads its valencies off the centred code; the reference edge
+        # list, in the same DFS preorder, must give the same tuple
+        for t, _ in enum_trees(13):
+            val = [0] * t.vcount
+            for a, b in tree_edges(t):
+                val[a] += 1
+                val[b] += 1
+            assert t.valencies == tuple(val)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7])
     def test_against_labelled_census(self, m):
@@ -97,16 +109,16 @@ class TestEnumeration:
         # any relabelling of a representative keeps its code
         reps = [t for t, _ in enum_trees(m) if t.vcount == m]
         for t1, t2 in itertools.combinations(reps, 2):
-            e1 = {frozenset(e) for e in t1.edges}
+            e1 = {frozenset(e) for e in tree_edges(t1)}
             found = any(
-                {frozenset((perm[a], perm[b])) for a, b in t2.edges} == e1
+                {frozenset((perm[a], perm[b])) for a, b in tree_edges(t2)} == e1
                 for perm in itertools.permutations(range(m)))
             assert not found
         rng = random.Random(m)
         for t in reps:
             perm = list(range(m))
             rng.shuffle(perm)
-            relabelled = [(perm[a], perm[b]) for a, b in t.edges]
+            relabelled = [(perm[a], perm[b]) for a, b in tree_edges(t)]
             assert tree_code(m, relabelled) == t.canonical_code
 
     def test_vmax_validation(self):
@@ -379,9 +391,10 @@ def _config_trace(cycle_lengths):
 
 
 def _automorphisms(tree):
-    edges = {frozenset(e) for e in tree.edges}
+    edge_list = tree_edges(tree)
+    edges = {frozenset(e) for e in edge_list}
     for perm in itertools.permutations(range(tree.vcount)):
-        if {frozenset((perm[a], perm[b])) for a, b in tree.edges} == edges:
+        if {frozenset((perm[a], perm[b])) for a, b in edge_list} == edges:
             yield perm
 
 
@@ -407,7 +420,7 @@ def burnside_by_elements(w, kmax, dmax):
     cells = {}
     for tree, aut in enum_trees(reference_vertex_bound(kmax, dmax)):
         nbrs = [[] for _ in range(tree.vcount)]
-        for a, b in tree.edges:
+        for a, b in tree_edges(tree):
             nbrs[a].append(b)
             nbrs[b].append(a)
         group = list(_automorphisms(tree))
