@@ -146,26 +146,29 @@ def verify_log_equation(w: TargetSpace, phi: MultiSeries, adams: bool = False) -
     return step(phi) - phi
 
 
-def chi_potential(w: TargetSpace, phi0chi: MultiSeries, adams: bool = False) -> MultiSeries:
-    """chi(W) * closed_form(phi, 1, adams), the module docstring's formula;
-    k! times its coefficient of t**k z**beta is the Euler characteristic of
-    the (k, beta) moduli space."""
-    return closed_form(phi0chi, RF_ONE, adams).scale(w.pw.eval(1))
+def chi_potential(w: TargetSpace, phi0chi: MultiSeries, adams: bool = False,
+                  kmax=None) -> MultiSeries:
+    """chi(W) * closed_form(phi, 1, adams, kmax), the module docstring's
+    formula, on the box with t-order kmax (phi's own unless given); k! times
+    its coefficient of t**k z**beta is the Euler characteristic of the
+    (k, beta) moduli space."""
+    return closed_form(phi0chi, RF_ONE, adams, kmax).scale(w.pw.eval(1))
 
 
 def _at_one(table: ClassTable) -> dict:
     return {cell: p.eval(1) for cell, p in table.entries.items()}
 
 
-def _limit_chis(w: TargetSpace, phi: MultiSeries, adams: bool) -> dict:
+def _limit_chis(w: TargetSpace, phi: MultiSeries, adams: bool, kmax=None) -> dict:
     """Euler characteristics per cell of the chi-potential of phi."""
-    return _at_one(extract_classes(chi_potential(w, phi, adams)))
+    return _at_one(extract_classes(chi_potential(w, phi, adams, kmax)))
 
 
 def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
-    """Euler characteristics per cell, as exact rationals."""
+    """Euler characteristics per cell, as exact rationals.  The chi-potential
+    reads phi below t**kmax only, so the limit is solved one t-order short."""
     dmax = w.box(dmax, kmax)
-    return _limit_chis(w, solve_phi0_chi(w, kmax, dmax, adams), adams)
+    return _limit_chis(w, solve_phi0_chi(w, max(kmax - 1, 0), dmax, adams), adams, kmax)
 
 
 def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False) -> bool:

@@ -260,12 +260,17 @@ class UPoly:
         out[::k] = a
         return UPoly._make(tuple(out), self.denom)
 
-    def q_coeffs(self) -> tuple:
-        """Coefficient tuple in the weight variable q (each u-degree doubled)."""
-        return self.adams(2).coeffs
-
     def to_json(self) -> list:
-        return [str(c) for c in self.coeffs]
+        """The coefficients as the strings of their Fractions, "p" or "p/q",
+        lowest degree first, read off the ints with one gcd per entry."""
+        d = self.denom
+        if d == 1:
+            return [str(c) for c in self.numer]
+        out = []
+        for c in self.numer:
+            g = math.gcd(c, d)
+            out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+        return out
 
     @classmethod
     def from_json(cls, data) -> "UPoly":

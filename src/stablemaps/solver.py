@@ -15,6 +15,9 @@ by the closed form
 closed_form (below) evaluates that formula only on the t = 0 slice, where
 it is a z-only square, and builds every t-layer k >= 1 from the derivative
 identity d/dt (Phi / P_W) = phi0 below, as phi0's layer k - 1 divided by k.
+So the potential up to t**kmax reads phi0 only up to t**(kmax-1): the
+class tables (the CLI's compute, and eulerchi.chi_table) solve phi0 one
+t-order short, and only the ode, dt and fe checks read its top layer.
 closed_form and t_layers take u as a parameter: the Euler limit in
 stablemaps.eulerchi calls them, and extract_classes, at u = 1.
 
@@ -29,8 +32,8 @@ recurrence for powers of a series (Knuth, TAOCP vol. 2, 4.7),
 so H_d = u R0_d + H'_d with H'_d from lower cells, and each cell is one
 division:  R0_d = (P_W H'_d + sum_f E_f H_{d-f}) / (u(u-1) P_W).  Each
 further t-layer phi_{k+1}, the t**(k+1) coefficient of phi0, is solved from
-the t**k coefficient of the differential equation, with (1 - u R0)
-inverted once.
+the t**k coefficient of the differential equation, which reads the layers
+0 to k, with (1 - u R0) inverted once per call of t_layers.
 
 With adams=False (the default) this is the specialisation of the
 plethystic count at p_k = 0 for k >= 2: it divides each boundary stratum by
@@ -127,40 +130,50 @@ def _slice(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
     return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
 
 
-def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
-    """phi0 = sum_k phi_k t**k on the box (kmax, dmax of R0), from its t = 0
-    slice phi_0 = R0 and the universal differential equation; r0 itself
-    when kmax is 0.  The t**k coefficient of that equation
+def _t_layer(phi: MultiSeries, k: int) -> MultiSeries:
+    """The t**k coefficient phi_k of phi, a series on the z-box of phi."""
+    return MultiSeries(phi.grading, 0, phi.dmax,
+                       {(0, d): c for (j, d), c in phi.coeffs.items() if j == k})
+
+
+def t_layers(phi: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
+    """phi0 = sum_k phi_k t**k on the box (kmax, dmax of phi), from the
+    universal differential equation and the layers phi_0 = R0, ...,
+    phi_{phi.kmax} that phi already holds: R0 alone when phi is the t = 0
+    slice, and phi itself when kmax is phi.kmax.  The t**k coefficient of
+    that equation
 
         (k+1)(1 - u R0) phi_{k+1}
             = (u+1) phi_k + [k=1] + u sum_{i=1}^{k} (k-i+1) phi_i phi_{k-i+1}
 
     has a sum whose terms i and k+1-i add up to (k+1) phi_i phi_{k+1-i}, so
 
-        phi_{k+1} = (1 - u R0)**-1 * ( ((u+1) phi_k + [k=1]) / (k+1)
-                                       + u/2 sum_{i=1}^{k} phi_i phi_{k+1-i} ),
+        phi_{k+1} = (1 - u R0)**-1 * ( (u+1)/(k+1) phi_k + [k=1]/2
+                                       + u sum_{i<k+1-i} phi_i phi_{k+1-i}
+                                       + u/2 [k+1 even] phi_{(k+1)/2}**2 ),
 
-    which takes one product per unordered pair {i, k+1-i}.  `u` is the
-    variable by default; the Euler limit passes the constant 1, where the
-    equation reads (1 - phi0) phi0_t = 2 phi0 + t."""
-    if not kmax:
-        return r0
-    inv = series_pow_binomial(r0.scale(-u), -1)  # 1/(1 - u R0)
-    one = MultiSeries.const(r0.grading, 0, r0.dmax, RF_ONE)
-    half_u = u * Fraction(1, 2)
-    layers = [r0]
-    for k in range(kmax):
-        pairs = MultiSeries.zero(r0.grading, 0, r0.dmax)
-        for i in range(1, (k + 1) // 2 + 1):
-            prod = layers[i] * layers[k + 1 - i]
-            pairs = pairs + (prod if 2 * i == k + 1 else prod.scale(2))
-        lin = layers[k].scale(u + 1)
+    one product per unordered pair {i, k+1-i}, and one scaling each for
+    phi_k, the off-diagonal sum and the square.  Layer k+1 reads layers 0
+    to k.  `u` is the variable by default; the Euler limit passes the
+    constant 1, where the equation reads (1 - phi0) phi0_t = 2 phi0 + t."""
+    if kmax == phi.kmax:
+        return phi
+    layers = [_t_layer(phi, k) for k in range(phi.kmax + 1)]
+    inv = series_pow_binomial(layers[0].scale(-u), -1)  # 1/(1 - u R0)
+    for k in range(phi.kmax, kmax):
+        rhs = layers[k].scale((u + 1) * Fraction(1, k + 1))
+        off = [layers[i] * layers[k + 1 - i] for i in range(1, k // 2 + 1)]
+        if off:
+            rhs = rhs + sum(off[1:], off[0]).scale(u)
+        if k % 2:
+            mid = layers[(k + 1) // 2]
+            rhs = rhs + (mid * mid).scale(u * Fraction(1, 2))
         if k == 1:
-            lin = lin + one
-        layers.append(inv * (lin.scale(Fraction(1, k + 1)) + pairs.scale(half_u)))
+            rhs = rhs + MultiSeries.const(phi.grading, 0, phi.dmax, Fraction(1, 2))
+        layers.append(inv * rhs)
     coeffs = {(k, d): c for k, layer in enumerate(layers)
               for (_, d), c in layer.coeffs.items()}
-    return MultiSeries(r0.grading, kmax, r0.dmax, coeffs)
+    return MultiSeries(phi.grading, kmax, phi.dmax, coeffs)
 
 
 def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
@@ -181,11 +194,11 @@ def _quadratic(phi: MultiSeries, u, adams: bool) -> MultiSeries:
     return sq.scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
 
 
-def closed_form(phi: MultiSeries, u=RF_U, adams: bool = False) -> MultiSeries:
-    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box of phi, with
-    the square phi**2 - psi_2(phi) when adams=True (_quadratic): the
-    potential over P_W.  `u` is the variable by default; the Euler limit
-    passes the constant 1.
+def closed_form(phi: MultiSeries, u=RF_U, adams: bool = False, kmax=None) -> MultiSeries:
+    """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box (kmax, dmax
+    of phi), kmax being phi.kmax unless given, with the square phi**2 -
+    psi_2(phi) when adams=True (_quadratic): the potential over P_W.  `u` is
+    the variable by default; the Euler limit passes the constant 1.
 
     Only the t = 0 slice R0 is evaluated by the formula, where the t**2
     term vanishes and the square is z-only: -u/(2(u+1)) R0**2 + R0/(u+1).
@@ -193,18 +206,27 @@ def closed_form(phi: MultiSeries, u=RF_U, adams: bool = False) -> MultiSeries:
     That is exact whenever (1 - u phi) phi_t = (u+1) phi + t holds, since
     the t-derivative of the quadratic is ((1 - u phi) phi_t - t)/(u+1) = phi;
     t_layers builds every phi it is given here so that it does, for both
-    callers.  verify_quadratic evaluates the formula on the whole box."""
+    callers.  So the box kmax reads the layers of phi below t**kmax only,
+    and phi may stop one t-order short of it.  verify_quadratic evaluates
+    the formula on the whole box."""
+    kmax = phi.kmax if kmax is None else kmax
+    if not 0 <= kmax <= phi.kmax + 1:
+        raise ValueError(f"the box t**{kmax} needs phi through t**{kmax - 1}, "
+                         f"not t**{phi.kmax}")
     quad = _quadratic(phi.truncate(kmax=0), u, adams)
     coeffs = dict(quad.coeffs)
     for (k, d), c in phi.coeffs.items():
-        if k < phi.kmax:
+        if k < kmax:
             coeffs[(k + 1, d)] = c * Fraction(1, k + 1)
-    return MultiSeries(phi.grading, phi.kmax, phi.dmax, coeffs)
+    return MultiSeries(phi.grading, kmax, phi.dmax, coeffs)
 
 
-def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False) -> MultiSeries:
-    """Phi = P_W * closed_form(phi0) in the same mode."""
-    return closed_form(phi0, adams=adams).scale(RatFunc(w.pw))
+def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False,
+              kmax=None) -> MultiSeries:
+    """Phi = P_W * closed_form(phi0) in the same mode, on the box (kmax, dmax
+    of phi0) with kmax phi0.kmax unless given; it reads phi0 below t**kmax
+    only, so phi0 may stop at t**(kmax-1)."""
+    return closed_form(phi0, adams=adams, kmax=kmax).scale(RatFunc(w.pw))
 
 
 class ClassTable:
@@ -238,7 +260,7 @@ class ClassTable:
                 "k": k,
                 "beta": list(d),
                 "class_u": p.to_json(),
-                "class_q": [str(c) for c in p.q_coeffs()],
+                "class_q": p.adams(2).to_json(),
                 "chi": str(p.eval(1)),
             })
         obj = {"target": self.target_name, "kmax": self.kmax,
@@ -258,8 +280,8 @@ class ClassTable:
         for (k, d) in self.cells():
             p = self.entries[(k, d)]
             beta = ",".join(str(x) for x in d)
-            cu = ",".join(str(c) for c in p.coeffs)
-            cq = ",".join(str(c) for c in p.q_coeffs())
+            cu = ",".join(p.to_json())
+            cq = ",".join(p.adams(2).to_json())
             lines.append(f'"{k}","{beta}","{cu}","{cq}","{p.eval(1)}"')
         return "\n".join(lines) + "\n"
 

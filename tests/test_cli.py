@@ -12,7 +12,9 @@ from stablemaps import cli, eulerchi, solver
 from stablemaps.cli import main
 from stablemaps.qfield import RatFunc
 from stablemaps.series import MultiSeries
-from stablemaps.solver import ClassTable
+from stablemaps.solver import ClassTable, extract_classes, potential, solve_phi0
+from stablemaps.target import parse_target, projective_space
+from test_solver import p1xp1_descriptor, p1xp1_target
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +85,56 @@ class TestCompute:
                      "--dmax", "1", "--out", str(path)]) == 0
         text = path.read_text()
         assert ClassTable.from_json(text).to_json() == text
+
+
+# (target, dmax) of the small edge boxes, each run at kmax 0, 1 and 2
+EDGE_BOXES = [("point", ()), ("pn:1", (3,)), ("p1xp1", (2, 2))]
+
+
+def edge_target(name, tmp_path):
+    """The --target spec and the TargetSpace of an EDGE_BOXES name; p1xp1
+    is written to a descriptor file under tmp_path."""
+    if name != "p1xp1":
+        return name, parse_target(name)
+    path = tmp_path / "p1xp1.json"
+    path.write_text(json.dumps(p1xp1_descriptor()))
+    return f"file:{path}", p1xp1_target()
+
+
+class TestTopLayer:
+    """compute solves phi0 below t**kmax only: the top layer, which no class
+    reads, is left out, and the table is the full-phi0 route's."""
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("kmax", [0, 1, 2])
+    @pytest.mark.parametrize("name, dmax", EDGE_BOXES)
+    def test_table_is_the_full_route(self, capsys, tmp_path, name, dmax, kmax, adams):
+        spec, w = edge_target(name, tmp_path)
+        argv = ["compute", "--target", spec, "--kmax", str(kmax)]
+        argv += ["--dmax", ",".join(map(str, dmax))] if dmax else []
+        argv += ["--adams"] if adams else []
+        full = extract_classes(potential(w, solve_phi0(w, kmax, dmax, adams), adams), w)
+        assert run_cli(capsys, *argv) == (0, full.to_json(), "")
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, full.to_csv(), "")
+
+    def test_compute_drops_the_top_layer_products(self, capsys, monkeypatch):
+        # the top layer t**6 of pn:2 (6; 4) takes kmax // 2 = 3 pair
+        # products and one product by (1 - u R0)**-1
+        calls = []
+        real = MultiSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+        monkeypatch.setattr(MultiSeries, "__mul__", counted)
+        w, kmax, dmax = projective_space(2), 6, (4,)
+        full = extract_classes(potential(w, solve_phi0(w, kmax, dmax)), w).to_json()
+        full_calls = len(calls)
+        calls.clear()
+        code, out, _ = run_cli(capsys, "compute", "--target", "pn:2", "--kmax", "6",
+                               "--dmax", "4")
+        assert code == 0 and out == full
+        assert full_calls - len(calls) == kmax // 2 + 1
 
 
 class TestOracle:

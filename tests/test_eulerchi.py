@@ -9,7 +9,7 @@ from stablemaps.eulerchi import (_log_fixed_point, chi_potential, chi_table, cro
                                  xseries)
 from stablemaps.qfield import RF_ONE, RF_U, RatFunc, necklace
 from stablemaps.series import MultiSeries, series_log1p
-from stablemaps.solver import solve_phi0
+from stablemaps.solver import extract_classes, solve_phi0
 from stablemaps.target import point_target, projective_space, target_from_json
 from test_solver import ADAMS_TERM_BOXES, p1xp1_target, psi_2_by_hand
 
@@ -235,6 +235,36 @@ class TestChiPotential:
         diff = chi_potential(w, phi, adams=True) - chi_potential(w, phi)
         term = psi_2_by_hand(phi).scale(w.pw.eval(1) / 4)
         assert diff == term and not term.is_zero
+
+
+class TestTopLayer:
+    """chi_table solves the limit below t**kmax only, as compute does."""
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("kmax", [0, 1, 2])
+    @pytest.mark.parametrize("w, dmax", [(point_target(), ()), (projective_space(1), (3,)),
+                                         (p1xp1_target(), (2, 2))],
+                             ids=["point", "pn:1", "p1xp1"])
+    def test_chi_table_is_the_full_route(self, w, dmax, kmax, adams):
+        phi = solve_phi0_chi(w, kmax, dmax, adams)
+        full = extract_classes(chi_potential(w, phi, adams))
+        assert chi_table(w, kmax, dmax, adams) == \
+            {cell: p.eval(1) for cell, p in full.entries.items()}
+
+    def test_chi_table_drops_the_top_layer_products(self, monkeypatch):
+        calls = []
+        real = MultiSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+        monkeypatch.setattr(MultiSeries, "__mul__", counted)
+        w, kmax, dmax = projective_space(2), 5, (3,)
+        extract_classes(chi_potential(w, solve_phi0_chi(w, kmax, dmax)))
+        full_calls = len(calls)
+        calls.clear()
+        chi_table(w, kmax, dmax)
+        assert full_calls - len(calls) == kmax // 2 + 1
 
 
 class TestCrosscheck:

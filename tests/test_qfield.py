@@ -59,11 +59,18 @@ class TestUPoly:
         assert poly(5).derivative() == P_ZERO == P_ZERO.derivative()
 
     def test_q_coeffs(self):
-        assert poly(1, 5, 1).q_coeffs() == (1, 0, 5, 0, 1)
+        # the class in the weight variable q, u = q**2, as ClassTable prints it
+        assert poly(1, 5, 1).adams(2).to_json() == ["1", "0", "5", "0", "1"]
 
     def test_json_roundtrip(self):
         p = poly(Fraction(1, 2), -3, 0, 7)
         assert UPoly.from_json(p.to_json()) == p
+
+    def test_json_strings(self):
+        p = poly(Fraction(-3, 4), 0, Fraction(5, 2), -2, Fraction(6, 4))
+        assert p.to_json() == ["-3/4", "0", "5/2", "-2", "3/2"]
+        assert poly(-4, 0, 7).to_json() == ["-4", "0", "7"]
+        assert P_ZERO.to_json() == []
 
 
 class TestGcd:
@@ -337,6 +344,13 @@ class TestUPolyProperties:
         b = sum((UPoly.monomial(i, c) for i, c in enumerate(cs)), P_ZERO)
         assert b == a and hash(b) == hash(a) and str(b) == str(a)
         assert UPoly.from_json(a.to_json()) == a
+
+    @given(polys)
+    def test_json_strings_match_fractions(self, a):
+        # to_json reads the strings off the int numerators; they must be the
+        # strings of the Fraction coefficients, byte for byte
+        assert a.to_json() == [str(c) for c in a.coeffs]
+        assert a.adams(2).to_json() == [str(c) for c in a.adams(2).coeffs]
 
     @given(polys, coeffs)
     def test_scale(self, a, c):

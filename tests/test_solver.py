@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import comb
 
@@ -336,9 +337,10 @@ def full_box_root(w, kmax, dmax, adams, start=None):
     return stationary(lambda phi: phi + verify_functional_equation(w, phi, adams), start)
 
 
-def p1xp1_target():
+def p1xp1_descriptor():
     """P^1 x P^1 as a rank-2 descriptor in the basis of the two rulings,
-    [Map_(a,b)] = [Map_a(P^1)] [Map_b(P^1)]."""
+    [Map_(a,b)] = [Map_a(P^1)] [Map_b(P^1)], as the JSON object of a
+    file: target."""
     line = projective_space(1)
     classes = []
     for a in range(3):
@@ -347,8 +349,11 @@ def p1xp1_target():
                 value = line.map_class((a,)).num * line.map_class((b,)).num
                 classes.append({"beta": [a, b],
                                 "value": {"num": value.to_json(), "den": ["1"]}})
-    return target_from_json({"name": "p1xp1", "rank": 2, "pw": ["1", "2", "1"],
-                             "classes": classes})
+    return {"name": "p1xp1", "rank": 2, "pw": ["1", "2", "1"], "classes": classes}
+
+
+def p1xp1_target():
+    return target_from_json(p1xp1_descriptor())
 
 
 def psi_2_by_hand(s):
@@ -407,3 +412,69 @@ class TestAdamsOperations:
         term = psi_2_by_hand(phi0).scale(RatFunc(U * w.pw, LINE_CLASS.scale(2)))
         assert diff == term
         assert not diff.is_zero and all(k == 0 for k, _ in diff.coeffs)
+
+
+def fraction_formatted(table):
+    """ClassTable.to_json and to_csv written with one Fraction per
+    coefficient: class_q puts each u-coefficient at the doubled q-degree and
+    a Fraction 0 in every odd slot."""
+    def q_coeffs(p):
+        out = [Fraction(0)] * (2 * len(p.coeffs) - 1) if p.coeffs else []
+        out[::2] = p.coeffs
+        return out
+    rows, lines = [], ['"k","beta","class_u","class_q","chi"']
+    for (k, d) in table.cells():
+        p = table.entries[(k, d)]
+        cu, cq = [str(c) for c in p.coeffs], [str(c) for c in q_coeffs(p)]
+        rows.append({"k": k, "beta": list(d), "class_u": cu, "class_q": cq,
+                     "chi": str(p.eval(1))})
+        lines.append(f'"{k}","{",".join(map(str, d))}","{",".join(cu)}",'
+                     f'"{",".join(cq)}","{p.eval(1)}"')
+    obj = {"target": table.target_name, "kmax": table.kmax, "dmax": list(table.dmax),
+           "entries": rows}
+    return json.dumps(obj, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+class TestTableStrings:
+    @pytest.mark.parametrize("w, kmax, dmax", [
+        (projective_space(1), 0, (2,)),   # u**2 + u/2 + 1/2 at beta = 2
+        (projective_space(2), 2, (3,)),
+        (p1xp1_target(), 1, (2, 2)),
+    ])
+    def test_strings_match_fraction_formatting(self, w, kmax, dmax):
+        table = extract_classes(potential(w, solve_phi0(w, kmax, dmax)), w)
+        assert any(p.denom != 1 for p in table.entries.values())
+        assert (table.to_json(), table.to_csv()) == fraction_formatted(table)
+
+    def test_rational_cell_strings(self):
+        w = projective_space(1)
+        table = extract_classes(potential(w, solve_phi0(w, 0, (2,))), w)
+        row = json.loads(table.to_json())["entries"][2]
+        assert (row["class_u"], row["class_q"], row["chi"]) == \
+            (["1/2", "1/2", "1"], ["1/2", "0", "1/2", "0", "1"], "2")
+        assert '"0","2","1/2,1/2,1","1/2,0,1/2,0,1","2"' in table.to_csv().splitlines()
+
+
+class TestTopLayer:
+    """The potential on the box t**kmax reads phi0 below t**kmax only."""
+
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_potential_from_the_lower_layers(self, adams):
+        w, dmax = projective_space(2), (3,)
+        for kmax in (1, 2, 5):
+            lower = solve_phi0(w, kmax - 1, dmax, adams)
+            assert potential(w, lower, adams, kmax=kmax) == \
+                potential(w, solve_phi0(w, kmax, dmax, adams), adams)
+
+    def test_potential_refuses_a_missing_layer(self):
+        w = projective_space(1)
+        with pytest.raises(ValueError, match=r"t\*\*2"):
+            potential(w, solve_phi0(w, 1, (2,)), kmax=3)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_layers_extend_the_solve(self, adams):
+        # the top layers added to a solved phi0 are the solve's own
+        w, dmax = p1xp1_target(), (2, 2)
+        for low in (0, 1, 3):
+            assert solver.t_layers(solve_phi0(w, low, dmax, adams), 4) == \
+                solve_phi0(w, 4, dmax, adams)
