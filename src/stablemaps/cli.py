@@ -18,7 +18,7 @@ import sys
 from functools import cache, cached_property
 
 from .eulerchi import chi_agrees, chi_table
-from .solver import (extract_classes, potential, solve_phi0, t_layers, verify_dt,
+from .solver import (extract_classes, potential, solve_phi0, verify_dt,
                      verify_functional_equation, verify_implicit_numeric,
                      verify_ode, verify_potential_expansion, verify_quadratic)
 from .target import (check_count_request, count_maps_bruteforce, parse_target,
@@ -96,9 +96,8 @@ def cmd_count_ff(args) -> int:
 
 class _Run:
     """What compute and the verify suites share, each computed on first use
-    and at most once: the target and its box, phi0 below t**kmax (all that
-    the potential reads), the whole phi0, the potential and its class
-    table.  With --adams these are the corrected routes."""
+    and at most once: the target and its box, phi0, the potential and its
+    class table.  With --adams these are the corrected routes."""
 
     def __init__(self, args):
         self.args = args
@@ -108,20 +107,17 @@ class _Run:
         return _resolve(self.args)
 
     @cached_property
-    def layers(self):
-        """phi0 through t**(kmax-1), or R0 alone at kmax 0: the one solve."""
-        w, dmax = self.box
-        return solve_phi0(w, max(self.args.kmax - 1, 0), dmax, adams=self.args.adams)
-
-    @cached_property
     def phi0(self):
-        """The whole phi0, for the ode, dt and fe suites: the layers and the
-        top layer t**kmax, which no table reads."""
-        return t_layers(self.layers, self.args.kmax)
+        """The run's one solve: phi0 through t**kmax for verify, whose ode,
+        dt and fe suites read the top layer, and one t-order short for
+        compute, since the table reads phi0 below t**kmax only."""
+        w, dmax = self.box
+        kmax = self.args.kmax if self.args.command == "verify" else max(self.args.kmax - 1, 0)
+        return solve_phi0(w, kmax, dmax, adams=self.args.adams)
 
     @cached_property
     def potential(self):
-        return potential(self.box[0], self.layers, adams=self.args.adams,
+        return potential(self.box[0], self.phi0, adams=self.args.adams,
                          kmax=self.args.kmax)
 
     @cached_property

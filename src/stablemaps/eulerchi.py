@@ -106,7 +106,7 @@ def _log_step(w: TargetSpace, kmax: int, dmax, adams: bool = False):
         g = t_ser + phi
         log = series_log1p(g)
         x = sum((series_adams(log, k).scale(c) for k, c in weights), xs)
-        return (one + g) * log - phi - t_ser + x * (one + g)
+        return (one + g) * (log + x) - phi - t_ser
     return step
 
 

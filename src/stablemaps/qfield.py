@@ -109,12 +109,6 @@ class UPoly:
     def is_zero(self) -> bool:
         return not self.numer
 
-    @property
-    def lead(self) -> Fraction:
-        if not self.numer:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.numer[-1], self.denom)
-
     def __bool__(self):
         return bool(self.numer)
 

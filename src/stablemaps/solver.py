@@ -17,7 +17,8 @@ it is a z-only square, and builds every t-layer k >= 1 from the derivative
 identity d/dt (Phi / P_W) = phi0 below, as phi0's layer k - 1 divided by k.
 So the potential up to t**kmax reads phi0 only up to t**(kmax-1): the
 class tables (the CLI's compute, and eulerchi.chi_table) solve phi0 one
-t-order short, and only the ode, dt and fe checks read its top layer.
+t-order short.  The CLI's verify solves the whole box once, since its ode,
+dt and fe checks read the top layer.
 closed_form and t_layers take u as a parameter: the Euler limit in
 stablemaps.eulerchi calls them, and extract_classes, at u = 1.
 
@@ -33,7 +34,7 @@ so H_d = u R0_d + H'_d with H'_d from lower cells, and each cell is one
 division:  R0_d = (P_W H'_d + sum_f E_f H_{d-f}) / (u(u-1) P_W).  Each
 further t-layer phi_{k+1}, the t**(k+1) coefficient of phi0, is solved from
 the t**k coefficient of the differential equation, which reads the layers
-0 to k, with (1 - u R0) inverted once per call of t_layers.
+0 to k, with (1 - u R0) inverted once per solve.
 
 With adams=False (the default) this is the specialisation of the
 plethystic count at p_k = 0 for k >= 2: it divides each boundary stratum by
@@ -130,18 +131,10 @@ def _slice(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
     return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
 
 
-def _t_layer(phi: MultiSeries, k: int) -> MultiSeries:
-    """The t**k coefficient phi_k of phi, a series on the z-box of phi."""
-    return MultiSeries(phi.grading, 0, phi.dmax,
-                       {(0, d): c for (j, d), c in phi.coeffs.items() if j == k})
-
-
-def t_layers(phi: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
-    """phi0 = sum_k phi_k t**k on the box (kmax, dmax of phi), from the
-    universal differential equation and the layers phi_0 = R0, ...,
-    phi_{phi.kmax} that phi already holds: R0 alone when phi is the t = 0
-    slice, and phi itself when kmax is phi.kmax.  The t**k coefficient of
-    that equation
+def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
+    """phi0 = sum_k phi_k t**k on the box (kmax, dmax of R0), from its t = 0
+    slice phi_0 = R0 and the universal differential equation; r0 itself
+    when kmax is 0.  The t**k coefficient of that equation
 
         (k+1)(1 - u R0) phi_{k+1}
             = (u+1) phi_k + [k=1] + u sum_{i=1}^{k} (k-i+1) phi_i phi_{k-i+1}
@@ -153,14 +146,17 @@ def t_layers(phi: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
                                        + u/2 [k+1 even] phi_{(k+1)/2}**2 ),
 
     one product per unordered pair {i, k+1-i}, and one scaling each for
-    phi_k, the off-diagonal sum and the square.  Layer k+1 reads layers 0
-    to k.  `u` is the variable by default; the Euler limit passes the
-    constant 1, where the equation reads (1 - phi0) phi0_t = 2 phi0 + t."""
-    if kmax == phi.kmax:
-        return phi
-    layers = [_t_layer(phi, k) for k in range(phi.kmax + 1)]
-    inv = series_pow_binomial(layers[0].scale(-u), -1)  # 1/(1 - u R0)
-    for k in range(phi.kmax, kmax):
+    phi_k, the off-diagonal sum and the square, with (1 - u R0) inverted
+    once.  Layer k+1 reads layers 0 to k.  `u` is the variable by default;
+    the Euler limit passes the constant 1, where the equation reads
+    (1 - phi0) phi0_t = 2 phi0 + t."""
+    if r0.kmax:
+        raise ValueError(f"t_layers grows phi0 from its t = 0 slice, not from t**{r0.kmax}")
+    if not kmax:
+        return r0
+    layers = [r0]
+    inv = series_pow_binomial(r0.scale(-u), -1)  # 1/(1 - u R0)
+    for k in range(kmax):
         rhs = layers[k].scale((u + 1) * Fraction(1, k + 1))
         off = [layers[i] * layers[k + 1 - i] for i in range(1, k // 2 + 1)]
         if off:
@@ -169,11 +165,11 @@ def t_layers(phi: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
             mid = layers[(k + 1) // 2]
             rhs = rhs + (mid * mid).scale(u * Fraction(1, 2))
         if k == 1:
-            rhs = rhs + MultiSeries.const(phi.grading, 0, phi.dmax, Fraction(1, 2))
+            rhs = rhs + MultiSeries.const(r0.grading, 0, r0.dmax, Fraction(1, 2))
         layers.append(inv * rhs)
     coeffs = {(k, d): c for k, layer in enumerate(layers)
               for (_, d), c in layer.coeffs.items()}
-    return MultiSeries(phi.grading, kmax, phi.dmax, coeffs)
+    return MultiSeries(r0.grading, kmax, r0.dmax, coeffs)
 
 
 def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
@@ -252,17 +248,16 @@ class ClassTable:
                 and self.kmax == other.kmax and self.dmax == other.dmax
                 and self.entries == other.entries)
 
-    def to_json(self) -> str:
-        rows = []
-        for (k, d) in self.cells():
+    def _rows(self):
+        """(k, beta, class_u, class_q, chi) per cell in order: the strings
+        that to_json and to_csv both write, built once per cell."""
+        for k, d in self.cells():
             p = self.entries[(k, d)]
-            rows.append({
-                "k": k,
-                "beta": list(d),
-                "class_u": p.to_json(),
-                "class_q": p.adams(2).to_json(),
-                "chi": str(p.eval(1)),
-            })
+            yield k, d, p.to_json(), p.adams(2).to_json(), str(p.eval(1))
+
+    def to_json(self) -> str:
+        rows = [{"k": k, "beta": list(d), "class_u": cu, "class_q": cq, "chi": chi}
+                for k, d, cu, cq, chi in self._rows()]
         obj = {"target": self.target_name, "kmax": self.kmax,
                "dmax": list(self.dmax), "entries": rows}
         return json.dumps(obj, indent=2) + "\n"
@@ -277,12 +272,8 @@ class ClassTable:
 
     def to_csv(self) -> str:
         lines = ['"k","beta","class_u","class_q","chi"']
-        for (k, d) in self.cells():
-            p = self.entries[(k, d)]
-            beta = ",".join(str(x) for x in d)
-            cu = ",".join(p.to_json())
-            cq = ",".join(p.adams(2).to_json())
-            lines.append(f'"{k}","{beta}","{cu}","{cq}","{p.eval(1)}"')
+        lines += [f'"{k}","{",".join(map(str, d))}","{",".join(cu)}","{",".join(cq)}","{chi}"'
+                  for k, d, cu, cq, chi in self._rows()]
         return "\n".join(lines) + "\n"
 
 

@@ -317,6 +317,35 @@ class TestVerify:
         assert self.verify_call_counts(capsys, monkeypatch, "--adams") == \
             {"parse_target": 1, "solve_phi0": 1}
 
+    def test_whole_box_inverted_once(self, capsys, monkeypatch):
+        # verify solves phi0 through t**kmax in one go, so the suites that
+        # read the top layer take no second inverse of 1 - u R0
+        inverses = []
+        real = solver.series_pow_binomial
+
+        def counted(base, exponent):
+            if exponent == -1:
+                inverses.append(base)
+            return real(base, exponent)
+        monkeypatch.setattr(solver, "series_pow_binomial", counted)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "ode", "--suite", "dt",
+                               "--suite", "fe", "--target", "pn:2", "--kmax", "4",
+                               "--dmax", "3")
+        assert code == 0 and out.count("PASS") == 3
+        assert len(inverses) == 1
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("kmax", [1, 2])
+    @pytest.mark.parametrize("name, dmax", EDGE_BOXES)
+    def test_suites_pass_on_edge_boxes(self, capsys, tmp_path, name, dmax, kmax, adams):
+        spec, _ = edge_target(name, tmp_path)
+        argv = ["verify", "--suite", "oracle", "--suite", "ode", "--suite", "dt",
+                "--suite", "fe", "--suite", "chi", "--target", spec, "--kmax", str(kmax)]
+        argv += ["--dmax", ",".join(map(str, dmax))] if dmax else []
+        argv += ["--adams"] if adams else []
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out.count("PASS"), err) == (0, 5, "")
+
     def test_euler_adams_runs_no_exact_solve(self, capsys, monkeypatch):
         calls = self.count_calls(monkeypatch)
         code, out, _ = run_cli(capsys, "euler", "--target", "pn:2", "--kmax", "2",

@@ -4,11 +4,11 @@ from math import factorial, gcd
 import pytest
 
 from stablemaps import cli, eulerchi, solver
-from stablemaps.eulerchi import (_log_fixed_point, chi_potential, chi_table, crosscheck_chi,
-                                 is_constant_series, solve_phi0_chi, verify_log_equation,
-                                 xseries)
+from stablemaps.eulerchi import (_log_fixed_point, _log_step, chi_potential, chi_table,
+                                 crosscheck_chi, is_constant_series, solve_phi0_chi,
+                                 verify_log_equation, xseries)
 from stablemaps.qfield import RF_ONE, RF_U, RatFunc, necklace
-from stablemaps.series import MultiSeries, series_log1p
+from stablemaps.series import MultiSeries, series_adams, series_log1p
 from stablemaps.solver import extract_classes, solve_phi0
 from stablemaps.target import point_target, projective_space, target_from_json
 from test_solver import ADAMS_TERM_BOXES, p1xp1_target, psi_2_by_hand
@@ -41,12 +41,19 @@ class TestXSeries:
             xseries(w, (1,))
 
 
-def chi_residual(w, phi, kmax, dmax):
+def chi_residual(w, phi, kmax, dmax, adams=False):
+    """F(phi) = (1+t+phi) log(1+t+phi) - 2 phi - t + X (1+t+phi), with two
+    products, and with adams=True the terms phi(k)/k psi_k(log(1+t+phi)),
+    Euler's totient over k, added to X."""
     xs = MultiSeries(w.grading, kmax, dmax, xseries(w, dmax).coeffs)
     one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
     t = MultiSeries.t_power(w.grading, kmax, dmax, 1)
     g = t + phi
-    return (one + g) * series_log1p(g) - phi.scale(2) - t + xs * (one + g)
+    log = series_log1p(g)
+    for k in range(2, sum(dmax) + 1) if adams else ():
+        totient = sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
+        xs = xs + series_adams(log, k).scale(Fraction(totient, k))
+    return (one + g) * log - phi.scale(2) - t + xs * (one + g)
 
 
 class TestChiFixedPoint:
@@ -125,6 +132,42 @@ class TestSliceAndLayers:
         bad = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, k, d,
                                          RatFunc(Fraction(1, 7)))
         assert not verify_log_equation(w, bad, adams).is_zero
+
+
+class TestLogStep:
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("box", ["pn:1", "p1xp1"])
+    def test_step_is_the_two_product_formula(self, limit_solutions, box, adams):
+        # off the fixed point too, where the residual is not zero
+        w, phi = limit_solutions[box, adams]
+        step = _log_step(w, phi.kmax, phi.dmax, adams)
+        for cell in [(0, (1,) * w.grading.rank), (1, (0,) * w.grading.rank)]:
+            moved = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, *cell,
+                                               RatFunc(Fraction(1, 7)))
+            assert step(moved) == moved + chi_residual(w, moved, phi.kmax, phi.dmax, adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_one_product_outside_the_logarithm(self, monkeypatch, limit_solutions, adams):
+        w, phi = limit_solutions["pn:1", adams]
+        step = _log_step(w, phi.kmax, phi.dmax, adams)
+        calls, in_log = [], []
+        real_mul, real_log = MultiSeries.__mul__, eulerchi.series_log1p
+
+        def counted_mul(self, other):
+            if not in_log:
+                calls.append(1)
+            return real_mul(self, other)
+
+        def log_uncounted(g):
+            in_log.append(1)
+            try:
+                return real_log(g)
+            finally:
+                in_log.pop()
+        monkeypatch.setattr(MultiSeries, "__mul__", counted_mul)
+        monkeypatch.setattr(eulerchi, "series_log1p", log_uncounted)
+        step(phi)
+        assert len(calls) == 1
 
 
 class TestAdamsLimit:

@@ -1,6 +1,7 @@
 """Package layout: no module imports a private name from a sibling module,
 or reaches into a private attribute of a name it imports from one, imports
-a name it never uses, or exports a name that only the tests use."""
+a name it never uses, or exports a name or defines a public method that
+only the tests use."""
 
 import ast
 from pathlib import Path
@@ -106,17 +107,18 @@ def test_unused_import_check_flags_a_stranded_name(tmp_path):
     assert unused_imports(tmp_path) == ["a.py: os", "a.py: U", "a.py: series_adams"]
 
 
-def _uses(node, enclosing=()):
-    """The names a syntax tree refers to, as Name ids and Attribute attrs,
-    except a reference to a def or class from inside its own body."""
+def _uses(node, enclosing=(), kinds=(ast.Name, ast.Attribute)):
+    """The names a syntax tree refers to, as Name ids and Attribute attrs
+    (of the node types in kinds), except a reference to a def or class from
+    inside its own body."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing += (node.name,)
-    name = (node.id if isinstance(node, ast.Name)
-            else node.attr if isinstance(node, ast.Attribute) else None)
-    if name is not None and name not in enclosing:
-        yield name
+    if isinstance(node, kinds):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        if name not in enclosing:
+            yield name
     for child in ast.iter_child_nodes(node):
-        yield from _uses(child, enclosing)
+        yield from _uses(child, enclosing, kinds)
 
 
 def unused_exports(package, *others):
@@ -160,3 +162,49 @@ def test_unused_export_check_flags_a_test_only_name(tmp_path):
     (demos / "d.py").write_text("import pkg\npkg.called()\n", encoding="utf-8")
     assert unused_exports(package, demos) == ["recursive", "documented", "imported",
                                               "only_init"]
+
+
+def uncalled_methods(package, *others):
+    """'module: Class.name' for every public method or property of a class
+    in the package that no attribute reference names, outside its own def,
+    in a package module or a file of the other directories."""
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+    modules = {path: parse(path) for path in sorted(package.glob("*.py"))}
+    trees = [*modules.values(), *(parse(p) for d in others for p in sorted(d.glob("*.py")))]
+    used = {name for tree in trees for name in _uses(tree, kinds=ast.Attribute)}
+    return [f"{path.name}: {cls.name}.{fn.name}" for path, tree in modules.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_") and fn.name not in used]
+
+
+def test_every_public_method_has_a_caller():
+    assert uncalled_methods(PACKAGE, ROOT / "perfbench", ROOT / "demos") == []
+
+
+def test_uncalled_method_check_flags_a_test_only_method(tmp_path):
+    package, demos = tmp_path / "pkg", tmp_path / "demos"
+    package.mkdir()
+    demos.mkdir()
+    (package / "a.py").write_text(
+        "class A:\n"
+        "    def called(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        pass\n"
+        "    def recursive(self, n):\n"
+        "        return self.recursive(n - 1) if n else 0\n"
+        "    @property\n"
+        "    def prop(self):\n"
+        "        pass\n"
+        "    def named(self):\n"
+        "        'named below as a bare name only'\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "named = A\n", encoding="utf-8")
+    (demos / "d.py").write_text("import pkg\npkg.A().called()\n", encoding="utf-8")
+    assert uncalled_methods(package, demos) == ["a.py: A.recursive", "a.py: A.prop",
+                                                "a.py: A.named"]

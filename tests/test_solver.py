@@ -471,10 +471,7 @@ class TestTopLayer:
         with pytest.raises(ValueError, match=r"t\*\*2"):
             potential(w, solve_phi0(w, 1, (2,)), kmax=3)
 
-    @pytest.mark.parametrize("adams", [False, True])
-    def test_layers_extend_the_solve(self, adams):
-        # the top layers added to a solved phi0 are the solve's own
-        w, dmax = p1xp1_target(), (2, 2)
-        for low in (0, 1, 3):
-            assert solver.t_layers(solve_phi0(w, low, dmax, adams), 4) == \
-                solve_phi0(w, 4, dmax, adams)
+    def test_layers_grow_from_the_slice_only(self):
+        w = p1xp1_target()
+        with pytest.raises(ValueError, match=r"t = 0 slice, not from t\*\*1"):
+            solver.t_layers(solve_phi0(w, 1, (2, 2)), 4)
