@@ -33,6 +33,8 @@ TREES_VMAX = 18
 
 SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
+# the suites that read phi0's t**kmax layer
+TOP_LAYER_SUITES = frozenset(("ode", "dt", "fe"))
 # phi-degree of the potential suite, and the (u, z) sample of the implicit suite
 POTENTIAL_NMAX = 4
 IMPLICIT_U, IMPLICIT_Z = "4", "1/1000"
@@ -108,11 +110,13 @@ class _Run:
 
     @cached_property
     def phi0(self):
-        """The run's one solve: phi0 through t**kmax for verify, whose ode,
-        dt and fe suites read the top layer, and one t-order short for
-        compute, since the table reads phi0 below t**kmax only."""
+        """The run's one solve: phi0 through t**kmax when one of the ode, dt
+        and fe suites is selected, since they read the top layer, and one
+        t-order short otherwise, since the potential and the table read
+        phi0 below t**kmax only."""
         w, dmax = self.box
-        kmax = self.args.kmax if self.args.command == "verify" else max(self.args.kmax - 1, 0)
+        whole = not TOP_LAYER_SUITES.isdisjoint(getattr(self.args, "suite", ()))
+        kmax = self.args.kmax if whole else max(self.args.kmax - 1, 0)
         return solve_phi0(w, kmax, dmax, adams=self.args.adams)
 
     @cached_property

@@ -17,8 +17,9 @@ it is a z-only square, and builds every t-layer k >= 1 from the derivative
 identity d/dt (Phi / P_W) = phi0 below, as phi0's layer k - 1 divided by k.
 So the potential up to t**kmax reads phi0 only up to t**(kmax-1): the
 class tables (the CLI's compute, and eulerchi.chi_table) solve phi0 one
-t-order short.  The CLI's verify solves the whole box once, since its ode,
-dt and fe checks read the top layer.
+t-order short, and so does the CLI's verify unless its ode, dt or fe
+check, which read the top layer, is selected; then it solves the whole box
+once.
 closed_form and t_layers take u as a parameter: the Euler limit in
 stablemaps.eulerchi calls them, and extract_classes, at u = 1.
 

@@ -26,11 +26,12 @@ The builtin classes satisfy, for every d >= 0,
 which expresses sorting the nonzero (n+1)-tuples of degree-d binary forms
 by the degree of their common factor; verify_recurrence checks it as an
 exact polynomial identity, and count_maps_bruteforce re-derives the same
-numbers over a small prime field by enumerating the tuples themselves.  Its
+numbers over a small prime field by counting the tuples themselves.  Its
 state for a prefix of a tuple is the set of irreducible homogeneous factors
 that the prefix's nonzero forms share, an int bitmask over t1 and the monic
 irreducibles of F_p[x] of degree <= d, which a sieve lists; the gcd of the
-tuple is a unit exactly when that set ends up empty.
+tuple is a unit exactly when that set ends up empty.  The next forms are
+counted class by class, by what they keep of that set.
 """
 
 from __future__ import annotations
@@ -183,6 +184,11 @@ def verify_recurrence(n: int, dmax: int) -> bool:
 # irreducible factors of f are those of P(x) = f(x, 1) = sum a_i x**(d-i),
 # a polynomial of degree d minus the t1-valuation of f.  The homogeneous gcd
 # of a tuple of forms is a unit iff the forms share no irreducible factor.
+#
+# Along a tuple only the shared factor set S matters, and a next form with
+# factor set r moves it to r & S.  So the forms of a slot fall into classes
+# of equal r & S, at most 2**|S| of them, each counted at once; every form
+# lies in exactly one class, so the sum over classes is the sum over forms.
 
 
 def _factor_masks(d: int, p: int) -> dict:
@@ -226,22 +232,29 @@ def check_count_request(n: int, d: int, p: int) -> None:
 
 
 def count_maps_bruteforce(n: int, d: int, p: int) -> int:
-    """Count degree-d maps P^1 -> P^n over F_p by enumerating form tuples.
+    """Count degree-d maps P^1 -> P^n over F_p by counting form tuples.
 
-    Enumerates all (n+1)-tuples of degree-d binary forms over F_p, keeps the
-    tuples that are not identically zero and whose homogeneous gcd is a unit,
-    and divides by p - 1 (the free scalar action).  The state of a processed
-    prefix is the set of irreducible homogeneous factors that all its
-    nonzero forms share, an int bitmask: bit 0 is t1, the other bits are the
-    monic irreducibles of F_p[x] of degree <= d, found by a sieve.  The empty
-    prefix has state -1 (every factor), a nonzero form intersects the state
-    with its own factor set, and the gcd is a unit exactly at state 0.  The
-    state is all a suffix needs, so counts are memoized per (slot, state),
-    and a prefix that already reached state 0 counts its completions in one
-    step.  Each slot visits the zero form once, which leaves the state
-    alone, and one form per F_p^* orbit of nonzero forms (first nonzero
-    coefficient 1) with weight p - 1: scaling a form by c != 0 does not
-    change its factors.  The count is exactly the naive one.
+    Counts the (n+1)-tuples of degree-d binary forms over F_p that are not
+    identically zero and whose homogeneous gcd is a unit, and divides by
+    p - 1 (the free scalar action).  The state of a processed prefix is the
+    set of irreducible homogeneous factors that all its nonzero forms share,
+    an int bitmask: bit 0 is t1, the other bits are the monic irreducibles
+    of F_p[x] of degree <= d, found by a sieve.  The empty prefix has state
+    -1 (every factor), a nonzero form intersects the state with its own
+    factor set, and the gcd is a unit exactly at state 0.  The state is all
+    a suffix needs, so counts are memoized per (slot, state), and a prefix
+    that already reached state 0 counts its completions in one step.  Each
+    slot takes the zero form once, which leaves the state alone, and one
+    form per F_p^* orbit of nonzero forms (first nonzero coefficient 1) with
+    weight p - 1: scaling a form by c != 0 does not change its factors.
+
+    For a state S other than -1, the representatives are counted class by
+    class, keyed by mask & S: holders[b] is the bitset of representatives
+    whose mask has the bit b, and the class T is the intersection of the
+    holders of the bits of T with the complements for the bits of S outside
+    T, split off bit by bit with empty classes dropped.  Its popcount times
+    the completions from T replaces one step per representative, and the
+    count is exactly the naive one.
 
     Returns the number of F_p-points of the degree-d map space, which must
     equal the closed-form class [Map_d] evaluated at u = p.
@@ -257,6 +270,13 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
         if next(filter(None, form), 0) == 1:
             v = form.index(1)
             reps.append((v > 0) | factors[form[v:][::-1]])
+    holders = {}  # a factor bit -> the bitset of the indices that have it
+    for i, mask in enumerate(reps):
+        while mask:
+            low = mask & -mask
+            holders[low] = holders.get(low, 0) | 1 << i
+            mask ^= low
+    everyone = (1 << len(reps)) - 1
 
     count_cache = {}
 
@@ -268,7 +288,24 @@ def count_maps_bruteforce(n: int, d: int, p: int) -> int:
         got = count_cache.get((slot, state))
         if got is not None:
             return got
-        nonzero = sum(completions(slot + 1, state & mask) for mask in reps)
+        if state == -1:  # an all-zero prefix: the next form's set is its own
+            nonzero = sum(completions(slot + 1, mask) for mask in reps)
+        else:
+            classes = [(0, everyone)]  # (mask & state, its members)
+            rest = state
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                split = []
+                for key, members in classes:
+                    inside = members & holders[low]
+                    if inside:
+                        split.append((key | low, inside))
+                    if members ^ inside:
+                        split.append((key, members ^ inside))
+                classes = split
+            nonzero = sum(members.bit_count() * completions(slot + 1, key)
+                          for key, members in classes)
         total = completions(slot + 1, state) + (p - 1) * nonzero
         count_cache[(slot, state)] = total
         return total

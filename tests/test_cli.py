@@ -14,6 +14,7 @@ from stablemaps.qfield import RatFunc
 from stablemaps.series import MultiSeries
 from stablemaps.solver import ClassTable, extract_classes, potential, solve_phi0
 from stablemaps.target import parse_target, projective_space
+from stablemaps.trees import tree_sum_potential
 from test_solver import p1xp1_descriptor, p1xp1_target
 
 
@@ -102,8 +103,9 @@ def edge_target(name, tmp_path):
 
 
 class TestTopLayer:
-    """compute solves phi0 below t**kmax only: the top layer, which no class
-    reads, is left out, and the table is the full-phi0 route's."""
+    """compute, and verify without the ode, dt and fe suites, solve phi0
+    below t**kmax only: the top layer, which no class reads, is left out,
+    and the table is the full-phi0 route's."""
 
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("kmax", [0, 1, 2])
@@ -117,9 +119,9 @@ class TestTopLayer:
         assert run_cli(capsys, *argv) == (0, full.to_json(), "")
         assert run_cli(capsys, *argv, "--format", "csv") == (0, full.to_csv(), "")
 
-    def test_compute_drops_the_top_layer_products(self, capsys, monkeypatch):
-        # the top layer t**6 of pn:2 (6; 4) takes kmax // 2 = 3 pair
-        # products and one product by (1 - u R0)**-1
+    @staticmethod
+    def count_products(monkeypatch):
+        """A list that gains one entry per MultiSeries product."""
         calls = []
         real = MultiSeries.__mul__
 
@@ -127,6 +129,12 @@ class TestTopLayer:
             calls.append(1)
             return real(self, other)
         monkeypatch.setattr(MultiSeries, "__mul__", counted)
+        return calls
+
+    def test_compute_drops_the_top_layer_products(self, capsys, monkeypatch):
+        # the top layer t**6 of pn:2 (6; 4) takes kmax // 2 = 3 pair
+        # products and one product by (1 - u R0)**-1
+        calls = self.count_products(monkeypatch)
         w, kmax, dmax = projective_space(2), 6, (4,)
         full = extract_classes(potential(w, solve_phi0(w, kmax, dmax)), w).to_json()
         full_calls = len(calls)
@@ -134,6 +142,23 @@ class TestTopLayer:
         code, out, _ = run_cli(capsys, "compute", "--target", "pn:2", "--kmax", "6",
                                "--dmax", "4")
         assert code == 0 and out == full
+        assert full_calls - len(calls) == kmax // 2 + 1
+
+    def test_verify_without_top_layer_suites_drops_the_products(self, capsys, monkeypatch):
+        # no ode, dt or fe suite reads the t**6 layer, so verify solves one
+        # t-order short too: the oracle suite's products are the full-box
+        # route's less kmax // 2 + 1
+        calls = self.count_products(monkeypatch)
+        w, kmax, dmax = projective_space(2), 6, (4,)
+        assert potential(w, solve_phi0(w, kmax, dmax)) == tree_sum_potential(w, kmax, dmax)
+        full_calls = len(calls)
+        calls.clear()
+        code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--target", "pn:2",
+                               "--kmax", "6", "--dmax", "4")
+        assert code == 0
+        assert out == ("PASS oracle: solver potential equals tree sum\n"
+                       '{"results": [{"suite": "oracle", "pass": true, '
+                       '"detail": "solver potential equals tree sum"}], "ok": true}\n')
         assert full_calls - len(calls) == kmax // 2 + 1
 
 

@@ -186,7 +186,8 @@ class TestBruteForceCount:
     def test_matches_naive_enumeration(self, n, d, p):
         assert count_maps_bruteforce(n, d, p) == naive_count(n, d, p)
 
-    @pytest.mark.parametrize("n, d, p", [(1, 2, 7), (2, 3, 3), (2, 2, 7), (1, 2, 31)])
+    @pytest.mark.parametrize("n, d, p", [(1, 2, 7), (2, 3, 3), (2, 2, 7), (1, 2, 31),
+                                         (1, 8, 3), (1, 10, 2)])
     def test_larger_cases_match_closed_form(self, n, d, p):
         w = projective_space(n)
         assert count_maps_bruteforce(n, d, p) == w.map_class((d,)).eval_at(p)
