@@ -12,11 +12,13 @@ every box cell of a product is exact; the box is closed downward, which is
 what makes box truncation a quotient ring.  A product whose smaller factor
 has two or more cells runs on ints by Kronecker substitution: each factor
 is put over one denominator L * D (an int L and a monic polynomial D), each
-cell's int numerator is packed once as its value at u = 2**bits, each
-in-box pair costs one int multiply, and each output cell is unpacked once
-and reduced once.  A series is never changed once built, so each one
-scales its numerators to ints at most once, on its first product, and the
-in-box pairs of each box are planned once per process.
+cell's int numerator is packed as its value at u = 2**bits, with bits a
+whole number of 32-bit words, each in-box pair costs one int multiply, and
+each output cell is unpacked once and reduced once.  A series is never
+changed once built, so each one scales its numerators to ints at most
+once, on its first product, and packs them once per slot width and box,
+keeping the packed image for its next partner; the in-box pairs of each
+box are planned once per process.
 
 Besides ring operations the module provides the two compositions the
 moduli computation needs, both finite inside a box because their argument
@@ -153,7 +155,7 @@ class MultiSeries:
     series only known at t-order 0.
     """
 
-    __slots__ = ("grading", "kmax", "dmax", "coeffs", "_scaled")
+    __slots__ = ("grading", "kmax", "dmax", "coeffs", "_scaled", "_images")
 
     def __init__(self, grading: Grading, kmax: int, dmax, coeffs=None):
         dmax = tuple(int(x) for x in dmax)
@@ -176,7 +178,7 @@ class MultiSeries:
                 if not c.is_zero:
                     clean[(k, d)] = c
         self.coeffs = clean
-        self._scaled = None
+        self._scaled = self._images = None
 
     @classmethod
     def _new(cls, grading, kmax, dmax, coeffs) -> "MultiSeries":
@@ -186,7 +188,7 @@ class MultiSeries:
         s.kmax = kmax
         s.dmax = dmax
         s.coeffs = coeffs
-        s._scaled = None
+        s._scaled = s._images = None
         return s
 
     @classmethod
@@ -286,6 +288,20 @@ class MultiSeries:
             got = self._scaled = _scaled_numerators(self.coeffs)
         return got
 
+    def _packed(self, bits: int, box: tuple) -> dict:
+        """{cell: _pack(numerator, bits)} over this series' cells in the box
+        (kmax, dmax): its packed image, made on the first product at this
+        slot width on this box and kept for the next."""
+        images = self._images
+        if images is None:
+            images = self._images = {}
+        got = images.get((bits, box))
+        if got is None:
+            rows, plan = self._int_numerators()[2], _pair_plan(*box)
+            got = images[(bits, box)] = {key: _pack(row, bits)
+                                         for key, row in rows.items() if key in plan}
+        return got
+
     def __mul__(self, other):
         """Product on the common box, or scaling by a scalar.  Each term of
         the smaller operand visits only its partners in the larger whose
@@ -294,8 +310,9 @@ class MultiSeries:
         An empty or one-cell operand shares no output cell between pairs, so
         it multiplies the coefficients directly.  Otherwise each operand is
         put over its denominator L * D and each cell's numerator is packed
-        into one int (Kronecker substitution, _pack), in slots wide enough
-        that no sum of products overflows; a pair is then one int multiply
+        into one int (Kronecker substitution, _pack), in slots of whole
+        32-bit words wide enough that no sum of products overflows, once per
+        operand, slot width and common box; a pair is then one int multiply
         and add, and each output cell is unpacked once into the RatFunc of
         its numerator over La * Lb * Da * Db."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
@@ -310,11 +327,14 @@ class MultiSeries:
             out = {key: c1 * b[key2] for key1, c1 in a.items()
                    for key2, key in plan.get(key1, {}).items() if key2 in b}
             return MultiSeries._new(self.grading, kmax, dmax, out)
-        la, da, rows_a, top_a, len_a = small._int_numerators()
-        lb, db, rows_b, top_b, len_b = large._int_numerators()
+        la, da, _, top_a, len_a = small._int_numerators()
+        lb, db, _, top_b, len_b = large._int_numerators()
         bits = (top_a * top_b * min(len_a, len_b) * len(a)).bit_length() + 2
-        a = {key: _pack(row, bits) for key, row in rows_a.items() if key in plan}
-        b = {key: _pack(row, bits) for key, row in rows_b.items() if key in plan}
+        # whole 32-bit words, so that partners of about the same size share
+        # an operand's packed image
+        bits = -(-bits // 32) * 32
+        a = small._packed(bits, (kmax, dmax))
+        b = large._packed(bits, (kmax, dmax))
         out = {}
         for key1, c1 in a.items():
             for key2, key in plan[key1].items():

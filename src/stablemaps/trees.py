@@ -50,7 +50,11 @@ the root fixes; each tuple extends the same tuple without its last class
 of identical children, so codes that begin alike, and a central edge and
 every vertex with the same two children, share those products.  The
 powers psi_j(sub)**e are cached per subtree and the vertex factor
-N(W, beta) * (M_1)_n per (beta, n).
+N(W, beta) * (M_1)_n per (beta, n).  A root factor depends on the
+children's cycle type and the root's fixed points only through the vertex
+type: the numbers of fixed and of all special points and the cycles of
+length j >= 2 (the moved product prod_{j >= 2} (M_j)_(m_j)).  It is built
+once per type, which without adams is one series per special-point count.
 
 Trees are enumerated without isomorphism duplicates and without
 re-rooting (the centre construction of Wright, Richmond, Odlyzko and
@@ -307,19 +311,22 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
         special points, L = [P^1]."""
         return nclass(w, beta) * _falling(RatFunc(LINE_CLASS), n)
 
-    @cache
     def root(ctype, fixed: int) -> MultiSeries:
         """sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k z**beta
         for a vertex whose children have cycle type ctype (a sorted
         (j, m_j) tuple) and which has `fixed` more special points fixed
         besides its k marks."""
-        cycles = dict(ctype)
+        n_fixed = fixed + dict(ctype).get(1, 0)
+        n_base = fixed + sum(j * m_j for j, m_j in ctype)
+        return vertex_type(n_fixed, n_base, tuple(c for c in ctype if c[0] > 1))
+
+    @cache
+    def vertex_type(n_fixed: int, n_base: int, moved_type) -> MultiSeries:
+        """The root factor of a vertex with n_fixed fixed and n_base special
+        points in all, whose cycles of length j >= 2 are moved_type."""
         moved = RF_ONE
-        for j, m_j in cycles.items():
-            if j > 1:
-                moved = moved * _falling(RatFunc(necklace(j)), m_j)
-        n_base = fixed + sum(j * m_j for j, m_j in cycles.items())
-        n_fixed = cycles.get(1, 0) + fixed
+        for j, m_j in moved_type:
+            moved = moved * _falling(RatFunc(necklace(j)), m_j)
         coeffs = {}
         for kv in range(kmax + 1):
             weight = moved * Fraction(1, factorial(kv))
@@ -394,7 +401,7 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
                 total = total + (acc.scale(Fraction(1, weight)) if weight > 1 else acc)
     finally:
         # the nested functions form a reference cycle: free the series now
-        for f in (vertex, root, power, children, rooted):
+        for f in (vertex, vertex_type, power, children, rooted):
             f.cache_clear()
     return total
 

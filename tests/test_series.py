@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from stablemaps import series
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
 from stablemaps.series import (Grading, MultiSeries, box_vectors, series_adams,
                                series_dt, series_log1p, series_pow_binomial,
@@ -217,6 +218,42 @@ class TestArithmetic:
             assert a * b == naive_mul(a, b)
             assert b * a == naive_mul(b, a)
         assert a == before
+
+    def test_packed_image_is_kept_per_slot_width(self, monkeypatch):
+        # an operand keeps one packed image per slot width and common box:
+        # partners that need 32-, 64- and 128-bit slots, one over a
+        # polynomial denominator and one on a smaller box (where `a`, with
+        # 8 cells to its 9, is the operand whose cells visit the plan) each
+        # get the product of a fresh copy (empty caches) and of the naive
+        # convolution, and a repeated product packs no cell of `a` again
+        rng = random.Random(11)
+        a = rand_series(rng, kmax=3, dmax=(2,))
+        narrow = rand_series(rng, kmax=3, dmax=(2,))
+        dense = MultiSeries(G1, 2, (2,), {(k, (d,)): RatFunc(k + d + 1)
+                                          for k in range(3) for d in range(3)})
+        partners = [narrow, narrow.scale(2 ** 30), narrow.scale(2 ** 90),
+                    narrow.scale(RatFunc(1, UPoly((1, 1)))), dense]
+        widths = []
+        pack = series._pack
+
+        def counting(row, bits):
+            widths.append(bits)
+            return pack(row, bits)
+
+        monkeypatch.setattr(series, "_pack", counting)
+        for b in partners:
+            fresh = MultiSeries.from_json(a.to_json())
+            assert a * b == fresh * b == naive_mul(a, b)
+        assert {32, 64, 128} <= set(widths)
+        for b in partners:
+            del widths[:]
+            got = a * b
+            assert not widths
+            b_again = MultiSeries.from_json(b.to_json())
+            assert a * b_again == got
+            # only the fresh partner's cells inside the common box are packed
+            box = a._common_box(b_again)
+            assert len(widths) == len(b_again.truncate(*box).coeffs)
 
     def test_mul_attains_the_slot_bound(self):
         # every cell pairs with one partner in the top cell (3, (2,)), all

@@ -476,6 +476,14 @@ class TestBurnside:
         got = tree_sum_potential(w, kmax, dmax, adams=True)
         assert got == burnside_by_elements(w, kmax, dmax)
 
+    def test_root_factor_depends_on_the_moved_cycles(self):
+        # degree 4 on P^1 reaches a vertex whose four identical degree-one
+        # leaves are permuted by a 4-cycle or by two 2-cycles: the same
+        # fixed and total special-point counts, but different root factors
+        w = projective_space(1)
+        got = tree_sum_potential(w, 0, (4,), adams=True)
+        assert got == potential(w, solve_phi0(w, 0, (4,), adams=True), adams=True)
+
     def test_degree_two_line(self):
         # Mbar_{0,0}(P^1, 2): u^2 from the open cell and u + 1 from the
         # two-component stratum, (1/2)((u+1) + psi_2 applied to the swap)
