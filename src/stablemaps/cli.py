@@ -186,8 +186,8 @@ def cmd_verify(args) -> int:
     run = _Run(args)
     if args.dmaxff < 0:
         raise ValueError(f"--dmaxff {args.dmaxff} must be >= 0")
-    if not args.tolerance >= 0:  # also refuses nan
-        raise ValueError(f"--tolerance {args.tolerance} must be a number >= 0")
+    if not 0 <= args.tolerance < float("inf"):  # also refuses nan
+        raise ValueError(f"--tolerance {args.tolerance} must be a finite number >= 0")
     if "ode" in args.suite and args.kmax < 1:
         raise ValueError(f"--suite ode needs --kmax >= 1: at --kmax {args.kmax} "
                          "both residuals live on an empty box")

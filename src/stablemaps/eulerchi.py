@@ -13,10 +13,17 @@ the map-space classes at u = 1:
     X = sum_{beta != 0} d/du ( [Map_beta] / P_W ) |_{u=1} * z**beta.
 
 For the builtin projective target every coefficient of X equals n, i.e.
-X = n z / (1 - z).  As in the solver, only the t = 0 slice is solved from
-the equation itself, order by order (each new total order is determined
-linearly with an invertible constant).  Differentiating it in t gives the
-universal differential equation at u = 1,
+X = n z / (1 - z).  As in the solver, only the t = 0 slice R is solved
+from the equation itself, by _log_slice, one z-cell d != 0 at a time in the
+order of series.slice_cells.  At t = 0 the equation reads (1 + R)(l + X) =
+2 R with l = log(1 + R), and with Miller's recurrence for the logarithm
+each cell is explicit, sum_f running over the splits 0 < f < d:
+
+    R_d = X_d + sum_f (X_f R_{d-f} + |f|/|d| R_f l_{d-f}),
+    l_d = R_d - sum_f |d-f|/|d| l_{d-f} R_f.
+
+Differentiating the equation in t gives the universal differential
+equation at u = 1,
 
     (1 - phi) phi_t = 2 phi + t,
 
@@ -39,19 +46,22 @@ is the limit's own t = 0 slice R.  So A is 1 at u = 1 and
 
     d/du (E A / P_W) |_{u=1} = X + sum_{k=2}^{|dmax|} phi(k)/k psi_k(log(1 + R)),
 
-which _log_step adds to X from the log(1 + t + phi) it already takes
-(psi_k sends t to 0).  At z-order n the sum sees R only below order n/2,
-so the iteration still settles one order per pass.  The chi-potential
-is the solver's closed form at u = 1 in the same mode, so its square
-phi**2 becomes phi**2 - psi_2(phi), which adds chi(W)/4 psi_2(R).
+which verify_log_equation adds to X from the log(1 + t + phi) it already
+takes (psi_k sends t to 0), and _log_slice to X_d from l at the lower cells
+d/k.  The chi-potential is the solver's closed form at u = 1 in the same
+mode, so its square phi**2 becomes phi**2 - psi_2(phi), which adds
+chi(W)/4 psi_2(R).
 
 Series here have constant rational coefficients.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from .qfield import RF_ONE, RatFunc, necklace
-from .series import MultiSeries, box_vectors, series_adams, series_log1p, stationary
+from .series import MultiSeries, box_vectors, series_adams, series_log1p, slice_cells
 from .solver import ClassTable, closed_form, extract_classes, potential, solve_phi0, t_layers
 from .target import TargetSpace, eisenstein_series
 
@@ -88,37 +98,19 @@ def xseries(w: TargetSpace, dmax=None) -> MultiSeries:
     return MultiSeries(w.grading, 0, dmax, coeffs)
 
 
-def _log_step(w: TargetSpace, kmax: int, dmax, adams: bool = False):
-    """The map phi -> phi + F(phi) on the box, with
-
-        F(phi) = (1+t+phi) log(1+t+phi) - 2 phi - t + X (1+t+phi);
-
-    its fixed points are the solutions of the logarithmic equation and its
-    value minus phi is the residual.  X is xseries(w, dmax), plus
-    sum_{k>=2} phi(k)/k psi_k(log(1+t+phi)) with adams=True."""
-    xs = MultiSeries(w.grading, kmax, dmax, xseries(w, dmax).coeffs)
-    one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
-    t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
-    weights = [(k, necklace(k).derivative().eval(1))
-               for k in range(2, sum(dmax) + 1)] if adams else []
-
-    def step(phi):
-        g = t_ser + phi
-        log = series_log1p(g)
-        x = sum((series_adams(log, k).scale(c) for k, c in weights), xs)
-        return (one + g) * (log + x) - phi - t_ser
-    return step
-
-
-def _log_fixed_point(w: TargetSpace, kmax: int, dmax, adams: bool = False) -> MultiSeries:
-    """Stationary iteration of _log_step on any box, from zero.  The
-    phi-derivative of phi + F(phi) is log(1+t+phi) + X, which vanishes at
-    the origin, so each pass determines exactly one more total order; this
-    is the order-by-order linear solve in iterated form."""
-    phi = stationary(_log_step(w, kmax, dmax, adams), MultiSeries.zero(w.grading, kmax, dmax))
-    if not is_constant_series(phi):
-        raise RuntimeError("Euler-limit solution left the constant field")
-    return phi
+def _log_slice(w: TargetSpace, dmax, adams: bool = False) -> MultiSeries:
+    """R = phi|_{t=0} on the z-box dmax, cell by cell as the module docstring
+    derives it, beside lg = log(1 + R) and x = X, which gains the terms
+    phi(k)/k psi_k(lg) of the Adams mode as each cell comes up."""
+    xs = {d: c.eval_at(1) for (_, d), c in xseries(w, dmax).coeffs.items()}
+    r, lg, x = {}, {}, {}
+    for d, parts in slice_cells(dmax):
+        n, inner, g = sum(d), parts[:-1], gcd(*d)
+        x[d] = xs.get(d, 0) + sum(necklace(k).derivative().eval(1) * lg[tuple(i // k for i in d)]
+                                  for k in range(2, g + 1) if adams and g % k == 0)
+        r[d] = x[d] + Fraction(sum(n * x[f] * r[q] + m * r[f] * lg[q] for f, q, m in inner), n)
+        lg[d] = r[d] - Fraction(sum((n - m) * lg[q] * r[f] for f, q, m in inner), n)
+    return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
 
 
 def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
@@ -126,24 +118,37 @@ def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) ->
     exact over Q within the truncation box; with adams=True, of the limit
     of E * A (see the module docstring).
 
-    Only the t = 0 slice is found by the fixed point of the logarithmic
-    equation (_log_fixed_point on the z-box); the t-layers come from the
-    universal differential equation at u = 1, (1 - phi) phi_t = 2 phi + t,
-    which follows from the logarithmic equation by differentiating in t
-    (solver.t_layers with u = 1).  verify_log_equation re-checks the result
-    on the whole box without that equation.
+    Only the t = 0 slice is solved from the logarithmic equation, cell by
+    cell (_log_slice), and confirmed by one residual on the z-box
+    (verify_log_equation): a nonzero residual, or a slice that leaves the
+    constant field, raises RuntimeError.  The t-layers come from the
+    differential equation at u = 1 (solver.t_layers with u = 1).
     """
     dmax = w.box(dmax, kmax)
-    return t_layers(_log_fixed_point(w, 0, dmax, adams), kmax, RF_ONE)
+    r = _log_slice(w, dmax, adams)
+    if not is_constant_series(r):
+        raise RuntimeError("Euler-limit solution left the constant field")
+    if not verify_log_equation(w, r, adams).is_zero:
+        raise RuntimeError("Euler-limit slice fails the logarithmic equation")
+    return t_layers(r, kmax, RF_ONE)
 
 
 def verify_log_equation(w: TargetSpace, phi: MultiSeries, adams: bool = False) -> MultiSeries:
-    """Residual F(phi) of the logarithmic equation (with the Adams terms of
-    X when adams=True) on the whole box of phi; the zero series exactly
-    when phi solves it.  One full-box log(1+t+phi), and nothing from the
-    differential equation that builds the t-layers of solve_phi0_chi."""
-    step = _log_step(w, phi.kmax, phi.dmax, adams)
-    return step(phi) - phi
+    """Residual F(phi) = (1+t+phi)(log(1+t+phi) + X) - 2 phi - t of the
+    logarithmic equation on the whole box of phi, X being xseries(w, dmax)
+    plus sum_{k>=2} phi(k)/k psi_k(log(1+t+phi)) when adams=True; the zero
+    series exactly when phi solves it.  One full-box log(1+t+phi) and one
+    product, and nothing of the slice recurrence or of the differential
+    equation that build solve_phi0_chi."""
+    kmax, dmax = phi.kmax, phi.dmax
+    one = MultiSeries.const(w.grading, kmax, dmax, RF_ONE)
+    t_ser = MultiSeries.t_power(w.grading, kmax, dmax, 1)
+    g = t_ser + phi
+    log = series_log1p(g)
+    x = sum((series_adams(log, k).scale(necklace(k).derivative().eval(1))
+             for k in range(2, sum(dmax) + 1) if adams),
+            MultiSeries(w.grading, kmax, dmax, xseries(w, dmax).coeffs))
+    return (one + g) * (log + x) - phi.scale(2) - t_ser
 
 
 def chi_potential(w: TargetSpace, phi0chi: MultiSeries, adams: bool = False,

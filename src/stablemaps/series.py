@@ -31,8 +31,8 @@ has no constant term:
 the formal t-derivative, and the Adams operations series_adams(g, k), the
 lambda-ring endomorphisms u -> u**k, z**b -> z**(k b), t -> 0 (t tracks
 labelled marked points, which no nontrivial symmetry can move).
-stationary(step, phi) is the order-by-order stationary iteration that
-solves the u -> 1 limit, and the functional equation in the tests.
+slice_cells(dmax) is the cell order, with the splits of each cell, in
+which both routes solve their t = 0 slice.
 Coefficients are stored sparsely; an absent key is a zero coefficient.
 """
 
@@ -396,17 +396,13 @@ class MultiSeries:
         return cls(grading, data["kmax"], dmax, coeffs)
 
 
-def stationary(step, phi: MultiSeries) -> MultiSeries:
-    """Iterate phi <- step(phi) until it stops changing and return that series:
-    the Euler limit's slice, or the tests' full-box root of the solver's (*).
-    A step that settles one more total order per pass is stationary after at
-    most phi.max_total_order() + 2 updates; a RuntimeError says it never did."""
-    for _ in range(phi.max_total_order() + 3):
-        nxt = step(phi)
-        if nxt == phi:
-            return phi
-        phi = nxt
-    raise RuntimeError("iteration failed to become stationary")
+def slice_cells(dmax):
+    """(d, splits) for each z-cell d != 0 of the box dmax by increasing total
+    degree |d|, where splits lists (f, d - f, |f|) for 0 < f <= d with f = d
+    last: the order in which a t = 0 slice is solved one cell at a time,
+    each cell reading only cells of lower degree."""
+    for d in sorted(box_vectors(dmax), key=sum)[1:]:
+        yield d, [(f, tuple(map(sub, d, f)), sum(f)) for f in box_vectors(d)][1:]
 
 
 def _power_sum(g: MultiSeries, c0, coeff, name: str) -> MultiSeries:

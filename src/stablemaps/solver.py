@@ -26,8 +26,8 @@ stablemaps.eulerchi calls them, and extract_classes, at u = 1.
 Because phi0 solves (*) it also solves the universal differential equation
 (below), and solve_phi0 uses that split.  Only the z-only t = 0 slice
 R0 = phi0|_{t=0} is solved from (*), by _slice: one z-cell d != 0 at a time
-by increasing total degree |d|, each sum_f below running over the splits
-(f, d - f) with 0 < f <= d.  At t = 0, (*) times u(u-1) reads
+by increasing total degree |d| (series.slice_cells), each sum_f below over
+the splits (f, d - f) with 0 < f <= d.  At t = 0, (*) times u(u-1) reads
 E H = P_W (u**2 R0 + 1), with H = (1 + R0)**u and E_0 = P_W.  Miller's
 recurrence for powers of a series (Knuth, TAOCP vol. 2, 4.7),
 |d| H_d = sum_f (u|f| - |d-f|) R0_f H_{d-f}, has the f = d term u |d| R0_d,
@@ -84,11 +84,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import factorial, gcd
-from operator import sub
 
 from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RF_ZERO,
                      RatFunc, U, UPoly, binom_falling, necklace)
-from .series import MultiSeries, box_vectors, series_adams, series_dt, series_pow_binomial
+from .series import (MultiSeries, box_vectors, series_adams, series_dt, series_pow_binomial,
+                     slice_cells)
 from .target import TargetSpace, eisenstein_series, nclass
 
 _INV_UM1 = RatFunc(P_ONE, UPoly((-1, 1)))      # 1/(u-1)
@@ -113,10 +113,9 @@ def _slice(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
     zero, pw = w.grading.zero, RatFunc(w.pw)
     den = RatFunc(U * UPoly((-1, 1)) * w.pw)  # u(u-1)P_W
     r, h, ea, a, lam, lg = {}, {zero: RF_ONE}, {zero: pw}, {zero: RF_ONE}, {}, {}
-    for d in sorted(box_vectors(dmax), key=sum)[1:]:
+    for d, parts in slice_cells(dmax):
         n = sum(d)
-        parts = [(f, tuple(map(sub, d, f)), sum(f)) for f in box_vectors(d)][1:]
-        inner = parts[:-1]  # the splits (f, d - f, |f|) with 0 < f < d; parts adds f = d
+        inner = parts[:-1]  # the splits with 0 < f < d; parts adds f = d
         ea[d] = e.coeff(0, d)
         if adams:
             g = gcd(*d)

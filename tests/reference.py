@@ -1,6 +1,9 @@
 """Independent references the tests compare the package against.
 
 - div_exact: exact polynomial division, refusing a remainder.
+- stationary: the order-by-order iteration phi <- step(phi) that gives each
+  route's full-box reference root, with no slice recurrence and no
+  differential equation.
 - The labelled-marking route: MarkedTree, enum_marked and stratum_class
   price every labelled marking of a tree separately, with no quotient by
   Aut, so that summing them weighted by 1/|Aut| re-derives the tree sum's
@@ -27,6 +30,18 @@ def div_exact(a: UPoly, b: UPoly) -> UPoly:
     if not r.is_zero:
         raise ValueError(f"inexact polynomial division: ({a}) / ({b})")
     return q
+
+
+def stationary(step, phi):
+    """Iterate phi <- step(phi) until it stops changing and return that series.
+    A step that settles one more total order per pass is stationary after at
+    most phi.max_total_order() + 2 updates; a RuntimeError says it never did."""
+    for _ in range(phi.max_total_order() + 3):
+        nxt = step(phi)
+        if nxt == phi:
+            return phi
+        phi = nxt
+    raise RuntimeError("iteration failed to become stationary")
 
 
 # --- the independent canonicaliser ---------------------------------------------

@@ -238,13 +238,15 @@ class TestVerify:
         assert err == ("error: --suite ode needs --kmax >= 1: at --kmax 0 "
                        "both residuals live on an empty box\n")
 
-    @pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0")])
+    @pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("-1", "-1.0"),
+                                                  ("inf", "inf")])
     def test_bad_tolerance_is_refused(self, capsys, tolerance, shown):
-        # before, the implicit suite ran and printed FAIL with exit 1
+        # before, the implicit suite ran and printed FAIL with exit 1 (nan,
+        # -1), or passed on any input (inf)
         code, out, err = run_cli(capsys, "verify", "--suite", "implicit",
                                  "--tolerance", tolerance)
         assert code == 2 and out == ""
-        assert err == f"error: --tolerance {shown} must be a number >= 0\n"
+        assert err == f"error: --tolerance {shown} must be a finite number >= 0\n"
 
     def test_multiple_suites_and_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "recurrence",

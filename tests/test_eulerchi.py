@@ -4,13 +4,14 @@ from math import factorial, gcd
 import pytest
 
 from stablemaps import cli, eulerchi, solver
-from stablemaps.eulerchi import (_log_fixed_point, _log_step, chi_potential, chi_table,
-                                 crosscheck_chi, is_constant_series, solve_phi0_chi,
-                                 verify_log_equation, xseries)
+from stablemaps.eulerchi import (_log_slice, chi_potential, chi_table, crosscheck_chi,
+                                 is_constant_series, solve_phi0_chi, verify_log_equation,
+                                 xseries)
 from stablemaps.qfield import RF_ONE, RF_U, RatFunc, necklace
 from stablemaps.series import MultiSeries, series_adams, series_log1p
 from stablemaps.solver import extract_classes, solve_phi0
 from stablemaps.target import point_target, projective_space, target_from_json
+from reference import stationary
 from test_solver import ADAMS_TERM_BOXES, p1xp1_target, psi_2_by_hand
 
 
@@ -54,6 +55,16 @@ def chi_residual(w, phi, kmax, dmax, adams=False):
         totient = sum(1 for j in range(1, k + 1) if gcd(j, k) == 1)
         xs = xs + series_adams(log, k).scale(Fraction(totient, k))
     return (one + g) * log - phi.scale(2) - t + xs * (one + g)
+
+
+def full_box_limit_root(w, kmax, dmax, adams):
+    """The solution of the logarithmic equation by the stationary iteration
+    phi <- phi + F(phi) on the whole box, from zero: the step's
+    phi-derivative log(1+t+phi) + X has no constant term, so each pass
+    settles one more total order.  Nothing of the slice recurrence or of
+    the differential equation enters."""
+    return stationary(lambda phi: phi + verify_log_equation(w, phi, adams),
+                      MultiSeries.zero(w.grading, kmax, dmax))
 
 
 class TestChiFixedPoint:
@@ -114,10 +125,34 @@ class TestSliceAndLayers:
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("box", LIMIT_BOXES)
     def test_equals_full_box_iteration(self, limit_solutions, box, adams):
-        # the slice fixed point with t-layers from the differential equation
+        # the slice recurrence with t-layers from the differential equation
         # at u = 1 against the log-equation iteration run on the whole box
         w, phi = limit_solutions[box, adams]
-        assert phi == _log_fixed_point(w, phi.kmax, phi.dmax, adams)
+        assert phi == full_box_limit_root(w, phi.kmax, phi.dmax, adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("make, dmax", [(lambda: projective_space(1), (12,)),
+                                            (lambda: projective_space(2), (20,)),
+                                            (p1xp1_target, (2, 2)), (rational_target, (3,))],
+                             ids=["pn:1", "pn:2", "p1xp1", "rational"])
+    def test_slice_is_the_reference_slice(self, make, dmax, adams):
+        w = make()
+        assert _log_slice(w, dmax, adams) == full_box_limit_root(w, 0, dmax, adams)
+
+    @pytest.mark.parametrize("value, message", [
+        (RatFunc(Fraction(1, 7)), "fails the logarithmic equation"),
+        (RF_U, "left the constant field")], ids=["1/7", "u"])
+    def test_tampered_slice_is_refused(self, monkeypatch, value, message):
+        # the slice is confirmed by its residual on the z-box before any
+        # t-layer is built from it
+        real = eulerchi._log_slice
+
+        def faulty(w, dmax, adams=False):
+            r = real(w, dmax, adams)
+            return r + MultiSeries.monomial(r.grading, 0, dmax, 0, (2,), value)
+        monkeypatch.setattr(eulerchi, "_log_slice", faulty)
+        with pytest.raises(RuntimeError, match=message):
+            solve_phi0_chi(projective_space(1), 3, (4,))
 
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("box", LIMIT_BOXES)
@@ -135,21 +170,23 @@ class TestSliceAndLayers:
 
 
 class TestLogStep:
+    """The residual F(phi) of verify_log_equation, whose step phi + F(phi)
+    full_box_limit_root iterates."""
+
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("box", ["pn:1", "p1xp1"])
     def test_step_is_the_two_product_formula(self, limit_solutions, box, adams):
-        # off the fixed point too, where the residual is not zero
+        # off the solution too, where the residual is not zero
         w, phi = limit_solutions[box, adams]
-        step = _log_step(w, phi.kmax, phi.dmax, adams)
         for cell in [(0, (1,) * w.grading.rank), (1, (0,) * w.grading.rank)]:
             moved = phi + MultiSeries.monomial(phi.grading, phi.kmax, phi.dmax, *cell,
                                                RatFunc(Fraction(1, 7)))
-            assert step(moved) == moved + chi_residual(w, moved, phi.kmax, phi.dmax, adams)
+            assert verify_log_equation(w, moved, adams) == \
+                chi_residual(w, moved, phi.kmax, phi.dmax, adams)
 
     @pytest.mark.parametrize("adams", [False, True])
     def test_one_product_outside_the_logarithm(self, monkeypatch, limit_solutions, adams):
         w, phi = limit_solutions["pn:1", adams]
-        step = _log_step(w, phi.kmax, phi.dmax, adams)
         calls, in_log = [], []
         real_mul, real_log = MultiSeries.__mul__, eulerchi.series_log1p
 
@@ -166,7 +203,7 @@ class TestLogStep:
                 in_log.pop()
         monkeypatch.setattr(MultiSeries, "__mul__", counted_mul)
         monkeypatch.setattr(eulerchi, "series_log1p", log_uncounted)
-        step(phi)
+        verify_log_equation(w, phi, adams)
         assert len(calls) == 1
 
 

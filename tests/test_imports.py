@@ -1,7 +1,7 @@
 """Package layout: no module imports a private name from a sibling module,
 or reaches into a private attribute of a name it imports from one, imports
-a name it never uses, or exports a name or defines a public method that
-only the tests use."""
+a name it never uses, or exports a name or defines a public function,
+class or method that only the tests use."""
 
 import ast
 from pathlib import Path
@@ -162,6 +162,56 @@ def test_unused_export_check_flags_a_test_only_name(tmp_path):
     (demos / "d.py").write_text("import pkg\npkg.called()\n", encoding="utf-8")
     assert unused_exports(package, demos) == ["recursive", "documented", "imported",
                                               "only_init"]
+
+
+def uncalled_definitions(package, *others):
+    """'module: name' for every public top-level function or class of a
+    package module that nothing names outside its own def, neither a package
+    module (its own included) nor a file of the other directories: a name
+    that only the tests use.  Imports, __all__ and docstrings do not count."""
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+    modules = {path: parse(path) for path in sorted(package.glob("*.py"))}
+    trees = [*modules.values(), *(parse(p) for d in others for p in sorted(d.glob("*.py")))]
+    used = {name for tree in trees for name in _uses(tree)}
+    return [f"{path.name}: {node.name}" for path, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_every_public_definition_has_a_caller():
+    assert uncalled_definitions(PACKAGE, ROOT / "perfbench", ROOT / "demos") == []
+
+
+def test_uncalled_definition_check_flags_a_test_only_function(tmp_path):
+    package, demos = tmp_path / "pkg", tmp_path / "demos"
+    package.mkdir()
+    demos.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import exported\n"
+        "__all__ = ['exported']\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        "def helper():\n"
+        "    pass\n"
+        "def called():\n"
+        "    return helper()\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else 0\n"
+        "def documented():\n"
+        "    'unlike imported'\n"
+        "def imported():\n"
+        "    pass\n"
+        "def exported():\n"
+        "    pass\n"
+        "class Shown:\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n", encoding="utf-8")
+    (package / "b.py").write_text("from .a import called, imported\ncalled()\n",
+                                  encoding="utf-8")
+    (demos / "d.py").write_text("import pkg\nprint(pkg.a.Shown())\n", encoding="utf-8")
+    assert uncalled_definitions(package, demos) == ["a.py: recursive", "a.py: documented",
+                                                    "a.py: imported", "a.py: exported"]
 
 
 def uncalled_methods(package, *others):

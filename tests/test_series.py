@@ -10,7 +10,9 @@ from stablemaps import series
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
 from stablemaps.series import (Grading, MultiSeries, box_vectors, series_adams,
                                series_dt, series_log1p, series_pow_binomial,
-                               stationary)
+                               slice_cells)
+
+from reference import stationary
 
 G1 = Grading(1)
 G0 = Grading(0)
@@ -414,6 +416,22 @@ class TestTPower:
         assert MultiSeries.t_power(G1, 1, (2,), 2) == MultiSeries.zero(G1, 1, (2,))
         assert MultiSeries.t_power(G0, -1, (), 1).is_zero
         assert MultiSeries.const(G0, -1, (), 5).is_zero  # the empty box has no t**0
+
+
+class TestSliceCells:
+    @pytest.mark.parametrize("dmax", [(), (7,), (3, 2), (2, 0, 3), (1, 2, 1)])
+    def test_each_cell_once_after_its_splits(self, dmax):
+        seen = []
+        for d, splits in slice_cells(dmax):
+            assert d not in seen
+            assert [f for f, _, _ in splits] == list(box_vectors(d))[1:]
+            for f, q, m in splits:
+                assert tuple(a + b for a, b in zip(f, q)) == d and m == sum(f)
+                assert f == d or (f in seen and q in seen)
+            assert splits[-1][0] == d
+            seen.append(d)
+        assert sorted(seen) == sorted(box_vectors(dmax))[1:]
+        assert [sum(d) for d in seen] == sorted(sum(d) for d in seen)
 
 
 class TestStationary:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stablemaps import solver
 from stablemaps.qfield import LINE_CLASS, P_ONE, RatFunc, U, UPoly, is_palindromic
-from stablemaps.series import MultiSeries, box_vectors, stationary
+from stablemaps.series import MultiSeries, box_vectors
 from stablemaps.solver import (ClassTable, closed_form, extract_classes, potential,
                                solve_phi0, verify_dt, verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
@@ -16,7 +16,7 @@ from stablemaps.solver import (ClassTable, closed_form, extract_classes, potenti
 from stablemaps.target import (nclass, point_target, projective_space,
                                target_from_json)
 
-from reference import div_exact
+from reference import div_exact, stationary
 
 
 def gaussian_binomial(n, k):
