@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache, cached_property
 
@@ -40,10 +41,30 @@ POTENTIAL_NMAX = 4
 IMPLICIT_U, IMPLICIT_Z = "4", "1/1000"
 
 
+def _int_list(flag: str, text: str) -> list:
+    """The comma-separated ints of a flag's value, each entry ASCII digits
+    with an optional leading '-' (int() alone would read '1_0' as 10, a
+    non-ASCII digit or ' 2')."""
+    entries = text.split(",")
+    for entry in entries:
+        if not re.fullmatch(r"-?[0-9]+", entry):
+            raise ValueError(f"{flag} entry {entry!r} is not an integer")
+    return [int(entry) for entry in entries]
+
+
 def _resolve(args):
     w = parse_target(args.target)
-    dmax = None if args.dmax is None else args.dmax.split(",")
+    dmax = None if args.dmax is None else _int_list("--dmax", args.dmax)
     return w, w.box(dmax, args.kmax)
+
+
+def _check_tree_budget(kmax: int, dmax) -> None:
+    """Refuse a tree sum whose deficit budget kmax + 2|dmax| admits trees on
+    more vertices than the census allows (trees.py's vertex bound)."""
+    vertices = kmax + 2 * sum(dmax) - 2
+    if vertices > TREES_VMAX:
+        raise ValueError(f"box too large for the tree sum: kmax + 2|dmax| - 2 = {vertices} "
+                         f"vertices, above the cap of {TREES_VMAX}")
 
 
 def _emit(text: str, out_path):
@@ -65,6 +86,7 @@ def cmd_oracle(args) -> int:
     if args.workers != 1:
         raise ValueError("--workers must be 1: the tree sum runs in one process")
     w, dmax = _resolve(args)
+    _check_tree_budget(args.kmax, dmax)
     series = tree_sum_potential(w, args.kmax, dmax, adams=args.adams)
     obj = {"target": w.name, "series": series.to_json()}
     _emit(json.dumps(obj, indent=2) + "\n", args.out)
@@ -107,6 +129,10 @@ class _Run:
     @cached_property
     def box(self):
         return _resolve(self.args)
+
+    @cached_property
+    def primes(self):
+        return _int_list("--primes", self.args.primes)
 
     @cached_property
     def phi0(self):
@@ -170,15 +196,14 @@ def _run_suite(suite, run):
         ok = verify_recurrence(args.n, args.dmaxff)
         return ok, f"degree recurrence for n={args.n} up to d={args.dmaxff}"
     if suite == "ffcount":
-        primes = [int(p) for p in args.primes.split(",")]
         w = projective_space(args.n)
         for d in range(args.dmaxff + 1):
-            for p in primes:
+            for p in run.primes:
                 counted = count_maps_bruteforce(args.n, d, p)
                 expected = w.map_class((d,)).eval_at(p)
                 if counted != expected:
                     return False, f"(n={args.n}, d={d}, p={p}): {counted} != {expected}"
-        return True, f"counts match closed form for d<={args.dmaxff}, p in {primes}"
+        return True, f"counts match closed form for d<={args.dmaxff}, p in {run.primes}"
     raise ValueError(f"unknown suite {suite!r}")
 
 
@@ -193,8 +218,10 @@ def cmd_verify(args) -> int:
                          "both residuals live on an empty box")
     if "ffcount" in args.suite:  # refuse an oversized count before any suite runs
         for d in range(args.dmaxff + 1):
-            for p in args.primes.split(","):
-                check_count_request(args.n, d, int(p))
+            for p in run.primes:
+                check_count_request(args.n, d, p)
+    if "oracle" in args.suite:
+        _check_tree_budget(args.kmax, run.box[1])
     results, lines = [], []
     for suite in args.suite:
         ok, detail = _run_suite(suite, run)

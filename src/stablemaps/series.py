@@ -9,12 +9,16 @@ d <= dmax componentwise.  The z-exponents live in the free semigroup
 Z+**r; a rank of 0 is allowed and means there are no z-variables at all
 (series in t only).  Multiplication is full convolution into the box, so
 every box cell of a product is exact; the box is closed downward, which is
-what makes box truncation a quotient ring.  A product whose smaller factor
-has two or more cells runs on ints by Kronecker substitution: each factor
-is put over one denominator L * D (an int L and a monic polynomial D), each
-cell's int numerator is packed as its value at u = 2**bits, with bits a
-whole number of 32-bit words, each in-box pair costs one int multiply, and
-each output cell is unpacked once and reduced once.  A series is never
+what makes box truncation a quotient ring.  One packed core,
+sum_of_products, sums (sum of a left group) times (sum of a right group)
+over its terms; a product of two series is its one-term case and shares
+its pair loop and its unpacking.  Unless a factor has at most one cell, a
+product runs on ints by Kronecker substitution: each side is put over one
+denominator L * D (an int L and a monic polynomial D), each cell's int
+numerator is packed as its value at u = 2**bits, with bits a whole number
+of 32-bit words wide enough for a bound on every accumulated coefficient,
+a group is summed as packed ints, each in-box pair costs one int multiply,
+and each output cell is unpacked once and reduced once.  A series is never
 changed once built, so each one scales its numerators to ints at most
 once, on its first product, and packs them once per slot width and box,
 keeping the packed image for its next partner; the in-box pairs of each
@@ -308,18 +312,16 @@ class MultiSeries:
         product stays in the box, as the box's pair plan lists them.
 
         An empty or one-cell operand shares no output cell between pairs, so
-        it multiplies the coefficients directly.  Otherwise each operand is
-        put over its denominator L * D and each cell's numerator is packed
-        into one int (Kronecker substitution, _pack), in slots of whole
-        32-bit words wide enough that no sum of products overflows, once per
-        operand, slot width and common box; a pair is then one int multiply
-        and add, and each output cell is unpacked once into the RatFunc of
-        its numerator over La * Lb * Da * Db."""
+        it multiplies the coefficients directly.  Otherwise this is the
+        one-term case of sum_of_products, with each operand over its own
+        denominator: its numerators are packed once per slot width and
+        common box, and the pair loop (_pair_sums) and the unpacking
+        (_read_cells) are the core's."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        kmax, dmax = self._common_box(other)
+        kmax, dmax = box = self._common_box(other)
         small, large = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         a, b = small.coeffs, large.coeffs
         plan = _pair_plan(kmax, dmax)
@@ -329,23 +331,9 @@ class MultiSeries:
             return MultiSeries._new(self.grading, kmax, dmax, out)
         la, da, _, top_a, len_a = small._int_numerators()
         lb, db, _, top_b, len_b = large._int_numerators()
-        bits = (top_a * top_b * min(len_a, len_b) * len(a)).bit_length() + 2
-        # whole 32-bit words, so that partners of about the same size share
-        # an operand's packed image
-        bits = -(-bits // 32) * 32
-        a = small._packed(bits, (kmax, dmax))
-        b = large._packed(bits, (kmax, dmax))
-        out = {}
-        for key1, c1 in a.items():
-            for key2, key in plan[key1].items():
-                c2 = b.get(key2)
-                if c2 is not None:
-                    s = out.get(key)
-                    out[key] = c1 * c2 if s is None else s + c1 * c2
-        lcm, den = la * lb, da * db
-        out = {key: RatFunc(UPoly.from_numer(_unpack(s, bits), lcm), den)
-               for key, s in out.items() if s}
-        return MultiSeries._new(self.grading, kmax, dmax, out)
+        bits = _slot_bits(top_a * top_b * min(len_a, len_b) * len(a))
+        sums = _pair_sums([(small._packed(bits, box), large._packed(bits, box))], plan)
+        return _read_cells(self.grading, box, sums, bits, la * lb, da * db)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
@@ -394,6 +382,119 @@ class MultiSeries:
         coeffs = {(t["k"], tuple(t["d"])): RatFunc.from_json(t["coeff"])
                   for t in data["terms"]}
         return cls(grading, data["kmax"], dmax, coeffs)
+
+
+def _slot_bits(bound: int) -> int:
+    """The slot width for packed sums whose every coefficient is at most
+    bound in size: whole 32-bit words, so that partners of about the same
+    size share an operand's packed image."""
+    return -(-(bound.bit_length() + 2) // 32) * 32
+
+
+def _pair_sums(images, plan) -> dict:
+    """{cell: packed sum} over the pairs (a, b) of packed images of every
+    product a[c1] * b[c2] that the box's pair plan puts in the cell, each
+    pair visited from the image with fewer cells: one int multiply and add
+    per in-box pair."""
+    out = {}
+    for a, b in images:
+        if len(b) < len(a):
+            a, b = b, a
+        for key1, c1 in a.items():
+            for key2, key in plan[key1].items():
+                c2 = b.get(key2)
+                if c2 is not None:
+                    s = out.get(key)
+                    out[key] = c1 * c2 if s is None else s + c1 * c2
+    return out
+
+
+def _read_cells(grading, box, sums, bits: int, lcm: int, den) -> MultiSeries:
+    """The series on box whose cells are the packed sums, each unpacked
+    once at the slot width and reduced once over lcm * den."""
+    return MultiSeries._new(grading, *box,
+                            {key: RatFunc(UPoly.from_numer(_unpack(s, bits), lcm), den)
+                             for key, s in sums.items() if s})
+
+
+def _one_side(groups) -> tuple:
+    """One denominator L * D for every series of a side's groups: D the
+    monic lcm of their denominators D_i and L the lcm of the ints L_i l_i,
+    where D / D_i is Q_i / l_i with Q_i an int row.  Returns (L, D, scaled),
+    scaled holding per group the list of (series_i, m_i, Q_i), where
+    series_i = m_i Q_i N_i / (L * D) for N_i its int numerators over its own
+    L_i * D_i, and then the sum of the largest |entry|, the largest length
+    and the most cells of the m_i Q_i N_i."""
+    den = P_ONE
+    for group in groups:
+        for s in group:
+            d = s._int_numerators()[1]
+            if d != den:
+                den = den * (d // upoly_gcd(den, d))
+    lcm, quotients = 1, {}
+    for group in groups:
+        for s in group:
+            own, d = s._int_numerators()[:2]
+            if d not in quotients:
+                quotients[d] = den // d
+            lcm = math.lcm(lcm, own * quotients[d].denom)
+    scaled = []
+    for group in groups:
+        operands, top, length, cells = [], 0, 0, 0
+        for s in group:
+            own, d, _, s_top, s_len = s._int_numerators()
+            q = quotients[d]
+            m = lcm // (own * q.denom)
+            operands.append((s, m, q.numer))
+            top += s_top * m * sum(map(abs, q.numer))
+            length = max(length, s_len + len(q.numer) - 1)
+            cells = max(cells, len(s.coeffs))
+        scaled.append((operands, top, length, cells))
+    return lcm, den, scaled
+
+
+def _group_image(operands, bits: int, box: tuple) -> dict:
+    """{cell: packed numerator of the sum} of a group scaled by _one_side:
+    each series' kept packed image times its factor m_i Q_i(2**bits)."""
+    if len(operands) == 1 and operands[0][1:] == (1, (1,)):
+        return operands[0][0]._packed(bits, box)
+    out = {}
+    for s, m, q in operands:
+        f = m if q == (1,) else m * _pack(q, bits)
+        for key, c in s._packed(bits, box).items():
+            if f != 1:
+                c *= f
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+    return out
+
+
+def sum_of_products(terms, grading: Grading, kmax: int, dmax) -> MultiSeries:
+    """sum over terms (left, right) of (sum of left) * (sum of right) on the
+    box (kmax, dmax), which each operand's box must contain; a right of None
+    stands for the unit series.  A product of two series is its one-term
+    case (MultiSeries.__mul__).
+
+    Each side is put over one denominator, the left groups over L * D and
+    the right ones over Lr * Dr (_one_side).  Each operand's numerators are
+    packed once per slot width and box (Kronecker substitution, _pack) and
+    each group is summed as packed images, so a cell of a group's sum is
+    one int at u = 2**bits.  The slot is wide enough for a bound on every
+    accumulated coefficient: summed over the terms, the left group's
+    largest entries times the right group's, times the shorter length and
+    the fewer cells.  The box's pair plan then makes each pair of a term
+    one int multiply and add, and each output cell is unpacked and reduced
+    once, over L * Lr * D * Dr."""
+    box = (kmax, dmax)
+    unit = [MultiSeries.const(grading, kmax, dmax, RF_ONE)]
+    ll, dl, lefts = _one_side([left for left, _ in terms])
+    lr, dr, rights = _one_side([unit if right is None else right for _, right in terms])
+    bits = _slot_bits(sum(top * top_r * min(length, length_r) * min(cells, cells_r)
+                          for (_, top, length, cells), (_, top_r, length_r, cells_r)
+                          in zip(lefts, rights)))
+    sums = _pair_sums([(_group_image(left[0], bits, box), _group_image(right[0], bits, box))
+                       for left, right in zip(lefts, rights)], _pair_plan(kmax, dmax))
+    return _read_cells(grading, box, sums, bits, ll * lr, dl * dr)
 
 
 def slice_cells(dmax):

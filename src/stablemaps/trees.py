@@ -49,12 +49,20 @@ type, depend only on the children tuple, not on how many special points
 the root fixes; each tuple extends the same tuple without its last class
 of identical children, so codes that begin alike, and a central edge and
 every vertex with the same two children, share those products.  The
-powers psi_j(sub)**e are cached per subtree and the vertex factor
-N(W, beta) * (M_1)_n per (beta, n).  A root factor depends on the
-children's cycle type and the root's fixed points only through the vertex
-type: the numbers of fixed and of all special points and the cycles of
-length j >= 2 (the moved product prod_{j >= 2} (M_j)_(m_j)).  It is built
-once per type, which without adams is one series per special-point count.
+powers psi_j(sub)**e are cached per subtree.  The vertex factor
+N(W, beta) * (M_1)_n is [Map_beta] / [W], cached per beta, times
+[F(P^1, n)] / [PGL_2], cached per n and a polynomial once n >= 3.  A root
+factor depends on the children's cycle type and the root's fixed points
+only through the vertex type: the numbers of fixed and of all special
+points and the cycles of length j >= 2 (the moved product
+prod_{j >= 2} (M_j)_(m_j)).  It is built once per type, which without
+adams is one series per special-point count.
+At the top level a centred tree is its children's series times the root
+factor of its centre, so by distributivity the centres of one vertex type
+share one product: the children's series of every centred tree are grouped
+by the vertex type of the centre and summed, with each central edge's sum,
+in one packed accumulation (series.sum_of_products) that reads each cell
+once.
 
 Trees are enumerated without isomorphism duplicates and without
 re-rooting (the centre construction of Wright, Richmond, Odlyzko and
@@ -85,9 +93,9 @@ from functools import cache, lru_cache, reduce
 from math import factorial, prod
 from operator import mul
 
-from .qfield import LINE_CLASS, RF_ONE, RatFunc, binom_falling, necklace
-from .series import MultiSeries, box_vectors, series_adams
-from .target import TargetSpace, nclass
+from .qfield import LINE_CLASS, MOEBIUS_CLASS, RF_ONE, RatFunc, binom_falling, necklace
+from .series import MultiSeries, box_vectors, series_adams, sum_of_products
+from .target import TargetSpace
 
 
 # --- rooted tree enumeration (canonical nested tuples, children sorted) -------
@@ -283,6 +291,13 @@ def _falling(m_j: RatFunc, count: int) -> RatFunc:
     return binom_falling(m_j, count) * factorial(count)
 
 
+@lru_cache(maxsize=None)
+def _configurations(n: int) -> RatFunc:
+    """[F(P^1, n)] / [PGL_2] = (L)_n / (u**3 - u) for L = [P^1]: the class
+    of M_{0,n}, a polynomial, once n >= 3."""
+    return _falling(RatFunc(LINE_CLASS), n) / RatFunc(MOEBIUS_CLASS)
+
+
 def _contributing_trees(kmax: int, dmax) -> list:
     """The trees with an admissible marking in the box: a vertex needs
     valency + k_v >= 3 unless it carries a class, so the deficits left after
@@ -306,19 +321,19 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
     zero = (0,) * len(dmax)
 
     @cache
-    def vertex(beta, n: int) -> RatFunc:
-        """N(W, beta) * (L)_n for a vertex of class beta with n fixed
-        special points, L = [P^1]."""
-        return nclass(w, beta) * _falling(RatFunc(LINE_CLASS), n)
+    def map_ratio(beta) -> RatFunc:
+        """[Map_beta] / [W]."""
+        return w.map_class(beta) / RatFunc(w.pw)
 
-    def root(ctype, fixed: int) -> MultiSeries:
-        """sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k z**beta
-        for a vertex whose children have cycle type ctype (a sorted
-        (j, m_j) tuple) and which has `fixed` more special points fixed
-        besides its k marks."""
+    def type_key(ctype, fixed: int) -> tuple:
+        """The vertex type (n_fixed, n_base, moved_type) of a vertex whose
+        children have cycle type ctype (a sorted (j, m_j) tuple) and which
+        has `fixed` more special points fixed besides its marks: its root
+        factor sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k
+        z**beta is vertex_type(*type_key(ctype, fixed))."""
         n_fixed = fixed + dict(ctype).get(1, 0)
         n_base = fixed + sum(j * m_j for j, m_j in ctype)
-        return vertex_type(n_fixed, n_base, tuple(c for c in ctype if c[0] > 1))
+        return n_fixed, n_base, tuple(c for c in ctype if c[0] > 1)
 
     @cache
     def vertex_type(n_fixed: int, n_base: int, moved_type) -> MultiSeries:
@@ -329,19 +344,20 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
             moved = moved * _falling(RatFunc(necklace(j)), m_j)
         coeffs = {}
         for kv in range(kmax + 1):
-            weight = moved * Fraction(1, factorial(kv))
+            # N(W, beta) (L)_n with n = n_fixed + kv, L = [P^1], is
+            # [Map_beta] / [W] times [F(P^1, n)] / [PGL_2]
+            weight = _configurations(n_fixed + kv) * moved * Fraction(1, factorial(kv))
             for beta in box_vectors(dmax):
                 if beta == zero and n_base + kv <= 2:
                     continue
-                coeffs[(kv, beta)] = vertex(beta, n_fixed + kv) * weight
+                coeffs[(kv, beta)] = map_ratio(beta) * weight
         return MultiSeries(grading, kmax, dmax, coeffs)
 
     @cache
     def power(child, j: int, e: int) -> MultiSeries:
-        """psi_j(sub)**e, sub the rooted sum of child with one fixed point
-        (the edge up)."""
+        """psi_j(sub)**e, sub the rooted sum of child."""
         if e == 1:
-            return series_adams(rooted(child, 1), j)
+            return series_adams(rooted(child), j)
         return power(child, j, e - 1) * power(child, j, 1)
 
     @cache
@@ -376,34 +392,39 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
         return got
 
     @cache
-    def rooted(code, fixed: int) -> MultiSeries:
+    def rooted(code) -> MultiSeries:
         """(1/|Aut|) sum_{h in Aut(code)} of the h-fixed weightings of a
-        rooted tree, each a product over h's vertex orbits as in the module
-        docstring; every h fixes the root and `fixed` further special points
-        at it.  Without adams only h = 1 is kept: the sum over all
-        weightings / |Aut|."""
+        rooted tree hanging below an edge, each a product over h's vertex
+        orbits as in the module docstring; every h fixes the root and the
+        special point of the edge up at it.  Without adams only h = 1 is
+        kept: the sum over all weightings / |Aut|."""
         total = MultiSeries.zero(grading, kmax, dmax)
         for ctype, acc in children(code).items():
-            r = root(ctype, fixed)
+            r = vertex_type(*type_key(ctype, 1))
             total = total + (acc * r if ctype else r)
         return total
 
-    total = MultiSeries.zero(grading, kmax, dmax)
+    # the top level: a centred tree is its children's series times the root
+    # factor of its centre, so the centres of one vertex type share one
+    # product; a bicentral tree's halves hang from the central edge as two
+    # children from a vertex, with no root factor to take up the j**e_j, so
+    # that is divided out
+    by_type, edges = {}, []
     try:
         for tree in _contributing_trees(kmax, dmax):
             if tree.centred[0] == "C":
-                total = total + rooted(tree.centred[1], 0)
+                for ctype, acc in children(tree.centred[1]).items():
+                    by_type.setdefault(type_key(ctype, 0), []).append(acc)
                 continue
-            # the halves hang from the central edge as two children from a
-            # vertex; no root factor takes up the j**e_j, so divide it out
             for ctype, acc in children(tree.centred[1:]).items():
                 weight = prod(j ** m_j for j, m_j in ctype)
-                total = total + (acc.scale(Fraction(1, weight)) if weight > 1 else acc)
+                edges.append(acc.scale(Fraction(1, weight)) if weight > 1 else acc)
+        terms = [(accs, [vertex_type(*key)]) for key, accs in by_type.items()]
+        return sum_of_products(terms + [(edges, None)], grading, kmax, dmax)
     finally:
         # the nested functions form a reference cycle: free the series now
-        for f in (vertex, vertex_type, power, children, rooted):
+        for f in (map_ratio, vertex_type, power, children, rooted):
             f.cache_clear()
-    return total
 
 
 def tree_sum_potential(w: TargetSpace, kmax: int, dmax=None,

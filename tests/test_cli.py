@@ -638,3 +638,60 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == ("error: too large: p^((n+1)(d+1)) = 7^12 tuples exceed "
                        "the cap of 10^9\n")
+
+    # int() would read "1_0" as 10 and the Arabic-Indic digit two as 2;
+    # an empty entry used to print int()'s own message
+    @pytest.mark.parametrize("argv, flag, entry", [
+        (("compute", "--target", "pn:1", "--kmax", "1", "--dmax", "1_0"), "--dmax", "1_0"),
+        (("compute", "--target", "pn:1", "--kmax", "1", "--dmax", "\u0662"), "--dmax",
+         "\u0662"),
+        (("compute", "--target", "pn:1", "--kmax", "1", "--dmax", " 1"), "--dmax", " 1"),
+        (("oracle", "--target", "pn:1", "--kmax", "1", "--dmax", ""), "--dmax", ""),
+        (("euler", "--target", "pn:1", "--kmax", "1", "--dmax", "1,"), "--dmax", ""),
+        (("verify", "--suite", "ffcount", "--primes", "1_1"), "--primes", "1_1"),
+        (("verify", "--suite", "ffcount", "--primes", ","), "--primes", ""),
+        (("verify", "--suite", "recurrence", "--suite", "ffcount", "--primes", "2,+3"),
+         "--primes", "+3"),
+    ], ids=["underscore", "non-ascii", "space", "empty", "trailing-comma",
+            "primes-underscore", "primes-empty", "primes-plus"])
+    def test_int_list_is_strict(self, capsys, argv, flag, entry):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} entry {entry!r} is not an integer\n"
+
+    def test_negative_dmax_still_reaches_the_box(self, capsys):
+        code, out, err = run_cli(capsys, "compute", "--target", "pn:1", "--kmax", "1",
+                                 "--dmax=-1")
+        assert code == 2 and out == ""
+        assert err == "error: dmax (-1,) has a negative component\n"
+
+    @pytest.mark.parametrize("box, vertices", [
+        (("--target", "pn:1", "--kmax", "1", "--dmax", "1000"), 1999),
+        (("--target", "point", "--kmax", "21"), 19)], ids=["pn1", "point"])
+    def test_oracle_box_too_large(self, capsys, monkeypatch, box, vertices):
+        # the budget kmax + 2|dmax| admits trees on kmax + 2|dmax| - 2
+        # vertices; above the census cap the sum is refused before any
+        # tree is built and before any suite prints
+        monkeypatch.setattr(cli, "tree_sum_potential", lambda *a, **k: pytest.fail("ran"))
+        expected = ("error: box too large for the tree sum: kmax + 2|dmax| - 2 = "
+                    f"{vertices} vertices, above the cap of 18\n")
+        for argv in (("oracle",), ("verify", "--suite", "recurrence", "--suite", "oracle")):
+            code, out, err = run_cli(capsys, *argv, *box)
+            assert code == 2 and out == ""
+            assert err == expected
+
+    @pytest.mark.parametrize("box", [("--target", "pn:1", "--kmax", "0", "--dmax", "10"),
+                                     ("--target", "point", "--kmax", "20")],
+                             ids=["pn1", "point"])
+    def test_oracle_box_at_the_cap_runs(self, capsys, monkeypatch, box):
+        # a budget of 20 (18 vertices) is accepted; the sum itself takes
+        # seconds on these boxes and is stubbed out
+        calls = []
+
+        def stub(w, kmax, dmax, adams=False):
+            calls.append((kmax, dmax))
+            return MultiSeries.zero(w.grading, kmax, dmax)
+        monkeypatch.setattr(cli, "tree_sum_potential", stub)
+        code, out, _ = run_cli(capsys, "oracle", *box)
+        assert code == 0 and json.loads(out)["series"]["terms"] == []
+        assert len(calls) == 1

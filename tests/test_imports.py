@@ -1,7 +1,8 @@
 """Package layout: no module imports a private name from a sibling module,
 or reaches into a private attribute of a name it imports from one, imports
 a name it never uses, or exports a name or defines a public function,
-class or method that only the tests use."""
+class or method that only the tests use; and one function reads every
+packed product back."""
 
 import ast
 from pathlib import Path
@@ -258,3 +259,53 @@ def test_uncalled_method_check_flags_a_test_only_method(tmp_path):
     (demos / "d.py").write_text("import pkg\npkg.A().called()\n", encoding="utf-8")
     assert uncalled_methods(package, demos) == ["a.py: A.recursive", "a.py: A.prop",
                                                 "a.py: A.named"]
+
+
+def callers(directory, name):
+    """'module: function' for every function of the modules in directory
+    whose own body (not a def nested in it) calls `name`, as a bare name or
+    as an attribute; a call outside any function reads 'module: <module>'."""
+    found = []
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called == name:
+                found.append(f"{path.name}: {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in sorted(directory.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    return sorted(set(found))
+
+
+def test_one_kronecker_core():
+    # a product of two series and the grouped sum of products run one
+    # pair loop, and every packed cell is read back in one place
+    assert callers(PACKAGE, "_pair_sums") == ["series.py: __mul__",
+                                              "series.py: sum_of_products"]
+    assert callers(PACKAGE, "_unpack") == ["series.py: _read_cells"]
+
+
+def test_caller_check_finds_each_calling_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import series as s\n"
+        "def f(x):\n"
+        "    return [_unpack(y, 32) for y in x]\n"
+        "def g(x):\n"
+        "    def inner():\n"
+        "        return s._unpack(x, 64)\n"
+        "    return inner\n"
+        "def h(x):\n"
+        "    return _unpack\n"
+        "_unpack(0, 32)\n", encoding="utf-8")
+    (tmp_path / "b.py").write_text(
+        "class C:\n"
+        "    def m(self):\n"
+        "        return _unpack(self, 32)\n", encoding="utf-8")
+    assert callers(tmp_path, "_unpack") == ["a.py: <module>", "a.py: f", "a.py: inner",
+                                            "b.py: m"]

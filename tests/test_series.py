@@ -10,7 +10,7 @@ from stablemaps import series
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
 from stablemaps.series import (Grading, MultiSeries, box_vectors, series_adams,
                                series_dt, series_log1p, series_pow_binomial,
-                               slice_cells)
+                               slice_cells, sum_of_products)
 
 from reference import stationary
 
@@ -290,6 +290,115 @@ class TestArithmetic:
     def test_json_roundtrip(self):
         a = rand_series(random.Random(7))
         assert MultiSeries.from_json(a.to_json(), G1) == a
+
+
+# monic denominators, u + 1/2 and u^2 - (2/3) u + 1/5 with non-integer
+# coefficients: over their lcm with DENOMINATORS, D / D_i is not integral
+MONIC_DENOMINATORS = DENOMINATORS + (UPoly((Fraction(1, 2), 1)),
+                                     UPoly((Fraction(1, 5), Fraction(-2, 3), 1)))
+
+
+@st.composite
+def core_terms(draw):
+    """(terms, grading, kmax, dmax) for sum_of_products: up to 4 terms on a
+    box of rank 0 to 2, each a left group of up to 3 series and a right
+    group of up to 3 or None, every series on a box that contains the
+    core's, with coefficients over monic denominators (some with
+    non-integer coefficients), empty series among them."""
+    rank = draw(st.integers(0, 2))
+    grading = Grading(rank)
+    kmax = draw(st.integers(0, 2))
+    dmax = tuple(draw(st.integers(0, 2)) for _ in range(rank))
+    poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UPoly)
+    coeff = st.one_of(poly.map(RatFunc),
+                      st.builds(RatFunc, poly, st.sampled_from(MONIC_DENOMINATORS)))
+
+    def series_():
+        k = kmax + draw(st.integers(0, 1))
+        d = tuple(x + draw(st.integers(0, 1)) for x in dmax)
+        cells = [(j, e) for j in range(k + 1) for e in box_vectors(d)]
+        chosen = draw(st.dictionaries(st.sampled_from(cells), coeff, max_size=6))
+        return MultiSeries(grading, k, d, chosen)
+
+    def group():
+        return [series_() for _ in range(draw(st.integers(0, 3)))]
+
+    terms = [(group(), draw(st.one_of(st.none(), st.builds(group))))
+             for _ in range(draw(st.integers(1, 4)))]
+    return terms, grading, kmax, dmax
+
+
+def summed(group, grading, kmax, dmax):
+    total = MultiSeries.zero(grading, kmax, dmax)
+    for s in group:
+        total = total + s
+    return total
+
+
+class TestSumOfProducts:
+    @given(core_terms())
+    def test_equals_sum_of_products_of_sums(self, drawn):
+        terms, grading, kmax, dmax = drawn
+        expected = MultiSeries.zero(grading, kmax, dmax)
+        for left, right in terms:
+            term = summed(left, grading, kmax, dmax)
+            if right is not None:
+                term = term * summed(right, grading, kmax, dmax)
+            expected = expected + term
+        got = sum_of_products(terms, grading, kmax, dmax)
+        assert (got.kmax, got.dmax) == (kmax, dmax)
+        assert got == expected
+
+    @pytest.mark.parametrize("shape", ["terms", "group", "cells", "length"])
+    def test_slot_holds_the_accumulated_cells(self, monkeypatch, shape):
+        # entries near +-2**63 that all add with one sign into the t^3 cell
+        # of a rank-0 box, 4 T T' in all: over 4 terms, over a left group of
+        # 4, over 4 pairs of cells, or over 4 u-degrees (beside a small term
+        # that keeps the product off the one-cell path).  That is the bound
+        # the slot is sized by, 160 bits; one 32-bit word narrower would not
+        # hold the cell, and each of the four factors of the bound matters
+        near = (2 ** 63 - 1, 2 ** 63 - 3, 2 ** 63 - 5, 2 ** 63 - 7)
+        ones = UPoly((1, 1, 1, 1))
+
+        def series_(cells):
+            return MultiSeries(G0, 3, (), {(k, ()): c for k, c in cells.items()})
+
+        if shape == "terms":
+            terms = [([series_({0: -x})], [series_({3: -x})]) for x in near]
+        elif shape == "group":
+            terms = [([series_({0: x}) for x in near], [series_({3: near[1]})])]
+        elif shape == "cells":
+            terms = [([series_(dict.fromkeys(range(4), near[0]))],
+                      [series_(dict.fromkeys(range(4), near[1]))])]
+        else:
+            terms = [([series_({0: RatFunc(ones.scale(-near[2]))})],
+                      [series_({3: RatFunc(ones.scale(-near[3]))})]),
+                     ([series_({0: 1})], [series_({3: 1})])]
+        rows, unpack = [], series._unpack
+
+        def recording(acc, bits):
+            rows.append((bits, unpack(acc, bits)))
+            return rows[-1][1]
+
+        monkeypatch.setattr(series, "_unpack", recording)
+        got = sum_of_products(terms, G0, 3, ())
+        monkeypatch.undo()
+        expected = MultiSeries.zero(G0, 3, ())
+        for left, right in terms:
+            expected = expected + summed(left, G0, 3, ()) * summed(right, G0, 3, ())
+        assert got == expected
+        top = max(abs(c) for _, row in rows for c in row)
+        assert {bits for bits, _ in rows} == {160} and top >= 2 ** (128 - 1)
+
+    def test_term_without_right_group_is_its_left_sum(self):
+        # a term with no right group takes the unit over the right side's
+        # denominator, here one with a non-integer coefficient
+        half = UPoly((Fraction(1, 2), 1))
+        x = MultiSeries(G1, 2, (1,), {(0, (0,)): RatFunc(1, half), (1, (1,)): 3})
+        y = MultiSeries(G1, 2, (1,), {(0, (1,)): RatFunc(U, UPoly((1, 0, 1))), (2, (0,)): 1})
+        got = sum_of_products([([x], [y, x]), ([y, x], None), ([], None), ([x], [])],
+                              G1, 2, (1,))
+        assert got == x * (y + x) + y + x
 
 
 class TestPowBinomial:

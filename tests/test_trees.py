@@ -15,6 +15,7 @@ from stablemaps.trees import (_contributing_trees, _free_aut, enum_trees,
                               tree_sum_potential)
 from reference import (MarkedTree, _adjacency, _free_code, enum_marked, stratum_class,
                        tree_code, tree_edges)
+from test_eulerchi import rational_target
 from test_solver import p1xp1_target
 
 # free trees by vertex count (OEIS A000055)
@@ -259,14 +260,24 @@ class TestTreeSum:
             p = (point_run["oracle"].coeff(k, ()) * factorial(k)).as_upoly()
             assert is_palindromic(p, k - 3)
 
-    @pytest.mark.parametrize("adams, parent_count", [
-        (False, 140), (True, 174), (False, 102), (True, 130)])
-    def test_products_are_shared(self, monkeypatch, adams, parent_count):
+    @pytest.mark.parametrize("make, kmax, dmax, adams, parent_count", [
+        *(pytest.param(lambda: projective_space(2), 5, (3,), adams, count,
+                       id=f"{adams}-{count}")
+          for adams, count in [(False, 140), (True, 174), (False, 102), (True, 130)]),
+        *(pytest.param(make, kmax, dmax, adams, count, id=f"{name}-{adams}")
+          for name, make, kmax, dmax, counts in [
+              ("p1xp1", p1xp1_target, 3, (2, 2), (82, 125)),
+              ("rational", rational_target, 5, (3,), (94, 122))]
+          for adams, count in zip((False, True), counts))])
+    def test_products_are_shared(self, monkeypatch, make, kmax, dmax, adams, parent_count):
         # the children's products are formed once per children tuple and
-        # each power once per subtree (140 and 174 products before that
-        # sharing, 102 and 130 with it); a central edge now shares them
-        # with every vertex that has the same two children (94 and 122)
-        w, kmax, dmax = projective_space(2), 5, (3,)
+        # each power once per subtree (on pn:2, 140 and 174 products before
+        # that sharing, 102 and 130 with it); a central edge shares them
+        # with every vertex that has the same two children (94 and 122);
+        # and the top level sums every tree in one packed accumulation, one
+        # product per vertex type of the centre (63 and 82).  P^1 x P^1 and
+        # the rational target made the counts given before that last step
+        w = make()
         calls = []
         product = MultiSeries.__mul__
 
@@ -279,6 +290,26 @@ class TestTreeSum:
         monkeypatch.undo()
         assert len(calls) < parent_count
         assert got == potential(w, solve_phi0(w, kmax, dmax, adams=adams), adams=adams)
+
+    def test_top_level_is_one_accumulation(self, monkeypatch):
+        # on pn:2 (5; 3) without adams the 58 top-level series, each centred
+        # tree's children per cycle type and each bicentral tree's halves,
+        # go into one call of the core, the centred ones in 5 groups by the
+        # vertex type of the centre, each group with its own root factor
+        calls = []
+        real = trees.sum_of_products
+
+        def recording(terms, *box):
+            calls.append(terms)
+            return real(terms, *box)
+
+        monkeypatch.setattr(trees, "sum_of_products", recording)
+        tree_sum_potential(projective_space(2), 5, (3,))
+        (terms,) = calls
+        roots = [right for _, right in terms if right is not None]
+        assert len(roots) == 5 and all(len(right) == 1 for right in roots)
+        assert len({id(right[0]) for right in roots}) == 5
+        assert sum(len(left) for left, _ in terms) == 58
 
     def test_vertex_bound(self):
         # the deficit budget's vertex bound kmax + 2|dmax| - 2 is reached,
