@@ -19,7 +19,7 @@ import sys
 from functools import cache, cached_property
 
 from .eulerchi import chi_agrees, chi_table
-from .solver import (extract_classes, potential, solve_phi0, verify_dt,
+from .solver import (class_table, indented_json, potential, solve_phi0, verify_dt,
                      verify_functional_equation, verify_implicit_numeric,
                      verify_ode, verify_potential_expansion, verify_quadratic)
 from .target import (check_count_request, count_maps_bruteforce, parse_target,
@@ -88,8 +88,7 @@ def cmd_oracle(args) -> int:
     w, dmax = _resolve(args)
     _check_tree_budget(args.kmax, dmax)
     series = tree_sum_potential(w, args.kmax, dmax, adams=args.adams)
-    obj = {"target": w.name, "series": series.to_json()}
-    _emit(json.dumps(obj, indent=2) + "\n", args.out)
+    _emit(indented_json({"target": w.name, "series": series.to_json()}), args.out)
     return 0
 
 
@@ -98,7 +97,7 @@ def cmd_euler(args) -> int:
     rows = [{"k": k, "beta": list(d), "chi": str(v)}
             for (k, d), v in sorted(chi_table(w, args.kmax, dmax, adams=args.adams).items())]
     obj = {"target": w.name, "kmax": args.kmax, "dmax": list(dmax), "entries": rows}
-    _emit(json.dumps(obj, indent=2) + "\n", args.out)
+    _emit(indented_json(obj), args.out)
     return 0
 
 
@@ -120,8 +119,10 @@ def cmd_count_ff(args) -> int:
 
 class _Run:
     """What compute and the verify suites share, each computed on first use
-    and at most once: the target and its box, phi0, the potential and its
-    class table.  With --adams these are the corrected routes."""
+    and at most once: the target and its box, phi0, the potential and the
+    class table.  The table is read off phi0 (class_table), so compute
+    builds no potential series; the suites that read the potential do.
+    With --adams these are the corrected routes."""
 
     def __init__(self, args):
         self.args = args
@@ -152,7 +153,8 @@ class _Run:
 
     @cached_property
     def table(self):
-        return extract_classes(self.potential, self.box[0])
+        return class_table(self.box[0], self.phi0, adams=self.args.adams,
+                           kmax=self.args.kmax)
 
 
 def _run_suite(suite, run):

@@ -79,8 +79,15 @@ def xseries(w: TargetSpace, dmax=None) -> MultiSeries:
     num'(1)/den(1).  A ratio with a pole or a nonzero value at u = 1 has no
     such limit and raises ValueError naming beta.  The beta = 0 term
     vanishes because constant maps contribute the target class itself.
+    Built once per box and kept in the target's cache: the slice
+    (_log_slice) and the residual that confirms it (verify_log_equation)
+    both read it.
     """
     dmax = w.box(dmax)
+    key = ("xseries", dmax)
+    got = w._cache.get(key)
+    if got is not None:
+        return got
     eff = eisenstein_series(w, dmax)
     inv_pw = RatFunc(1) / RatFunc(w.pw)
     coeffs = {}
@@ -95,7 +102,8 @@ def xseries(w: TargetSpace, dmax=None) -> MultiSeries:
             raise ValueError(f"[Map_beta]/[W] for beta {beta} is {num1 / den1} at u = 1, "
                              f"not 0: the Euler limit needs it to vanish there")
         coeffs[(0, beta)] = RatFunc(ratio.num.derivative().eval(1) / den1)
-    return MultiSeries(w.grading, 0, dmax, coeffs)
+    got = w._cache[key] = MultiSeries(w.grading, 0, dmax, coeffs)
+    return got
 
 
 def _log_slice(w: TargetSpace, dmax, adams: bool = False) -> MultiSeries:

@@ -22,6 +22,12 @@ check, which read the top layer, is selected; then it solves the whole box
 once.
 closed_form and t_layers take u as a parameter: the Euler limit in
 stablemaps.eulerchi calls them, and extract_classes, at u = 1.
+The CLI's class table needs no potential series: the class
+[Mbar_{0,k}(W, beta)] is k! times a cell of Phi, so class_table reads it
+straight off phi0, as (k-1)! P_W phi0[k-1, beta] for k >= 1 and as P_W
+times the t = 0 quadratic for k = 0, with extract_classes' certification
+that each class is a polynomial.  potential and extract_classes stay for
+the checks that read the potential, and for the Euler limit's route.
 
 Because phi0 solves (*) it also solves the universal differential equation
 (below), and solve_phi0 uses that split.  Only the z-only t = 0 slice
@@ -83,6 +89,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import factorial, gcd
 
 from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RF_ZERO,
@@ -190,6 +197,16 @@ def _quadratic(phi: MultiSeries, u, adams: bool) -> MultiSeries:
     return sq.scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
 
 
+def _read_order(phi: MultiSeries, kmax) -> int:
+    """The box's t-order kmax, phi.kmax unless given, refused when phi stops
+    short of t**(kmax-1), the highest layer the box reads."""
+    kmax = phi.kmax if kmax is None else kmax
+    if not 0 <= kmax <= phi.kmax + 1:
+        raise ValueError(f"the box t**{kmax} needs phi through t**{kmax - 1}, "
+                         f"not t**{phi.kmax}")
+    return kmax
+
+
 def closed_form(phi: MultiSeries, u=RF_U, adams: bool = False, kmax=None) -> MultiSeries:
     """-u/(2(u+1)) phi**2 + phi/(u+1) - t**2/(2(u+1)) on the box (kmax, dmax
     of phi), kmax being phi.kmax unless given, with the square phi**2 -
@@ -204,11 +221,9 @@ def closed_form(phi: MultiSeries, u=RF_U, adams: bool = False, kmax=None) -> Mul
     t_layers builds every phi it is given here so that it does, for both
     callers.  So the box kmax reads the layers of phi below t**kmax only,
     and phi may stop one t-order short of it.  verify_quadratic evaluates
-    the formula on the whole box."""
-    kmax = phi.kmax if kmax is None else kmax
-    if not 0 <= kmax <= phi.kmax + 1:
-        raise ValueError(f"the box t**{kmax} needs phi through t**{kmax - 1}, "
-                         f"not t**{phi.kmax}")
+    the formula on the whole box; class_table reads the classes, k! times
+    these cells times P_W, off phi without building this series."""
+    kmax = _read_order(phi, kmax)
     quad = _quadratic(phi.truncate(kmax=0), u, adams)
     coeffs = dict(quad.coeffs)
     for (k, d), c in phi.coeffs.items():
@@ -223,6 +238,45 @@ def potential(w: TargetSpace, phi0: MultiSeries, adams: bool = False,
     of phi0) with kmax phi0.kmax unless given; it reads phi0 below t**kmax
     only, so phi0 may stop at t**(kmax-1)."""
     return closed_form(phi0, adams=adams, kmax=kmax).scale(RatFunc(w.pw))
+
+
+def indented_json(obj) -> str:
+    """json.dumps(obj, indent=2) + "\n", without the stdlib's pure-Python
+    encoder, which json.dumps falls back to whenever indent is set.  A tree
+    of dicts with str keys, lists, strs and ints is written here, each str by
+    the escaper json.dumps uses (encode_basestring_ascii) and each int by
+    int.__repr__; any other value in it (a bool, None, a float, a tuple, a
+    key that is not a str) hands the whole object to json.dumps."""
+    try:
+        return _indented(obj, "\n") + "\n"
+    except TypeError:
+        return json.dumps(obj, indent=2) + "\n"
+
+
+def _indented(obj, nl: str) -> str:
+    """obj as json.dumps(indent=2) writes it where nl, a newline and the
+    enclosing indent, starts each line; TypeError for a value that is not a
+    dict, list, str or int, or for a key that is not a str."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        items = [encode_basestring_ascii(x) if type(x) is str else _indented(x, inner)
+                 for x in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": "
+                 + (encode_basestring_ascii(x) if type(x) is str else _indented(x, inner))
+                 for key, x in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"{kind.__name__} is left to json.dumps")
 
 
 class ClassTable:
@@ -250,17 +304,23 @@ class ClassTable:
 
     def _rows(self):
         """(k, beta, class_u, class_q, chi) per cell in order: the strings
-        that to_json and to_csv both write, built once per cell."""
+        that to_json and to_csv both write, built once per cell from the
+        integer numerators.  class_q, the coefficients of psi_2 of the class,
+        is class_u with "0" between entries, since psi_2 only spreads the
+        coefficients apart; chi, the value at u = 1, is their sum."""
         for k, d in self.cells():
             p = self.entries[(k, d)]
-            yield k, d, p.to_json(), p.adams(2).to_json(), str(p.eval(1))
+            cu = p.to_json()
+            cq = ["0"] * (2 * len(cu) - 1)
+            cq[::2] = cu
+            yield k, d, cu, cq, str(Fraction(sum(p.numer), p.denom))
 
     def to_json(self) -> str:
         rows = [{"k": k, "beta": list(d), "class_u": cu, "class_q": cq, "chi": chi}
                 for k, d, cu, cq, chi in self._rows()]
         obj = {"target": self.target_name, "kmax": self.kmax,
                "dmax": list(self.dmax), "entries": rows}
-        return json.dumps(obj, indent=2) + "\n"
+        return indented_json(obj)
 
     @classmethod
     def from_json(cls, text: str) -> "ClassTable":
@@ -277,6 +337,14 @@ class ClassTable:
         return "\n".join(lines) + "\n"
 
 
+def _polynomial_class(value: RatFunc, k: int, d) -> UPoly:
+    """value, the class of the cell (k, d), as a UPoly; ValueError when it
+    has a denominator."""
+    if not value.is_polynomial:
+        raise ValueError(f"non-polynomial class at (k={k}, beta={d}): {value}")
+    return value.as_upoly()
+
+
 def extract_classes(pot: MultiSeries, w: TargetSpace = None) -> ClassTable:
     """Read off k! times each potential coefficient and certify it is a
     polynomial in u; a surviving denominator is an error, never silently
@@ -284,12 +352,34 @@ def extract_classes(pot: MultiSeries, w: TargetSpace = None) -> ClassTable:
     entries = {}
     for key in box_vectors((pot.kmax,) + pot.dmax):
         k, d = key[0], key[1:]
-        value = pot.coeff(k, d) * factorial(k)
-        if not value.is_polynomial:
-            raise ValueError(f"non-polynomial class at (k={k}, beta={d}): {value}")
-        entries[(k, d)] = value.as_upoly()
+        entries[(k, d)] = _polynomial_class(pot.coeff(k, d) * factorial(k), k, d)
     name = w.name if w is not None else ""
     return ClassTable(name, pot.kmax, pot.dmax, entries)
+
+
+def class_table(w: TargetSpace, phi0: MultiSeries, adams: bool = False,
+                kmax=None) -> ClassTable:
+    """extract_classes(potential(w, phi0, adams, kmax), w), read straight off
+    phi0 without the potential series.  Since d/dt (Phi / P_W) = phi0, the
+    class of a cell k >= 1 is (k-1)! P_W phi0[k-1, beta]; at k = 0 it is P_W
+    times the t = 0 quadratic (_quadratic, with psi_2 when adams=True).  A
+    polynomial cell of phi0 costs one UPoly product by (k-1)! P_W; only a
+    cell with a denominator goes through RatFunc, and extract_classes'
+    certification.  kmax is phi0.kmax unless given, and phi0 may stop one
+    t-order short of it."""
+    kmax = _read_order(phi0, kmax)
+    quad = _quadratic(phi0.truncate(kmax=0), RF_U, adams).coeffs
+    coeffs = phi0.coeffs
+    scales = [w.pw] + [w.pw.scale(factorial(k)) for k in range(kmax)]
+    entries = {}
+    for key in box_vectors((kmax,) + phi0.dmax):
+        k, d = key[0], key[1:]
+        c = coeffs.get((k - 1, d), RF_ZERO) if k else quad.get((0, d), RF_ZERO)
+        if c.den == P_ONE:
+            entries[(k, d)] = c.num * scales[k]
+        else:
+            entries[(k, d)] = _polynomial_class(c * RatFunc(scales[k]), k, d)
+    return ClassTable(w.name, kmax, phi0.dmax, entries)
 
 
 def verify_ode(phi0: MultiSeries):

@@ -13,9 +13,9 @@ from stablemaps.cli import main
 from stablemaps.qfield import RatFunc
 from stablemaps.series import MultiSeries
 from stablemaps.solver import ClassTable, extract_classes, potential, solve_phi0
-from stablemaps.target import parse_target, projective_space
+from stablemaps.target import parse_target, projective_space, target_from_json
 from stablemaps.trees import tree_sum_potential
-from test_solver import p1xp1_descriptor, p1xp1_target
+from test_solver import fraction_formatted, p1xp1_descriptor, p1xp1_target
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,36 @@ class TestTopLayer:
                        '{"results": [{"suite": "oracle", "pass": true, '
                        '"detail": "solver potential equals tree sum"}], "ok": true}\n')
         assert full_calls - len(calls) == kmax // 2 + 1
+
+
+class TestStdlibText:
+    """The CLI's JSON is byte-equal to json.dumps(obj, indent=2) + "\\n" of
+    the objects it writes, and compute's table to one written with one
+    Fraction per coefficient (fraction_formatted)."""
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("name", ["pn:1", "non-ascii"])
+    def test_compute_oracle_euler(self, capsys, tmp_path, name, adams):
+        if name == "pn:1":
+            spec, w, kmax, dmax = "pn:1", projective_space(1), 3, (2,)
+        else:
+            descriptor = dict(p1xp1_descriptor(), name='P\u00b9\u00d7P\u00b9 "r\u00e9gl\u00e9"\t\u2603')
+            path = tmp_path / "t.json"
+            path.write_text(json.dumps(descriptor), encoding="utf-8")
+            spec, w, kmax, dmax = f"file:{path}", target_from_json(descriptor), 2, (1, 1)
+        argv = ["--target", spec, "--kmax", str(kmax), "--dmax", ",".join(map(str, dmax))]
+        argv += ["--adams"] if adams else []
+        table = extract_classes(potential(w, solve_phi0(w, kmax, dmax, adams), adams), w)
+        json_text, csv_text = fraction_formatted(table)
+        assert run_cli(capsys, "compute", *argv) == (0, json_text, "")
+        assert run_cli(capsys, "compute", *argv, "--format", "csv") == (0, csv_text, "")
+        series = tree_sum_potential(w, kmax, dmax, adams=adams).to_json()
+        assert run_cli(capsys, "oracle", *argv) == \
+            (0, json.dumps({"target": w.name, "series": series}, indent=2) + "\n", "")
+        rows = [{"k": k, "beta": list(d), "chi": str(v)}
+                for (k, d), v in sorted(eulerchi.chi_table(w, kmax, dmax, adams).items())]
+        obj = {"target": w.name, "kmax": kmax, "dmax": list(dmax), "entries": rows}
+        assert run_cli(capsys, "euler", *argv) == (0, json.dumps(obj, indent=2) + "\n", "")
 
 
 class TestOracle:

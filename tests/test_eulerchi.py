@@ -33,6 +33,16 @@ class TestXSeries:
     def test_point_has_no_terms(self):
         assert xseries(point_target(), ()).is_zero
 
+    @pytest.mark.parametrize("adams", [False, True])
+    def test_one_chi_table_builds_x_once(self, monkeypatch, adams):
+        # the slice and the residual that confirms it read the same X
+        calls, real = [], eulerchi.eisenstein_series
+        monkeypatch.setattr(eulerchi, "eisenstein_series",
+                            lambda w, dmax: calls.append(dmax) or real(w, dmax))
+        w = projective_space(2)
+        assert chi_table(w, 3, (3,), adams) == chi_table(w, 3, (3,), adams)
+        assert calls == [(3,)]
+
     def test_pole_at_one_raises(self):
         # [Map_1]/[W] = (u+1)/(u-1)
         w = target_from_json({"name": "pole", "rank": 1, "pw": ["-1", "1"],

@@ -1,16 +1,18 @@
 import json
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stablemaps import solver
 from stablemaps.qfield import LINE_CLASS, P_ONE, RatFunc, U, UPoly, is_palindromic
 from stablemaps.series import MultiSeries, box_vectors
-from stablemaps.solver import (ClassTable, closed_form, extract_classes, potential,
-                               solve_phi0, verify_dt, verify_functional_equation,
+from stablemaps.solver import (ClassTable, class_table, closed_form, extract_classes,
+                               indented_json, potential, solve_phi0, verify_dt,
+                               verify_functional_equation,
                                verify_implicit_numeric, verify_ode,
                                verify_potential_expansion, verify_quadratic)
 from stablemaps.target import (nclass, point_target, projective_space,
@@ -446,6 +448,20 @@ class TestTableStrings:
         assert any(p.denom != 1 for p in table.entries.values())
         assert (table.to_json(), table.to_csv()) == fraction_formatted(table)
 
+    @pytest.mark.parametrize("p", [
+        UPoly(), UPoly((7,)), UPoly((Fraction(-3, 4),)), UPoly((0, 0, 1)),
+        UPoly((Fraction(1, 2), 0, Fraction(-5, 6), 7)), UPoly((-2, Fraction(4, 9))),
+    ], ids=["zero", "constant", "rational-constant", "monomial", "rational", "negative"])
+    def test_row_strings_are_the_polynomial_operations(self, p):
+        # class_q and chi are built from class_u's strings and the integer
+        # numerators; they must be psi_2 of the class and its value at 1
+        table = ClassTable("t", 0, (), {(0, ()): p})
+        row = json.loads(table.to_json())["entries"][0]
+        expected = (p.to_json(), p.adams(2).to_json(), str(p.eval(1)))
+        assert (row["class_u"], row["class_q"], row["chi"]) == expected
+        assert table.to_csv().splitlines()[1] == \
+            '"0","","{}","{}","{}"'.format(*(",".join(x) for x in expected[:2]), expected[2])
+
     def test_rational_cell_strings(self):
         w = projective_space(1)
         table = extract_classes(potential(w, solve_phi0(w, 0, (2,))), w)
@@ -470,8 +486,105 @@ class TestTopLayer:
         w = projective_space(1)
         with pytest.raises(ValueError, match=r"t\*\*2"):
             potential(w, solve_phi0(w, 1, (2,)), kmax=3)
+        with pytest.raises(ValueError, match=r"t\*\*2"):
+            class_table(w, solve_phi0(w, 1, (2,)), kmax=3)
 
     def test_layers_grow_from_the_slice_only(self):
         w = p1xp1_target()
         with pytest.raises(ValueError, match=r"t = 0 slice, not from t\*\*1"):
             solver.t_layers(solve_phi0(w, 1, (2, 2)), 4)
+
+
+def rational_target():
+    """A rank-1 descriptor with P_W = u + 1 and [Map_1] = (3u^2 + 1)/(u^2 + 1):
+    the class of (k = 0, beta = 1) keeps a denominator."""
+    return target_from_json({"name": "rational", "rank": 1, "pw": ["1", "1"],
+                             "classes": [{"beta": [1], "value": {"num": ["1", "0", "3"],
+                                                                 "den": ["1", "0", "1"]}}]})
+
+
+class TestClassTable:
+    """class_table reads the table off phi0; it must be the potential
+    route's extract_classes(potential(...)) cell for cell."""
+
+    @pytest.mark.parametrize("run, adams", [
+        ("point_run", False), ("point_run", True), ("p1_run", False), ("p2_run", False),
+        ("p1_adams_run", True), ("p2_adams_run", True)])
+    def test_equals_the_potential_route(self, request, run, adams):
+        run = request.getfixturevalue(run)
+        w, kmax, dmax = run["w"], run["kmax"], run["dmax"]
+        whole = solve_phi0(w, kmax, dmax, adams)
+        short = solve_phi0(w, kmax - 1, dmax, adams)
+        for phi0, box in ((whole, kmax), (short, kmax), (whole, 0), (short, 0),
+                          (solve_phi0(w, 0, dmax, adams), 0)):
+            table = class_table(w, phi0, adams, kmax=box)
+            assert table == extract_classes(potential(w, phi0, adams, kmax=box), w)
+            assert (table.kmax, table.dmax, table.target_name) == (box, dmax, w.name)
+        assert class_table(w, whole, adams) == extract_classes(potential(w, whole, adams), w)
+
+    def test_rational_descriptor_is_the_same_error(self):
+        w = rational_target()
+        phi0 = solve_phi0(w, 2, (1,))
+        with pytest.raises(ValueError) as want:
+            extract_classes(potential(w, phi0), w)
+        with pytest.raises(ValueError) as got:
+            class_table(w, phi0)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-polynomial class at (k=0, beta=(1,)): ")
+
+    @pytest.mark.parametrize("den, bad", [((1, 1), None), ((2, 1), "(k=2, beta=(1,))")])
+    def test_cell_with_a_denominator(self, den, bad):
+        # a phi0 cell over u + 1 is cancelled by P_W = u + 1 of P^1, one over
+        # u + 2 survives: the RatFunc path either gives the potential
+        # route's class or raises its error
+        w = projective_space(1)
+        phi0 = MultiSeries(w.grading, 1, (1,), {(1, (1,)): RatFunc(UPoly((3, 0, 1)), UPoly(den)),
+                                                (0, (1,)): RatFunc(UPoly((1, 2)))})
+        if bad is None:
+            table = class_table(w, phi0, kmax=2)
+            assert table == extract_classes(potential(w, phi0, kmax=2), w)
+            assert table.entry(2, (1,)) == UPoly((3, 0, 1))
+            return
+        with pytest.raises(ValueError) as want:
+            extract_classes(potential(w, phi0, kmax=2), w)
+        with pytest.raises(ValueError, match=re.escape(bad)) as got:
+            class_table(w, phi0, kmax=2)
+        assert str(got.value) == str(want.value)
+
+
+# JSON trees of the kinds the CLI writes: dicts with str keys, lists, strs
+# and ints, with non-ASCII text, quotes, backslashes and control characters
+JSON_TREES = st.recursive(
+    st.text() | st.integers() | st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25)
+
+
+class TestIndentedJson:
+    @given(JSON_TREES)
+    @example({"quote\"back\\slash": ["\x00\x1f\x7f\u2028\u00e9\u2603\U0001F600", -10 ** 40],
+              "": [[], {}, [{}], {"": []}], "\u00e9": 0})
+    @example([])
+    @example("")
+    @example(-1)
+    def test_equals_json_dumps(self, obj):
+        assert indented_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_trees_are_written_without_json_dumps(self, monkeypatch):
+        obj = {"target": "p\u00b9", "entries": [{"k": 3, "beta": [], "chi": "-1/2"}]}
+        expected = json.dumps(obj, indent=2) + "\n"
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: pytest.fail("json.dumps called"))
+        assert indented_json(obj) == expected
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1, True]}, [None], {"x": {"y": 1.5}}, [float("nan")], {"t": (1, "a")},
+        {1: "a"}, {"a": {None: 2}}, [False, 0]])
+    def test_other_values_go_to_json_dumps(self, monkeypatch, obj):
+        calls, real = [], json.dumps
+
+        def recorded(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(json, "dumps", recorded)
+        assert indented_json(obj) == real(obj, indent=2) + "\n"
+        assert calls == [obj]
