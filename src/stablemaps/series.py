@@ -18,11 +18,20 @@ denominator L * D (an int L and a monic polynomial D), each cell's int
 numerator is packed as its value at u = 2**bits, with bits a whole number
 of 32-bit words wide enough for a bound on every accumulated coefficient,
 a group is summed as packed ints, each in-box pair costs one int multiply,
-and each output cell is unpacked once and reduced once.  A series is never
-changed once built, so each one scales its numerators to ints at most
-once, on its first product, and packs them once per slot width and box,
-keeping the packed image for its next partner; the in-box pairs of each
-box are planned once per process.
+and each output cell is unpacked once.
+
+That scaled form, int rows over one L * D, is the value of every series
+that a product, sum_of_products, +, - or scale returns: + and - put both
+sides over their common L * D and add rows, scale multiplies the rows by
+the scalar's numerator and L * D by its denominator, and each result is
+reduced once as a whole, dividing out gcd(D, every row) and then the int
+content gcd(L, every entry).  The reduced RatFunc cells are built only
+when they are read (MultiSeries.coeffs), for output, coeff, ==, truncate,
+series_adams, series_dt or a one-cell operand.  A series is never changed
+once built, so one built from cells scales its numerators to ints at most
+once, on its first operation, and every series packs its rows once per
+slot width and box, keeping the packed image for its next partner; the
+in-box pairs of each box are planned once per process.
 
 Besides ring operations the module provides the two compositions the
 moduli computation needs, both finite inside a box because their argument
@@ -112,6 +121,59 @@ def _scaled_numerators(cells: dict):
     return lcm, den, rows, top, length
 
 
+def _reduce(lcm: int, den, rows: dict) -> tuple:
+    """(L, D, rows, top, length) for the cells rows / (lcm * den), with the
+    int rows trimmed, in the form _scaled_numerators gives their reduced
+    cells: the rows and den divided by g = gcd(den, every row), so that
+    den / g is the lcm of the reduced cells' denominators, and then the
+    rows and lcm by the int content gcd(lcm, every entry).  top is the
+    largest |entry| and length the largest length among the rows."""
+    if not rows:
+        return 1, P_ONE, {}, 0, 0
+    if den != P_ONE:
+        g = den
+        for row in rows.values():
+            g = upoly_gcd(g, UPoly.from_numer(row, 1))
+            if g == P_ONE:
+                break
+        if g != P_ONE:
+            den = den // g
+            quotients = {key: UPoly.from_numer(row, 1) // g for key, row in rows.items()}
+            m = math.lcm(*(p.denom for p in quotients.values()))
+            lcm *= m
+            rows = {key: [x * (m // p.denom) for x in p.numer] for key, p in quotients.items()}
+    g = math.gcd(lcm, *itertools.chain.from_iterable(rows.values()))
+    if g != 1:
+        lcm //= g
+        rows = {key: [x // g for x in row] for key, row in rows.items()}
+    vals = rows.values()
+    return lcm, den, rows, max(map(abs, itertools.chain.from_iterable(vals))), max(map(len, vals))
+
+
+def _row_product(a, b) -> list:
+    """The int row of the product of the int polynomials a and b."""
+    if len(b) == 1:
+        f = b[0]
+        return a if f == 1 else [x * f for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _row_sum(a, b) -> list:
+    """The int row a + b, trimmed of trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    out += a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 @lru_cache(maxsize=None)
 def _pair_plan(kmax: int, dmax: tuple) -> dict:
     """{cell: {partner: cell of their product}} over the cells (k, d) of the
@@ -155,11 +217,16 @@ def _unpack(acc: int, bits: int) -> list:
 class MultiSeries:
     """Box-truncated series with RatFunc coefficients.
 
+    A series built from coefficients holds them as cells.  One that comes
+    out of a product, sum_of_products, +, - or scale holds its scaled form
+    instead, int rows over one denominator L * D (_reduce), and builds its
+    reduced RatFunc cells only when they are read (coeffs).
+
     kmax may be -1 for the empty box that results from differentiating a
     series only known at t-order 0.
     """
 
-    __slots__ = ("grading", "kmax", "dmax", "coeffs", "_scaled", "_images")
+    __slots__ = ("grading", "kmax", "dmax", "_cells", "_scaled", "_images")
 
     def __init__(self, grading: Grading, kmax: int, dmax, coeffs=None):
         dmax = tuple(int(x) for x in dmax)
@@ -181,7 +248,7 @@ class MultiSeries:
                 c = _coerce_coeff(c)
                 if not c.is_zero:
                     clean[(k, d)] = c
-        self.coeffs = clean
+        self._cells = clean
         self._scaled = self._images = None
 
     @classmethod
@@ -191,8 +258,20 @@ class MultiSeries:
         s.grading = grading
         s.kmax = kmax
         s.dmax = dmax
-        s.coeffs = coeffs
+        s._cells = coeffs
         s._scaled = s._images = None
+        return s
+
+    @classmethod
+    def _from_rows(cls, grading, kmax, dmax, lcm: int, den, rows) -> "MultiSeries":
+        # internal: the series whose cells are rows / (lcm * den), held in
+        # that scaled form (reduced by _reduce) until its cells are read
+        s = object.__new__(cls)
+        s.grading = grading
+        s.kmax = kmax
+        s.dmax = dmax
+        s._cells = s._images = None
+        s._scaled = _reduce(lcm, den, rows)
         return s
 
     @classmethod
@@ -222,6 +301,23 @@ class MultiSeries:
         return (0 <= k <= self.kmax and len(d) == len(self.dmax)
                 and all(0 <= di <= mi for di, mi in zip(d, self.dmax)))
 
+    @property
+    def coeffs(self) -> dict:
+        """{(k, d): RatFunc} over the nonzero cells.  A series held as int
+        rows builds its reduced cells here, once, on the first read."""
+        cells = self._cells
+        if cells is None:
+            lcm, den, rows = self._scaled[:3]
+            cells = self._cells = {key: RatFunc(UPoly.from_numer(row, lcm), den)
+                                   for key, row in rows.items()}
+        return cells
+
+    @property
+    def _cell_count(self) -> int:
+        """The number of nonzero cells, read without building any."""
+        cells = self._cells
+        return len(self._scaled[2] if cells is None else cells)
+
     def coeff(self, k: int, d=()) -> RatFunc:
         d = tuple(d)
         if not self._in_box(k, d):
@@ -229,14 +325,8 @@ class MultiSeries:
         return self.coeffs.get((k, d), RF_ZERO)
 
     @property
-    def constant_term(self) -> RatFunc:
-        if self.kmax < 0:
-            return RF_ZERO
-        return self.coeffs.get((0, self.grading.zero), RF_ZERO)
-
-    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._cell_count
 
     def _common_box(self, other) -> tuple:
         if self.grading != other.grading:
@@ -259,37 +349,57 @@ class MultiSeries:
                 and self.dmax == other.dmax and self.coeffs == other.coeffs)
 
     def __neg__(self):
-        return MultiSeries._new(self.grading, self.kmax, self.dmax,
-                                {k: -c for k, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def __add__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        box = self._common_box(other)
-        a, b = (x.coeffs if (x.kmax, x.dmax) == box else x.truncate(*box).coeffs
-                for x in (self, other))
-        out = dict(a)
-        for key, c in b.items():
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s.is_zero:
-                del out[key]
-            else:
-                out[key] = s
-        return MultiSeries._new(self.grading, *box, out)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign: int) -> "MultiSeries":
+        """self + sign * other on the common box: both sides' rows over
+        their common L * D, added row by row, reduced once.  Over one D
+        that is L = lcm(L_a, L_b); otherwise _one_side finds it."""
+        box = self._common_box(other)
+        cells = _pair_plan(*box)
+        la, da, ra = self._int_numerators()[:3]
+        lb, db, rb = other._int_numerators()[:3]
+        if da == db:
+            den, lcm = da, math.lcm(la, lb)
+            fa, fb = [lcm // la], [sign * lcm // lb]
+        else:
+            lcm, den, (left, right) = _one_side([[self], [other]])
+            (_, ma, qa), = left[0]
+            (_, mb, qb), = right[0]
+            fa, fb = [ma * x for x in qa], [sign * mb * x for x in qb]
+        out = {key: _row_product(row, fa) for key, row in ra.items() if key in cells}
+        for key, row in rb.items():
+            if key in cells:
+                row = _row_product(row, fb)
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = row
+                else:
+                    row = _row_sum(prev, row)
+                    if row:
+                        out[key] = row
+                    else:
+                        del out[key]
+        return MultiSeries._from_rows(self.grading, *box, lcm, den, out)
 
     def _int_numerators(self):
         """The coefficients over one denominator L * D, as
-        _scaled_numerators returns them, computed on the first product that
-        packs this series: a series is never changed once built."""
+        _scaled_numerators returns them: the value of a series held as int
+        rows, and for one built from cells computed on its first operation
+        and kept, since a series is never changed once built."""
         got = self._scaled
         if got is None:
-            got = self._scaled = _scaled_numerators(self.coeffs)
+            got = self._scaled = _scaled_numerators(self._cells)
         return got
 
     def _packed(self, bits: int, box: tuple) -> dict:
@@ -311,27 +421,29 @@ class MultiSeries:
         the smaller operand visits only its partners in the larger whose
         product stays in the box, as the box's pair plan lists them.
 
-        An empty or one-cell operand shares no output cell between pairs, so
-        it multiplies the coefficients directly.  Otherwise this is the
-        one-term case of sum_of_products, with each operand over its own
-        denominator: its numerators are packed once per slot width and
-        common box, and the pair loop (_pair_sums) and the unpacking
-        (_read_cells) are the core's."""
+        An empty or one-cell operand shares no output cell between pairs:
+        its one cell moves the larger operand's rows to their product cells
+        and scales them (_times).  Otherwise this is the one-term case of
+        sum_of_products, with each operand over its own denominator: its
+        numerators are packed once per slot width and common box, and the
+        pair loop (_pair_sums) and the unpacking (_read_cells) are the
+        core's."""
         if isinstance(other, (int, Fraction, RatFunc, UPoly)):
             return self.scale(other)
         if not isinstance(other, MultiSeries):
             return NotImplemented
         kmax, dmax = box = self._common_box(other)
-        small, large = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        a, b = small.coeffs, large.coeffs
+        small, large = (self, other) if self._cell_count <= other._cell_count else (other, self)
+        count = small._cell_count
         plan = _pair_plan(kmax, dmax)
-        if len(a) <= 1:
-            out = {key: c1 * b[key2] for key1, c1 in a.items()
-                   for key2, key in plan.get(key1, {}).items() if key2 in b}
-            return MultiSeries._new(self.grading, kmax, dmax, out)
+        lb, db, rows, top_b, len_b = large._int_numerators()
+        if count <= 1:
+            key1, c = next(iter(small.coeffs.items()), (None, RF_ZERO))
+            moves = plan.get(key1, {})
+            return _times(self.grading, box, lb, db,
+                          {moves[key2]: row for key2, row in rows.items() if key2 in moves}, c)
         la, da, _, top_a, len_a = small._int_numerators()
-        lb, db, _, top_b, len_b = large._int_numerators()
-        bits = _slot_bits(top_a * top_b * min(len_a, len_b) * len(a))
+        bits = _slot_bits(top_a * top_b * min(len_a, len_b) * count)
         sums = _pair_sums([(small._packed(bits, box), large._packed(bits, box))], plan)
         return _read_cells(self.grading, box, sums, bits, la * lb, da * db)
 
@@ -341,17 +453,15 @@ class MultiSeries:
         return NotImplemented
 
     def scale(self, c) -> "MultiSeries":
-        c = _coerce_coeff(c)
-        if c.is_zero:
-            return MultiSeries._new(self.grading, self.kmax, self.dmax, {})
-        return MultiSeries._new(self.grading, self.kmax, self.dmax,
-                                {k: v * c for k, v in self.coeffs.items()})
+        """c times the series: its rows times the numerator of c, over L * D
+        times the denominator of c."""
+        return _times(self.grading, (self.kmax, self.dmax), *self._int_numerators()[:3], c)
 
     def max_total_order(self) -> int:
         return max(self.kmax, 0) + sum(self.dmax)
 
     def __repr__(self):
-        return f"MultiSeries(kmax={self.kmax}, dmax={self.dmax}, terms={len(self.coeffs)})"
+        return f"MultiSeries(kmax={self.kmax}, dmax={self.dmax}, terms={self._cell_count})"
 
     def __str__(self):
         if not self.coeffs:
@@ -410,11 +520,23 @@ def _pair_sums(images, plan) -> dict:
 
 
 def _read_cells(grading, box, sums, bits: int, lcm: int, den) -> MultiSeries:
-    """The series on box whose cells are the packed sums, each unpacked
-    once at the slot width and reduced once over lcm * den."""
-    return MultiSeries._new(grading, *box,
-                            {key: RatFunc(UPoly.from_numer(_unpack(s, bits), lcm), den)
-                             for key, s in sums.items() if s})
+    """The series on box whose cells are the packed sums over lcm * den,
+    each unpacked once at the slot width, held as those rows and reduced
+    once as a whole (_reduce)."""
+    return MultiSeries._from_rows(grading, *box, lcm, den,
+                                  {key: _unpack(s, bits) for key, s in sums.items() if s})
+
+
+def _times(grading, box, lcm: int, den, rows: dict, c) -> MultiSeries:
+    """The series on box with the cells rows / (lcm * den) times the scalar
+    c: the rows times the int numerator of c, lcm times its int
+    denominator and den times its monic denominator, reduced once."""
+    c = _coerce_coeff(c)
+    if c.is_zero:
+        return MultiSeries._from_rows(grading, *box, 1, P_ONE, {})
+    num = c.num
+    return MultiSeries._from_rows(grading, *box, lcm * num.denom, den * c.den,
+                                  {key: _row_product(row, num.numer) for key, row in rows.items()})
 
 
 def _one_side(groups) -> tuple:
@@ -442,13 +564,13 @@ def _one_side(groups) -> tuple:
     for group in groups:
         operands, top, length, cells = [], 0, 0, 0
         for s in group:
-            own, d, _, s_top, s_len = s._int_numerators()
+            own, d, rows, s_top, s_len = s._int_numerators()
             q = quotients[d]
             m = lcm // (own * q.denom)
             operands.append((s, m, q.numer))
             top += s_top * m * sum(map(abs, q.numer))
             length = max(length, s_len + len(q.numer) - 1)
-            cells = max(cells, len(s.coeffs))
+            cells = max(cells, len(rows))
         scaled.append((operands, top, length, cells))
     return lcm, den, scaled
 
@@ -510,7 +632,7 @@ def _power_sum(g: MultiSeries, c0, coeff, name: str) -> MultiSeries:
     """c0 + sum_{k>=1} coeff(k) g**k for a series g with zero constant term
     (`name` says which series in the error); the sum terminates inside the
     box because g**k has total order at least k."""
-    if not g.constant_term.is_zero:
+    if (0, g.grading.zero) in g._int_numerators()[2]:
         raise ValueError(f"{name} base must be 1 + nilpotent part")
     result = MultiSeries.const(g.grading, g.kmax, g.dmax, c0)
     gpow = MultiSeries.const(g.grading, g.kmax, g.dmax, RF_ONE)

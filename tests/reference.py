@@ -1,6 +1,9 @@
 """Independent references the tests compare the package against.
 
 - div_exact: exact polynomial division, refusing a remainder.
+- CellSeries and cell_sum_of_products: box-truncated series held as RatFunc
+  cells, with naive cell-by-cell arithmetic and no int rows, packing or
+  shared denominator.
 - stationary: the order-by-order iteration phi <- step(phi) that gives each
   route's full-box reference root, with no slice recurrence and no
   differential equation.
@@ -19,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
+from operator import add
 
-from stablemaps.qfield import LINE_CLASS, RF_ZERO, RatFunc, UPoly, binom_falling
+from stablemaps.qfield import LINE_CLASS, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
 from stablemaps.target import TargetSpace, nclass
 from stablemaps.trees import Tree, _code_bytes
 
@@ -30,6 +34,64 @@ def div_exact(a: UPoly, b: UPoly) -> UPoly:
     if not r.is_zero:
         raise ValueError(f"inexact polynomial division: ({a}) / ({b})")
     return q
+
+
+class CellSeries:
+    """A series on the box (kmax, dmax) as {(k, d): RatFunc} over its
+    nonzero cells; a cell off the box is dropped.  Each operation works cell
+    by cell in RatFunc arithmetic, on the common box of its operands."""
+
+    def __init__(self, kmax: int, dmax, cells):
+        self.kmax, self.dmax = kmax, tuple(dmax)
+        self.cells = {(k, d): c for (k, d), c in cells.items()
+                      if not c.is_zero and k <= kmax and all(map(int.__le__, d, self.dmax))}
+
+    def _box(self, other) -> tuple:
+        return min(self.kmax, other.kmax), tuple(map(min, self.dmax, other.dmax))
+
+    def __add__(self, other):
+        out = dict(self.cells)
+        for key, c in other.cells.items():
+            out[key] = out.get(key, RF_ZERO) + c
+        return CellSeries(*self._box(other), out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = {}
+        for (k1, d1), c1 in self.cells.items():
+            for (k2, d2), c2 in other.cells.items():
+                key = (k1 + k2, tuple(map(add, d1, d2)))
+                out[key] = out.get(key, RF_ZERO) + c1 * c2
+        return CellSeries(*self._box(other), out)
+
+    def scale(self, c):
+        c = c if isinstance(c, RatFunc) else RatFunc(c)
+        return CellSeries(self.kmax, self.dmax, {key: v * c for key, v in self.cells.items()})
+
+    def truncate(self, kmax: int, dmax):
+        return CellSeries(min(kmax, self.kmax), tuple(map(min, dmax, self.dmax)), self.cells)
+
+    def adams(self, k: int):
+        """psi_k: u -> u**k, z**b -> z**(k b), t -> 0 for k >= 2; psi_1 is
+        the identity."""
+        if k == 1:
+            return self
+        return CellSeries(self.kmax, self.dmax, {(0, tuple(k * x for x in d)): c.adams(k)
+                                                 for (j, d), c in self.cells.items() if not j})
+
+
+def cell_sum_of_products(terms, kmax: int, dmax) -> CellSeries:
+    """sum over terms (left, right) of (sum of left) * (sum of right) on the
+    box (kmax, dmax), a right of None standing for the unit series."""
+    zero = CellSeries(kmax, dmax, {})
+    unit = CellSeries(kmax, dmax, {(0, (0,) * len(dmax)): RF_ONE})
+    total = zero
+    for left, right in terms:
+        right = [unit] if right is None else right
+        total = total + sum(left, zero) * sum(right, zero)
+    return total
 
 
 def stationary(step, phi):

@@ -285,10 +285,15 @@ def callers(directory, name):
 
 def test_one_kronecker_core():
     # a product of two series and the grouped sum of products run one
-    # pair loop, and every packed cell is read back in one place
+    # pair loop, every packed cell is read back in one place, every result
+    # is reduced as a whole in one place, and int rows become RatFunc cells
+    # only in the coeffs view (_reduce makes UPolys of rows only to divide
+    # out their gcd with the denominator)
     assert callers(PACKAGE, "_pair_sums") == ["series.py: __mul__",
                                               "series.py: sum_of_products"]
     assert callers(PACKAGE, "_unpack") == ["series.py: _read_cells"]
+    assert callers(PACKAGE, "_reduce") == ["series.py: _from_rows"]
+    assert callers(PACKAGE, "from_numer") == ["series.py: _reduce", "series.py: coeffs"]
 
 
 def test_caller_check_finds_each_calling_function(tmp_path):

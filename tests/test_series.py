@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import factorial
@@ -12,7 +13,7 @@ from stablemaps.series import (Grading, MultiSeries, box_vectors, series_adams,
                                series_dt, series_log1p, series_pow_binomial,
                                slice_cells, sum_of_products)
 
-from reference import stationary
+from reference import CellSeries, cell_sum_of_products, stationary
 
 G1 = Grading(1)
 G0 = Grading(0)
@@ -399,6 +400,143 @@ class TestSumOfProducts:
         got = sum_of_products([([x], [y, x]), ([y, x], None), ([], None), ([x], [])],
                               G1, 2, (1,))
         assert got == x * (y + x) + y + x
+
+
+def scaled_form(s):
+    """A series' (L, D, rows, top, length), each row as a list."""
+    lcm, den, rows, top, length = s._int_numerators()
+    return lcm, den, {key: list(row) for key, row in rows.items()}, top, length
+
+
+def reference_form(ref):
+    """The (L, D, rows, top, length) that _scaled_numerators makes from the
+    reduced cells of a CellSeries."""
+    lcm, den, rows, top, length = series._scaled_numerators(ref.cells)
+    return lcm, den, {key: list(row) for key, row in rows.items()}, top, length
+
+
+# scalars of every kind scale takes, zero among them, and rational
+# functions over the monic denominators
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+             min_size=1, max_size=3).map(UPoly),
+    st.builds(RatFunc, st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(UPoly),
+              st.sampled_from(MONIC_DENOMINATORS)))
+
+
+class TestRowsAgainstCells:
+    @given(data=st.data())
+    def test_chain_matches_the_cell_reference(self, data):
+        # chains of products, sums of products, sums, differences, scalings,
+        # truncations and Adams operations, each result held as int rows,
+        # must give the cells of the same chain built cell by cell
+        # (reference.CellSeries), and their scaled form must be the one
+        # _scaled_numerators makes from those cells
+        rank = data.draw(st.integers(0, 2), label="rank")
+        grading = Grading(rank)
+        poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UPoly)
+        coeff = st.one_of(poly.map(RatFunc),
+                          st.builds(RatFunc, poly, st.sampled_from(MONIC_DENOMINATORS)))
+
+        def index():
+            return data.draw(st.integers(0, len(pool) - 1))
+
+        def fresh():
+            kmax = data.draw(st.integers(0, 3))
+            dmax = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+            cells = [(k, d) for k in range(kmax + 1) for d in box_vectors(dmax)]
+            chosen = data.draw(st.dictionaries(st.sampled_from(cells), coeff,
+                                               min_size=1, max_size=6))
+            return MultiSeries(grading, kmax, dmax, chosen), CellSeries(kmax, dmax, chosen)
+
+        def core():
+            picked = [pool[index()] for _ in range(data.draw(st.integers(1, 4)))]
+            kmax = min(s.kmax for s, _ in picked)
+            dmax = tuple(map(min, zip(*(s.dmax for s, _ in picked))))
+            terms, refs, rest = [], [], iter(picked)
+            for _ in range(data.draw(st.integers(1, 2))):
+                left = list(itertools.islice(rest, 2))
+                right = None if data.draw(st.booleans()) else list(itertools.islice(rest, 2))
+                terms.append(([s for s, _ in left], right and [s for s, _ in right]))
+                refs.append(([r for _, r in left], right and [r for _, r in right]))
+            return (sum_of_products(terms, grading, kmax, dmax),
+                    cell_sum_of_products(refs, kmax, dmax))
+
+        pool = [fresh() for _ in range(3)]
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["mul", "core", "add", "sub", "cancel", "scale",
+                                            "truncate", "adams", "fresh"]))
+            (a, ra), (b, rb) = pool[index()], pool[index()]
+            if op == "mul":
+                got = a * b, ra * rb
+            elif op == "core":
+                got = core()
+            elif op == "add":
+                got = a + b, ra + rb
+            elif op == "sub":
+                got = a - b, ra - rb
+            elif op == "cancel":
+                got = a + b - (b + a), ra + rb - (rb + ra)
+            elif op == "scale":
+                c = data.draw(SCALARS)
+                got = a.scale(c), ra.scale(c)
+            elif op == "truncate":
+                kmax = data.draw(st.integers(0, 3))
+                dmax = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
+                got = a.truncate(kmax, dmax), ra.truncate(kmax, dmax)
+            elif op == "adams":
+                k = data.draw(st.integers(1, 3))
+                got = series_adams(a, k), ra.adams(k)
+            else:
+                got = fresh()
+            pool.append(got)
+        for s, ref in pool:
+            assert (s.kmax, s.dmax) == (ref.kmax, ref.dmax)
+            assert scaled_form(s) == reference_form(ref)
+            assert s.coeffs == ref.cells
+            assert s.is_zero == (not ref.cells)
+
+    @pytest.mark.parametrize("scalar", [None, UPoly((2 ** 40 + 1, 2 ** 40 - 1)),
+                                        Fraction(2 ** 41 + 1, 3)],
+                             ids=["product", "upoly", "fraction"])
+    def test_row_held_operand_sizes_its_own_slot(self, monkeypatch, scalar):
+        # P, a product of entries near -2**63 and 2**63 times 1 + u + u^2 +
+        # u^3, is held as int rows (and scaled by a large scalar, when one
+        # is given) and fed into a second product.  Its top and length are
+        # those of the rows _scaled_numerators makes from its reduced cells,
+        # the second product's slot is sized from them, and one 32-bit word
+        # narrower would not hold its largest cell
+        n0, n1, n2, n3 = 2 ** 63 - 1, 2 ** 63 - 3, 2 ** 63 - 5, 2 ** 63 - 7
+        ones = UPoly((1, 1, 1, 1))
+
+        def pair(cells):
+            cells = {(k, ()): RatFunc(ones.scale(x)) for k, x in cells.items()}
+            return MultiSeries(G0, 3, (), cells), CellSeries(3, (), cells)
+
+        (a, ra), (b, rb), (c, rc) = (pair({0: -n0, 1: -n1}), pair({0: n2, 1: n3}),
+                                     pair({0: n3, 1: n2, 2: n1}))
+        p, rp = a * b, ra * rb
+        if scalar is not None:
+            p, rp = p.scale(scalar), rp.scale(scalar)
+        assert p._cells is None
+        assert scaled_form(p) == reference_form(rp)
+        rows, unpack = [], series._unpack
+
+        def recording(acc, bits):
+            rows.append((bits, unpack(acc, bits)))
+            return rows[-1][1]
+
+        monkeypatch.setattr(series, "_unpack", recording)
+        got = p * c
+        monkeypatch.undo()
+        assert got.coeffs == (rp * rc).cells
+        _, _, _, top_p, len_p = reference_form(rp)
+        _, _, _, top_c, len_c = reference_form(rc)
+        bits = series._slot_bits(top_p * top_c * min(len_p, len_c) * 3)
+        assert {b for b, _ in rows} == {bits}
+        assert max(abs(x) for _, row in rows for x in row) >= 2 ** (bits - 32 - 1)
 
 
 class TestPowBinomial:

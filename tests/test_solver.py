@@ -551,6 +551,27 @@ class TestClassTable:
             class_table(w, phi0, kmax=2)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("num, den, bad", [((1,), (1,), True), ((1, 1), (1, 1, 1), False),
+                                               ((2, 1), (1, 1, 1), True)],
+                             ids=["remainder", "cancelled", "denominator"])
+    def test_t0_row_is_one_division(self, num, den, bad):
+        # the k = 0 class P_W (2 R0 - u R0^2) / (2(u+1)) on pn:2, where
+        # P_W = u^2 + u + 1: with R0 = z it leaves a remainder, with R0 =
+        # (u+1)/P_W z it is 1, and with R0 = (u+2)/P_W z a denominator
+        # survives; each gives the potential route's class or its error
+        w = projective_space(2)
+        phi0 = MultiSeries(w.grading, 0, (1,), {(0, (1,)): RatFunc(UPoly(num), UPoly(den))})
+        if not bad:
+            table = class_table(w, phi0, kmax=1)
+            assert table == extract_classes(potential(w, phi0, kmax=1), w)
+            assert table.entry(0, (1,)) == UPoly((1,))
+            return
+        with pytest.raises(ValueError) as want:
+            extract_classes(potential(w, phi0, kmax=1), w)
+        with pytest.raises(ValueError, match=re.escape("(k=0, beta=(1,))")) as got:
+            class_table(w, phi0, kmax=1)
+        assert str(got.value) == str(want.value)
+
 
 # JSON trees of the kinds the CLI writes: dicts with str keys, lists, strs
 # and ints, with non-ASCII text, quotes, backslashes and control characters

@@ -291,6 +291,24 @@ class TestTreeSum:
         assert len(calls) < parent_count
         assert got == potential(w, solve_phi0(w, kmax, dmax, adams=adams), adams=adams)
 
+    def test_cells_are_built_only_when_read(self, monkeypatch):
+        # the tree sum's products, sums and scalings hold int rows: none
+        # builds its RatFunc cells, except as a one-cell operand, and the
+        # result builds them when it is read
+        built = []
+        view = MultiSeries.coeffs.fget
+
+        def spying(s):
+            if s._cells is None:
+                built.append(s)
+            return view(s)
+
+        monkeypatch.setattr(MultiSeries, "coeffs", property(spying))
+        got = tree_sum_potential(projective_space(2), 5, (3,))
+        assert all(s._cell_count <= 1 for s in built)
+        assert got._cells is None
+        assert got.coeffs and built[-1] is got
+
     def test_top_level_is_one_accumulation(self, monkeypatch):
         # on pn:2 (5; 3) without adams the 58 top-level series, each centred
         # tree's children per cycle type and each bicentral tree's halves,
