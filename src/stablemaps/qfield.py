@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 _F0 = Fraction(0)
 
@@ -42,6 +43,35 @@ def _poly(numer: list, denom: int) -> "UPoly":
             denom //= g
             numer = [c // g for c in numer]
     return UPoly._make(tuple(numer), denom)
+
+
+def int_poly_add(a, b) -> list:
+    """The int coefficients, lowest degree first, of a + b for the int
+    coefficient sequences a and b, trailing zeros trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(map(add, a, b))
+    out += a[len(b):]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def int_poly_mul(a, b):
+    """The int coefficients, lowest degree first, of a * b for the nonempty
+    int coefficient sequences a and b: a list, or the other factor itself
+    when one is the constant 1."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        a0 = a[0]
+        return b if a0 == 1 else [a0 * c for c in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
 
 
 def _const(c) -> "UPoly":
@@ -150,12 +180,7 @@ class UPoly:
             d = da * ma
             a = [c * ma for c in a]
             b = [c * mb for c in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out, d)
+        return _poly(int_poly_add(a, b), d)
 
     __radd__ = __add__
 
@@ -178,17 +203,7 @@ class UPoly:
         if not a or not b:
             return P_ZERO
         d = self.denom * other.denom
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) == 1:
-            a0 = a[0]
-            out = [a0 * c for c in b]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
+        out = int_poly_mul(a, b)
         if d == 1:
             return UPoly._make(tuple(out), 1)
         return _poly(out, d)

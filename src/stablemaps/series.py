@@ -57,7 +57,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .qfield import P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling, upoly_gcd
+from .qfield import (P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling, int_poly_add,
+                     int_poly_mul, upoly_gcd)
 
 
 class Grading:
@@ -148,30 +149,6 @@ def _reduce(lcm: int, den, rows: dict) -> tuple:
         rows = {key: [x // g for x in row] for key, row in rows.items()}
     vals = rows.values()
     return lcm, den, rows, max(map(abs, itertools.chain.from_iterable(vals))), max(map(len, vals))
-
-
-def _row_product(a, b) -> list:
-    """The int row of the product of the int polynomials a and b."""
-    if len(b) == 1:
-        f = b[0]
-        return a if f == 1 else [x * f for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _row_sum(a, b) -> list:
-    """The int row a + b, trimmed of trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(map(add, a, b))
-    out += a[len(b):]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -363,29 +340,22 @@ class MultiSeries:
 
     def _sum(self, other, sign: int) -> "MultiSeries":
         """self + sign * other on the common box: both sides' rows over
-        their common L * D, added row by row, reduced once.  Over one D
-        that is L = lcm(L_a, L_b); otherwise _one_side finds it."""
+        their common L * D (_common_denominator), added row by row, reduced
+        once."""
         box = self._common_box(other)
         cells = _pair_plan(*box)
-        la, da, ra = self._int_numerators()[:3]
-        lb, db, rb = other._int_numerators()[:3]
-        if da == db:
-            den, lcm = da, math.lcm(la, lb)
-            fa, fb = [lcm // la], [sign * lcm // lb]
-        else:
-            lcm, den, (left, right) = _one_side([[self], [other]])
-            (_, ma, qa), = left[0]
-            (_, mb, qb), = right[0]
-            fa, fb = [ma * x for x in qa], [sign * mb * x for x in qb]
-        out = {key: _row_product(row, fa) for key, row in ra.items() if key in cells}
-        for key, row in rb.items():
+        fa, fb = self._int_numerators(), other._int_numerators()
+        lcm, den, ((ma, qa), (mb, qb)) = _common_denominator([fa, fb])
+        qa, qb = [ma * x for x in qa], [sign * mb * x for x in qb]
+        out = {key: int_poly_mul(row, qa) for key, row in fa[2].items() if key in cells}
+        for key, row in fb[2].items():
             if key in cells:
-                row = _row_product(row, fb)
+                row = int_poly_mul(row, qb)
                 prev = out.get(key)
                 if prev is None:
                     out[key] = row
                 else:
-                    row = _row_sum(prev, row)
+                    row = int_poly_add(prev, row)
                     if row:
                         out[key] = row
                     else:
@@ -536,40 +506,45 @@ def _times(grading, box, lcm: int, den, rows: dict, c) -> MultiSeries:
         return MultiSeries._from_rows(grading, *box, 1, P_ONE, {})
     num = c.num
     return MultiSeries._from_rows(grading, *box, lcm * num.denom, den * c.den,
-                                  {key: _row_product(row, num.numer) for key, row in rows.items()})
+                                  {key: int_poly_mul(row, num.numer) for key, row in rows.items()})
+
+
+def _common_denominator(forms) -> tuple:
+    """One denominator L * D for series given by their scaled forms (L_i,
+    D_i, rows, ...): D the monic lcm of the D_i and L the lcm of the ints
+    L_i l_i, where D / D_i is Q_i / l_i with Q_i an int row.  Returns (L, D,
+    factors), factors listing per form (m_i, Q_i) with m_i = L / (L_i l_i),
+    so that series_i = m_i Q_i N_i / (L * D) for N_i its rows."""
+    den = P_ONE
+    for _, d, *_ in forms:
+        if d != den:
+            den = den * (d // upoly_gcd(den, d))
+    lcm, quotients, qs = 1, {den: P_ONE}, []
+    for own, d, *_ in forms:
+        q = quotients.get(d)
+        if q is None:
+            q = quotients[d] = den // d
+        qs.append(q)
+        lcm = math.lcm(lcm, own * q.denom)
+    return lcm, den, [(lcm // (form[0] * q.denom), q.numer) for form, q in zip(forms, qs)]
 
 
 def _one_side(groups) -> tuple:
-    """One denominator L * D for every series of a side's groups: D the
-    monic lcm of their denominators D_i and L the lcm of the ints L_i l_i,
-    where D / D_i is Q_i / l_i with Q_i an int row.  Returns (L, D, scaled),
-    scaled holding per group the list of (series_i, m_i, Q_i), where
-    series_i = m_i Q_i N_i / (L * D) for N_i its int numerators over its own
-    L_i * D_i, and then the sum of the largest |entry|, the largest length
-    and the most cells of the m_i Q_i N_i."""
-    den = P_ONE
-    for group in groups:
-        for s in group:
-            d = s._int_numerators()[1]
-            if d != den:
-                den = den * (d // upoly_gcd(den, d))
-    lcm, quotients = 1, {}
-    for group in groups:
-        for s in group:
-            own, d = s._int_numerators()[:2]
-            if d not in quotients:
-                quotients[d] = den // d
-            lcm = math.lcm(lcm, own * quotients[d].denom)
+    """One denominator L * D for every series of a side's groups
+    (_common_denominator).  Returns (L, D, scaled), scaled holding per group
+    the list of (series_i, m_i, Q_i) and then the sum of the largest
+    |entry|, the largest length and the most cells of the m_i Q_i N_i."""
+    forms = [s._int_numerators() for group in groups for s in group]
+    lcm, den, factors = _common_denominator(forms)
+    each = iter(zip(forms, factors))
     scaled = []
     for group in groups:
         operands, top, length, cells = [], 0, 0, 0
         for s in group:
-            own, d, rows, s_top, s_len = s._int_numerators()
-            q = quotients[d]
-            m = lcm // (own * q.denom)
-            operands.append((s, m, q.numer))
-            top += s_top * m * sum(map(abs, q.numer))
-            length = max(length, s_len + len(q.numer) - 1)
+            (_, _, rows, s_top, s_len), (m, q) = next(each)
+            operands.append((s, m, q))
+            top += s_top * m * sum(map(abs, q))
+            length = max(length, s_len + len(q) - 1)
             cells = max(cells, len(rows))
         scaled.append((operands, top, length, cells))
     return lcm, den, scaled

@@ -190,11 +190,11 @@ def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> Mul
 
 def _quadratic(phi: MultiSeries, u, adams: bool) -> MultiSeries:
     """-u/(2(u+1)) sq + phi/(u+1) - t**2/(2(u+1)) on the box of phi, where the
-    square sq is phi**2, or phi**2 - psi_2(phi) (t**0 only) with adams=True."""
-    two_up1 = (u + 1) * 2
+    square sq is phi**2, or phi**2 - psi_2(phi) (t**0 only) with adams=True:
+    2 phi - u sq - t**2 scaled once by 1/(2(u+1))."""
     t2 = MultiSeries.t_power(phi.grading, phi.kmax, phi.dmax, 2)
     sq = phi * phi - series_adams(phi, 2) if adams else phi * phi
-    return sq.scale(-u / two_up1) + phi.scale(1 / (u + 1)) - t2.scale(1 / two_up1)
+    return (phi.scale(2) - sq.scale(u) - t2).scale(1 / ((u + 1) * 2))
 
 
 def _read_order(phi: MultiSeries, kmax) -> int:
@@ -362,37 +362,23 @@ def class_table(w: TargetSpace, phi0: MultiSeries, adams: bool = False,
     """extract_classes(potential(w, phi0, adams, kmax), w), read straight off
     phi0 without the potential series.  Since d/dt (Phi / P_W) = phi0, the
     class of a cell k >= 1 is (k-1)! P_W phi0[k-1, beta]; at k = 0 it is P_W
-    times the t = 0 quadratic, P_W (2 R0 - u S) / (2(u+1)) with R0 the t = 0
-    slice and S = R0**2, or R0**2 - psi_2(R0) when adams=True.  A
-    polynomial cell of phi0 costs one UPoly product by (k-1)! P_W, and one
-    of 2 R0 - u S one product by P_W and one division; only a cell with a
-    denominator or a remainder goes through RatFunc, and extract_classes'
-    certification.  kmax is phi0.kmax unless given, and phi0 may stop one
-    t-order short of it."""
+    times the t = 0 quadratic (_quadratic, with psi_2 when adams=True),
+    scaled as a series, so on its int rows.  A polynomial cell of phi0 costs
+    one UPoly product by (k-1)! P_W; only a cell with a denominator goes
+    through RatFunc, and extract_classes' certification.  kmax is phi0.kmax
+    unless given, and phi0 may stop one t-order short of it."""
     kmax = _read_order(phi0, kmax)
-    r0 = phi0.truncate(kmax=0)
-    sq = r0 * r0 - series_adams(r0, 2) if adams else r0 * r0
-    # the t = 0 quadratic is (2 R0 - u sq) / (2(u+1)): one division per cell
-    head = (r0.scale(2) - sq.scale(RF_U)).coeffs
-    two_up1 = LINE_CLASS.scale(2)
-    entries = {}
-    for d in box_vectors(phi0.dmax):
-        c = head.get((0, d), RF_ZERO)
-        if c.den == P_ONE:
-            p, rem = divmod(c.num * w.pw, two_up1)
-            if not rem:
-                entries[(0, d)] = p
-                continue
-        entries[(0, d)] = _polynomial_class(c * RatFunc(w.pw, two_up1), 0, d)
+    quad = _quadratic(phi0.truncate(kmax=0), RF_U, adams).scale(w.pw).coeffs
     coeffs = phi0.coeffs
-    for k in range(1, kmax + 1):
-        scale = w.pw.scale(factorial(k - 1))
-        for d in box_vectors(phi0.dmax):
-            c = coeffs.get((k - 1, d), RF_ZERO)
-            if c.den == P_ONE:
-                entries[(k, d)] = c.num * scale
-            else:
-                entries[(k, d)] = _polynomial_class(c * RatFunc(scale), k, d)
+    scales = [P_ONE] + [w.pw.scale(factorial(k)) for k in range(kmax)]
+    entries = {}
+    for key in box_vectors((kmax,) + phi0.dmax):
+        k, d = key[0], key[1:]
+        c = coeffs.get((k - 1, d), RF_ZERO) if k else quad.get((0, d), RF_ZERO)
+        if c.den == P_ONE:
+            entries[(k, d)] = c.num * scales[k]
+        else:
+            entries[(k, d)] = _polynomial_class(c * RatFunc(scales[k]), k, d)
     return ClassTable(w.name, kmax, phi0.dmax, entries)
 
 

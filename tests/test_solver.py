@@ -554,9 +554,9 @@ class TestClassTable:
     @pytest.mark.parametrize("num, den, bad", [((1,), (1,), True), ((1, 1), (1, 1, 1), False),
                                                ((2, 1), (1, 1, 1), True)],
                              ids=["remainder", "cancelled", "denominator"])
-    def test_t0_row_is_one_division(self, num, den, bad):
+    def test_t0_row_is_the_potential_routes(self, num, den, bad):
         # the k = 0 class P_W (2 R0 - u R0^2) / (2(u+1)) on pn:2, where
-        # P_W = u^2 + u + 1: with R0 = z it leaves a remainder, with R0 =
+        # P_W = u^2 + u + 1: with R0 = z it is not a polynomial, with R0 =
         # (u+1)/P_W z it is 1, and with R0 = (u+2)/P_W z a denominator
         # survives; each gives the potential route's class or its error
         w = projective_space(2)
