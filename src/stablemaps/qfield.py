@@ -74,6 +74,14 @@ def int_poly_mul(a, b):
     return out
 
 
+def int_poly_adams(a, k: int) -> list:
+    """The int coefficients, lowest degree first, of a(u**k) for the
+    nonempty int coefficient sequence a."""
+    out = [0] * (k * (len(a) - 1) + 1)
+    out[::k] = a
+    return out
+
+
 def _const(c) -> "UPoly":
     """The constant polynomial c, for an int or a Fraction c."""
     if not c:
@@ -265,9 +273,7 @@ class UPoly:
         a = self.numer
         if k == 1 or len(a) <= 1:
             return self
-        out = [0] * (k * (len(a) - 1) + 1)
-        out[::k] = a
-        return UPoly._make(tuple(out), self.denom)
+        return UPoly._make(tuple(int_poly_adams(a, k)), self.denom)
 
     def to_json(self) -> list:
         """The coefficients as the strings of their Fractions, "p" or "p/q",

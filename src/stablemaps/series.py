@@ -21,13 +21,16 @@ a group is summed as packed ints, each in-box pair costs one int multiply,
 and each output cell is unpacked once.
 
 That scaled form, int rows over one L * D, is the value of every series
-that a product, sum_of_products, +, - or scale returns: + and - put both
-sides over their common L * D and add rows, scale multiplies the rows by
-the scalar's numerator and L * D by its denominator, and each result is
-reduced once as a whole, dividing out gcd(D, every row) and then the int
-content gcd(L, every entry).  The reduced RatFunc cells are built only
-when they are read (MultiSeries.coeffs), for output, coeff, ==, truncate,
-series_adams, series_dt or a one-cell operand.  A series is never changed
+that a product, sum_of_products, +, -, scale, series_adams or
+MultiSeries.exponential returns: + and - put both sides over their common
+L * D and add rows, scale cancels gcd(D, the scalar's numerator) and
+multiplies the rows by what is left of the numerator and L * D by the
+scalar's denominator, series_adams spreads the rows (u -> u**k)
+over L * D(u**k), and each result is reduced once as a whole, dividing
+out gcd(D, every row) and then the int content gcd(L, every entry).  The
+reduced RatFunc cells are built only when they are read
+(MultiSeries.coeffs), for output, coeff, ==, truncate, series_dt or a
+one-cell operand.  A series is never changed
 once built, so one built from cells scales its numerators to ints at most
 once, on its first operation, and every series packs its rows once per
 slot width and box, keeping the packed image for its next partner; the
@@ -57,8 +60,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from .qfield import (P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling, int_poly_add,
-                     int_poly_mul, upoly_gcd)
+from .qfield import (P_ONE, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling, int_poly_adams,
+                     int_poly_add, int_poly_mul, upoly_gcd)
 
 
 class Grading:
@@ -195,8 +198,9 @@ class MultiSeries:
     """Box-truncated series with RatFunc coefficients.
 
     A series built from coefficients holds them as cells.  One that comes
-    out of a product, sum_of_products, +, - or scale holds its scaled form
-    instead, int rows over one denominator L * D (_reduce), and builds its
+    out of a product, sum_of_products, +, -, scale, series_adams or
+    exponential holds its scaled form instead, int rows over one
+    denominator L * D (_reduce), and builds its
     reduced RatFunc cells only when they are read (coeffs).
 
     kmax may be -1 for the empty box that results from differentiating a
@@ -250,6 +254,19 @@ class MultiSeries:
         s._cells = s._images = None
         s._scaled = _reduce(lcm, den, rows)
         return s
+
+    @classmethod
+    def exponential(cls, grading, kmax, dmax, cells) -> "MultiSeries":
+        """sum cells[(k, d)] t**k / k! z**d for RatFunc cells on the box
+        (kmax, dmax), held as int rows: the nonzero cells over one
+        denominator L * D (_scaled_numerators), the row of each t**k times
+        kmax!/k!, over kmax! L * D, reduced once."""
+        lcm, den, rows = _scaled_numerators({key: c for key, c in cells.items() if c})[:3]
+        top = math.factorial(max(kmax, 0))
+        weights = [top // math.factorial(k) for k in range(kmax + 1)]
+        return cls._from_rows(grading, kmax, tuple(dmax), lcm * top, den,
+                              {key: int_poly_mul(row, (weights[key[0]],))
+                               for key, row in rows.items()})
 
     @classmethod
     def zero(cls, grading, kmax, dmax) -> "MultiSeries":
@@ -424,7 +441,8 @@ class MultiSeries:
 
     def scale(self, c) -> "MultiSeries":
         """c times the series: its rows times the numerator of c, over L * D
-        times the denominator of c."""
+        times the denominator of c, with gcd(D, numerator of c) cancelled
+        (_times)."""
         return _times(self.grading, (self.kmax, self.dmax), *self._int_numerators()[:3], c)
 
     def max_total_order(self) -> int:
@@ -499,12 +517,17 @@ def _read_cells(grading, box, sums, bits: int, lcm: int, den) -> MultiSeries:
 
 def _times(grading, box, lcm: int, den, rows: dict, c) -> MultiSeries:
     """The series on box with the cells rows / (lcm * den) times the scalar
-    c: the rows times the int numerator of c, lcm times its int
-    denominator and den times its monic denominator, reduced once."""
+    c: with g = gcd(den, numerator of c) cancelled from both, the rows
+    times the int numerator of c / g, lcm times its int denominator and
+    den / g times the monic denominator of c, reduced once."""
     c = _coerce_coeff(c)
     if c.is_zero:
         return MultiSeries._from_rows(grading, *box, 1, P_ONE, {})
     num = c.num
+    if den != P_ONE and num.degree > 0:
+        g = upoly_gcd(den, num)
+        if g != P_ONE:
+            den, num = den // g, num // g
     return MultiSeries._from_rows(grading, *box, lcm * num.denom, den * c.den,
                                   {key: int_poly_mul(row, num.numer) for key, row in rows.items()})
 
@@ -637,19 +660,20 @@ def series_log1p(g: MultiSeries) -> MultiSeries:
 
 
 def series_adams(g: MultiSeries, k: int) -> MultiSeries:
-    """psi_k(g) on the box of g: u -> u**k, z**b -> z**(k b), t -> 0."""
+    """psi_k(g) on the box of g: u -> u**k, z**b -> z**(k b), t -> 0.  On
+    the scaled form: the t**0 rows whose k d stays in the box, each spread
+    (u -> u**k), over L * D(u**k), reduced once."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return g
+    lcm, den, rows = g._int_numerators()[:3]
     out = {}
-    for (j, d), c in g.coeffs.items():
-        if j:
-            continue
+    for (j, d), row in rows.items():
         kd = tuple(k * x for x in d)
-        if all(x <= m for x, m in zip(kd, g.dmax)):
-            out[(0, kd)] = c.adams(k)
-    return MultiSeries._new(g.grading, g.kmax, g.dmax, out)
+        if not j and all(x <= m for x, m in zip(kd, g.dmax)):
+            out[(0, kd)] = int_poly_adams(row, k)
+    return MultiSeries._from_rows(g.grading, g.kmax, g.dmax, lcm, den.adams(k), out)
 
 
 def series_dt(a: MultiSeries) -> MultiSeries:

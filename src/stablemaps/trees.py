@@ -49,14 +49,21 @@ type, depend only on the children tuple, not on how many special points
 the root fixes; each tuple extends the same tuple without its last class
 of identical children, so codes that begin alike, and a central edge and
 every vertex with the same two children, share those products.  The
-powers psi_j(sub)**e are cached per subtree.  The vertex factor
-N(W, beta) * (M_1)_n is [Map_beta] / [W], cached per beta, times
-[F(P^1, n)] / [PGL_2], cached per n and a polynomial once n >= 3.  A root
-factor depends on the children's cycle type and the root's fixed points
-only through the vertex type: the numbers of fixed and of all special
-points and the cycles of length j >= 2 (the moved product
+powers psi_j(sub)**e are cached per subtree, and psi_j acts on the int
+rows of the subtree's series.  The stratum N(W, beta) * (M_1)_n is
+[Map_beta] / [W] times [F(P^1, n)] / [PGL_2] (a polynomial once n >= 3),
+one product per (beta, n), shared by every vertex type.  A root factor
+depends on the children's cycle type and the root's fixed points only
+through the vertex type: the numbers of fixed and of all special points
+and the cycles of length j >= 2 (the moved product
 prod_{j >= 2} (M_j)_(m_j)).  It is built once per type, which without
-adams is one series per special-point count.
+adams is one series per special-point count: its cell (k, beta) is the
+stratum of n_fixed + k points over k!, the unstable cells cut, put into
+int rows at once (series.MultiSeries.exponential), and with adams scaled
+by the moved product as one series.  A rooted code's sum is then its
+leaf's root factor as it is, or for one cycle type of its children one
+product; only with adams can several cycle types add up, in one packed
+accumulation.
 At the top level a centred tree is its children's series times the root
 factor of its centre, so by distributivity the centres of one vertex type
 share one product: the children's series of every centred tree are grouped
@@ -314,44 +321,59 @@ def _contributing_trees(kmax: int, dmax) -> list:
     return out
 
 
+def _root_factors(w: TargetSpace, kmax: int, dmax):
+    """The root factors on the box: a function vertex_type(n_fixed, n_base,
+    moved_type), cached per vertex type, giving the root factor of a vertex
+    with n_fixed fixed and n_base special points in all, whose cycles of
+    length j >= 2 are moved_type,
+
+        sum_{beta, k} eps N(W, beta)/k! (M_1)_(n_fixed + k)
+                      prod_j (M_j)_(m_j) t**k z**beta,
+
+    with eps zero iff beta = 0 and n_base + k <= 2."""
+    grading = w.grading
+    zero = (0,) * len(dmax)
+    pw = RatFunc(w.pw)
+    # [Map_beta] / [W]
+    ratios = {beta: w.map_class(beta) / pw for beta in box_vectors(dmax)}
+
+    @cache
+    def strata(n: int) -> dict:
+        """{beta: N(W, beta) (M_1)_n}, [Map_beta] / [W] times [F(P^1, n)]
+        / [PGL_2]: one product per (beta, n), shared by every vertex type."""
+        configurations = _configurations(n)
+        return {beta: ratio * configurations for beta, ratio in ratios.items()}
+
+    @cache
+    def vertex_type(n_fixed: int, n_base: int, moved_type) -> MultiSeries:
+        """The strata of n_fixed + k points over k!, held as int rows, the
+        unstable cells cut, times the moved product prod_j (M_j)_(m_j)."""
+        cells = {(kv, beta): c for kv in range(kmax + 1)
+                 for beta, c in strata(n_fixed + kv).items()
+                 if beta != zero or n_base + kv > 2}
+        factor = MultiSeries.exponential(grading, kmax, dmax, cells)
+        if not moved_type:
+            return factor
+        return factor.scale(prod((_falling(RatFunc(necklace(j)), m_j)
+                                  for j, m_j in moved_type), start=RF_ONE))
+
+    return vertex_type
+
+
 def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries:
     """The tree sum before the factor [W], as one recursion over rooted
     subtrees whose caches live for this call only."""
     grading = w.grading
-    zero = (0,) * len(dmax)
-
-    @cache
-    def map_ratio(beta) -> RatFunc:
-        """[Map_beta] / [W]."""
-        return w.map_class(beta) / RatFunc(w.pw)
+    vertex_type = _root_factors(w, kmax, dmax)
 
     def type_key(ctype, fixed: int) -> tuple:
         """The vertex type (n_fixed, n_base, moved_type) of a vertex whose
         children have cycle type ctype (a sorted (j, m_j) tuple) and which
         has `fixed` more special points fixed besides its marks: its root
-        factor sum_{beta, k} eps N(W, beta)/k! prod_j (M_j)_(m_j) t**k
-        z**beta is vertex_type(*type_key(ctype, fixed))."""
+        factor is vertex_type(*type_key(ctype, fixed))."""
         n_fixed = fixed + dict(ctype).get(1, 0)
         n_base = fixed + sum(j * m_j for j, m_j in ctype)
         return n_fixed, n_base, tuple(c for c in ctype if c[0] > 1)
-
-    @cache
-    def vertex_type(n_fixed: int, n_base: int, moved_type) -> MultiSeries:
-        """The root factor of a vertex with n_fixed fixed and n_base special
-        points in all, whose cycles of length j >= 2 are moved_type."""
-        moved = RF_ONE
-        for j, m_j in moved_type:
-            moved = moved * _falling(RatFunc(necklace(j)), m_j)
-        coeffs = {}
-        for kv in range(kmax + 1):
-            # N(W, beta) (L)_n with n = n_fixed + kv, L = [P^1], is
-            # [Map_beta] / [W] times [F(P^1, n)] / [PGL_2]
-            weight = _configurations(n_fixed + kv) * moved * Fraction(1, factorial(kv))
-            for beta in box_vectors(dmax):
-                if beta == zero and n_base + kv <= 2:
-                    continue
-                coeffs[(kv, beta)] = map_ratio(beta) * weight
-        return MultiSeries(grading, kmax, dmax, coeffs)
 
     @cache
     def power(child, j: int, e: int) -> MultiSeries:
@@ -397,12 +419,17 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
         rooted tree hanging below an edge, each a product over h's vertex
         orbits as in the module docstring; every h fixes the root and the
         special point of the edge up at it.  Without adams only h = 1 is
-        kept: the sum over all weightings / |Aut|."""
-        total = MultiSeries.zero(grading, kmax, dmax)
-        for ctype, acc in children(code).items():
-            r = vertex_type(*type_key(ctype, 1))
-            total = total + (acc * r if ctype else r)
-        return total
+        kept: the sum over all weightings / |Aut|.  A leaf is its root
+        factor, one cycle type of the children is one product, and several
+        (only with adams) are one packed accumulation."""
+        if not code:
+            return vertex_type(*type_key((), 1))
+        terms = [([acc], [vertex_type(*type_key(ctype, 1))])
+                 for ctype, acc in children(code).items()]
+        if len(terms) == 1:
+            (acc,), (r,) = terms[0]
+            return acc * r
+        return sum_of_products(terms, grading, kmax, dmax)
 
     # the top level: a centred tree is its children's series times the root
     # factor of its centre, so the centres of one vertex type share one
@@ -423,7 +450,7 @@ def _tree_sum_cells(w: TargetSpace, kmax: int, dmax, adams: bool) -> MultiSeries
         return sum_of_products(terms + [(edges, None)], grading, kmax, dmax)
     finally:
         # the nested functions form a reference cycle: free the series now
-        for f in (map_ratio, vertex_type, power, children, rooted):
+        for f in (vertex_type, power, children, rooted):
             f.cache_clear()
 
 

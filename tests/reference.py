@@ -7,6 +7,9 @@
 - stationary: the order-by-order iteration phi <- step(phi) that gives each
   route's full-box reference root, with no slice recurrence and no
   differential equation.
+- root_factor_cells: the tree sum's root factor of one vertex type, cell
+  by cell from nclass and the closed points M_j of P^1, with no stratum
+  shared between cells and no int rows.
 - The labelled-marking route: MarkedTree, enum_marked and stratum_class
   price every labelled marking of a tree separately, with no quotient by
   Aut, so that summing them weighted by 1/|Aut| re-derives the tree sum's
@@ -21,6 +24,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import factorial
 from operator import add
 
@@ -104,6 +108,44 @@ def stationary(step, phi):
             return phi
         phi = nxt
     raise RuntimeError("iteration failed to become stationary")
+
+
+def closed_points(j: int) -> UPoly:
+    """M_j(P^1): points of P^1 of exact degree j, from u**j + 1 = sum_{d | j}
+    d M_d(P^1) (points over the field with u**j elements)."""
+    total = UPoly.monomial(j) + 1
+    for d in range(1, j):
+        if j % d == 0:
+            total = total - closed_points(d).scale(d)
+    return total.scale(Fraction(1, j))
+
+
+def root_factor_cells(w: TargetSpace, kmax: int, dmax, n_fixed: int, n_base: int,
+                      moved_type) -> dict:
+    """{(k, beta): cell} of the root factor of a vertex with n_fixed fixed
+    and n_base special points in all, whose cycles of length j >= 2 are
+    moved_type ((j, m_j) pairs): nclass(W, beta) (M_1)_n prod_j (M_j)_(m_j)
+    / k! with n = n_fixed + k and M_j = closed_points(j), and no cell where
+    beta = 0 and n_base + k <= 2, the unstable vertices."""
+    def falling(j, count):
+        out = RF_ONE
+        for i in range(count):
+            out = out * RatFunc(closed_points(j) - i)
+        return out
+
+    zero = (0,) * len(dmax)
+    moved = RF_ONE
+    for j, m_j in moved_type:
+        moved = moved * falling(j, m_j)
+    cells = {}
+    for k in range(kmax + 1):
+        for beta in itertools.product(*(range(b + 1) for b in dmax)):
+            if beta == zero and n_base + k <= 2:
+                continue
+            c = nclass(w, beta) * falling(1, n_fixed + k) * moved * Fraction(1, factorial(k))
+            if not c.is_zero:
+                cells[(k, beta)] = c
+    return cells
 
 
 # --- the independent canonicaliser ---------------------------------------------

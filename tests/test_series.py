@@ -623,6 +623,40 @@ class TestAdams:
                                                 (0, (0,)): RatFunc(5)})
         assert series_adams(g, 1) == g
 
+    @given(data=st.data())
+    def test_rows_match_the_cell_reference(self, data):
+        # psi_k of a series held as int rows spreads its t**0 rows and its
+        # denominator and keeps the rows whose k d stays in the box: cell
+        # for cell the reference's psi_k, in the scaled form
+        # _scaled_numerators makes from those cells, with no cell built on
+        # either series
+        rank = data.draw(st.integers(0, 2), label="rank")
+        kmax = data.draw(st.integers(0, 2), label="kmax")
+        dmax = tuple(data.draw(st.integers(0, 4)) for _ in range(rank))
+        poly = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(UPoly)
+        coeff = st.one_of(poly.map(RatFunc),
+                          st.builds(RatFunc, poly, st.sampled_from(MONIC_DENOMINATORS)))
+        keys = [(k, d) for k in range(kmax + 1) for d in box_vectors(dmax)]
+        cells = data.draw(st.dictionaries(st.sampled_from(keys), coeff, max_size=8))
+        c, k = data.draw(SCALARS, label="c"), data.draw(st.integers(1, 4), label="k")
+        s = MultiSeries(Grading(rank), kmax, dmax, cells).scale(c)
+        ref = CellSeries(kmax, dmax, cells).scale(c).adams(k)
+        got = series_adams(s, k)
+        assert s._cells is None and (got._cells is None or k == 1)
+        assert scaled_form(got) == reference_form(ref)
+        assert got.coeffs == ref.cells
+
+    def test_dropped_rows_are_reduced_out(self):
+        # the t**1 cell alone carries the denominator D = u^2 + 1; psi_2
+        # drops it, and the one row left, u^2 (u^4 + 1) over D(u^2) =
+        # u^4 + 1, reduces to u^2 over 1
+        d = UPoly((1, 0, 1))
+        s = MultiSeries(G1, 1, (2,), {(1, (0,)): RatFunc(1, d), (0, (1,)): RatFunc(U)}).scale(1)
+        assert s._int_numerators()[1] == d
+        got = series_adams(s, 2)
+        assert got._int_numerators()[:3] == (1, P_ONE, {(0, (2,)): [0, 0, 1]})
+        assert got.coeffs == {(0, (2,)): RatFunc(UPoly((0, 0, 1)))}
+
     def test_ring_homomorphism_on_t_free_series(self):
         rng = random.Random(13)
         for _ in range(5):

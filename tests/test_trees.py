@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -13,8 +14,8 @@ from stablemaps.target import point_target, projective_space
 from stablemaps import trees
 from stablemaps.trees import (_contributing_trees, _free_aut, enum_trees,
                               tree_sum_potential)
-from reference import (MarkedTree, _adjacency, _free_code, enum_marked, stratum_class,
-                       tree_code, tree_edges)
+from reference import (MarkedTree, _adjacency, _free_code, closed_points, enum_marked,
+                       root_factor_cells, stratum_class, tree_code, tree_edges)
 from test_eulerchi import rational_target
 from test_solver import p1xp1_target
 
@@ -295,19 +296,65 @@ class TestTreeSum:
         # the tree sum's products, sums and scalings hold int rows: none
         # builds its RatFunc cells, except as a one-cell operand, and the
         # result builds them when it is read
-        built = []
-        view = MultiSeries.coeffs.fget
-
-        def spying(s):
-            if s._cells is None:
-                built.append(s)
-            return view(s)
-
-        monkeypatch.setattr(MultiSeries, "coeffs", property(spying))
-        got = tree_sum_potential(projective_space(2), 5, (3,))
+        built, got = cells_built(monkeypatch, adams=False)
         assert all(s._cell_count <= 1 for s in built)
-        assert got._cells is None
         assert got.coeffs and built[-1] is got
+
+    def test_adams_builds_cells_only_when_read(self, monkeypatch):
+        # with adams, psi_j of a rooted sum acts on its int rows too, so
+        # again only one-cell operands and the result build cells
+        built, got = cells_built(monkeypatch, adams=True)
+        assert all(s._cell_count <= 1 for s in built)
+        assert got.coeffs and built[-1] is got
+
+    def test_rooted_sums_add_nothing(self, monkeypatch):
+        # without adams each rooted code has one cycle type: a leaf is its
+        # root factor and any other code one product, so nothing is added
+        calls = []
+        plus = MultiSeries.__add__
+
+        def counting(a, b):
+            calls.append(1)
+            return plus(a, b)
+
+        monkeypatch.setattr(MultiSeries, "__add__", counting)
+        tree_sum_potential(projective_space(2), 5, (3,))
+        assert calls == []
+
+    @pytest.mark.parametrize("adams", [False, True], ids=["aut", "adams"])
+    @pytest.mark.parametrize("make, kmax, dmax", [
+        (lambda: projective_space(1), 4, (3,)),
+        (lambda: projective_space(2), 4, (2,)),
+        (lambda: projective_space(3), 3, (2,)),
+        (p1xp1_target, 2, (2, 1)),
+        (rational_target, 4, (3,)),
+    ], ids=["pn1", "pn2", "pn3", "p1xp1", "rational"])
+    def test_root_factors_match_the_cell_reference(self, monkeypatch, make, kmax, dmax,
+                                                   adams):
+        # every root factor the oracle asks for, built from one stratum per
+        # (beta, n) and held as int rows, is the cell-by-cell reference,
+        # unstable cells cut; the boxes reach vertex types with such cells
+        # and, with adams, moved cycles
+        w = make()
+        seen = {}
+        real = trees._root_factors
+
+        def recording(*args):
+            vertex_type = real(*args)
+
+            @cache
+            def spying(*key):
+                seen[key] = vertex_type(*key)
+                return seen[key]
+            return spying
+
+        monkeypatch.setattr(trees, "_root_factors", recording)
+        tree_sum_potential(w, kmax, dmax, adams=adams)
+        monkeypatch.undo()
+        assert any(n_base <= 2 for _, n_base, _ in seen)
+        assert any(moved for _, _, moved in seen) == adams
+        for key, got in seen.items():
+            assert got.coeffs == root_factor_cells(w, kmax, dmax, *key)
 
     def test_top_level_is_one_accumulation(self, monkeypatch):
         # on pn:2 (5; 3) without adams the 58 top-level series, each centred
@@ -374,6 +421,24 @@ class TestTreeSum:
         assert got == expected
 
 
+def cells_built(monkeypatch, adams):
+    """The series whose RatFunc cells were built during the tree sum on
+    pn:2 (5; 3) and then by reading its result, and that result, which
+    holds int rows until read."""
+    built = []
+    view = MultiSeries.coeffs.fget
+
+    def spying(s):
+        if s._cells is None:
+            built.append(s)
+        return view(s)
+
+    monkeypatch.setattr(MultiSeries, "coeffs", property(spying))
+    got = tree_sum_potential(projective_space(2), 5, (3,), adams=adams)
+    assert got._cells is None
+    return built, got
+
+
 def bounded_assignments(m, bound):
     """All m-tuples of nonnegative vectors whose sum is at most bound."""
     if m == 0:
@@ -418,22 +483,12 @@ def _substitute_power(f, k):
     return RatFunc(stretch(f.num), stretch(f.den))
 
 
-def _closed_points(j):
-    """M_j(P^1): points of P^1 of exact degree j, from u**j + 1 = sum_{d | j}
-    d M_d(P^1) (points over the field with u**j elements)."""
-    total = UPoly.monomial(j) + 1
-    for d in range(1, j):
-        if j % d == 0:
-            total = total - _closed_points(d).scale(d)
-    return total.scale(Fraction(1, j))
-
-
 def _config_trace(cycle_lengths):
     """Trace of a permutation with the given cycle lengths on the ordered
     configuration space F(P^1, n): prod_j j**m_j (M_j)_(m_j)."""
     out = RatFunc(1)
     for j in set(cycle_lengths):
-        m = RatFunc(_closed_points(j))
+        m = RatFunc(closed_points(j))
         for i in range(cycle_lengths.count(j)):
             out = out * (m - i) * j
     return out
