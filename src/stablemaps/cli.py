@@ -24,7 +24,7 @@ from .solver import (class_table, indented_json, potential, solve_phi0, verify_d
                      verify_ode, verify_potential_expansion, verify_quadratic)
 from .target import (check_count_request, count_maps_bruteforce, parse_target,
                      projective_space, verify_recurrence)
-from .trees import enum_trees, tree_sum_potential
+from .trees import enum_trees, max_vertices, tree_sum_potential
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -36,20 +36,25 @@ SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
 # the suites that read phi0's t**kmax layer
 TOP_LAYER_SUITES = frozenset(("ode", "dt", "fe"))
+# the flags that take one int, read by _int after parsing, so that a bad
+# value ends on one error line like any other usage error
+INT_FLAGS = ("kmax", "workers", "n", "dmaxff", "vmax", "d", "p")
 # phi-degree of the potential suite, and the (u, z) sample of the implicit suite
 POTENTIAL_NMAX = 4
 IMPLICIT_U, IMPLICIT_Z = "4", "1/1000"
 
 
+def _int(flag: str, entry: str) -> int:
+    """One int of a flag's value: ASCII digits with an optional leading '-'
+    (int() alone would read '1_0' as 10, a non-ASCII digit or ' 2')."""
+    if not re.fullmatch(r"-?[0-9]+", entry):
+        raise ValueError(f"{flag} entry {entry!r} is not an integer")
+    return int(entry)
+
+
 def _int_list(flag: str, text: str) -> list:
-    """The comma-separated ints of a flag's value, each entry ASCII digits
-    with an optional leading '-' (int() alone would read '1_0' as 10, a
-    non-ASCII digit or ' 2')."""
-    entries = text.split(",")
-    for entry in entries:
-        if not re.fullmatch(r"-?[0-9]+", entry):
-            raise ValueError(f"{flag} entry {entry!r} is not an integer")
-    return [int(entry) for entry in entries]
+    """The comma-separated ints of a flag's value, each read by _int."""
+    return [_int(flag, entry) for entry in text.split(",")]
 
 
 def _resolve(args):
@@ -60,8 +65,8 @@ def _resolve(args):
 
 def _check_tree_budget(kmax: int, dmax) -> None:
     """Refuse a tree sum whose deficit budget kmax + 2|dmax| admits trees on
-    more vertices than the census allows (trees.py's vertex bound)."""
-    vertices = kmax + 2 * sum(dmax) - 2
+    more vertices than the census allows (trees.max_vertices)."""
+    vertices = max_vertices(kmax, dmax)
     if vertices > TREES_VMAX:
         raise ValueError(f"box too large for the tree sum: kmax + 2|dmax| - 2 = {vertices} "
                          f"vertices, above the cap of {TREES_VMAX}")
@@ -250,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--target", default="point",
                        help="point | pn:N | file:PATH (default: point)")
-        p.add_argument("--kmax", type=int, default=4, help="t-truncation order")
+        p.add_argument("--kmax", default="4", help="t-truncation order")
         p.add_argument("--dmax", default=None,
                        help="comma-separated z-truncation per component")
         p.add_argument("--out", default=None, help="output file (default stdout)")
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="tree-sum series (the brute-force route)")
     add_common(p)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", default="1",
                    help="must be 1: the tree sum runs in one process")
     p.set_defaults(func=cmd_oracle)
 
@@ -273,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--suite", action="append", choices=SUITES, required=True,
                    help="repeatable; each suite prints one PASS/FAIL line")
-    p.add_argument("--n", type=int, default=1, help="projective dimension for recurrence/ffcount")
-    p.add_argument("--dmaxff", type=int, default=2, help="max degree for recurrence/ffcount")
+    p.add_argument("--n", default="1", help="projective dimension for recurrence/ffcount")
+    p.add_argument("--dmaxff", default="2", help="max degree for recurrence/ffcount")
     p.add_argument("--primes", default="2,3,5", help="primes for ffcount")
     p.add_argument("--tolerance", type=float, default=1e-5,
                    help="relative-spread tolerance for the implicit suite")
@@ -285,14 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_euler)
 
     p = sub.add_parser("trees", help="tree census: vertex count, |Aut|, code")
-    p.add_argument("--vmax", type=int, required=True)
+    p.add_argument("--vmax", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("count-ff", help="finite-field map count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--n", required=True)
+    p.add_argument("--d", required=True)
+    p.add_argument("--p", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_count_ff)
 
@@ -303,6 +308,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in INT_FLAGS:
+            if hasattr(args, name):
+                setattr(args, name, _int(f"--{name}", getattr(args, name)))
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:  # e.g. a box too large to index
         print(f"error: {exc}", file=sys.stderr)

@@ -78,11 +78,12 @@ differential equation
 
 the derivative identity d/dt (Phi / P_W) = phi0, which the potential meets
 by construction, and therefore the closed form itself with one full-box
-square (verify_quadratic); the expansion of the formal potential whose
-critical point phi0 is (coefficient comparison in an auxiliary variable),
-and a floating-point check of the implicit closed-form solution of the
-differential equation, whose integration constant must depend on z only.
-All checks except the last are exact in Q(u).
+square (verify_quadratic); the two expansions of the formal potential
+whose critical point phi0 is, compared coefficient by coefficient in an
+auxiliary variable with each route's t-series written from its cells
+(verify_potential_expansion); and a floating-point check of the implicit
+closed-form solution of the differential equation, whose integration
+constant must depend on z only.  All checks except the last are exact in Q(u).
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ from .target import TargetSpace, eisenstein_series, nclass
 
 _INV_UM1 = RatFunc(P_ONE, UPoly((-1, 1)))      # 1/(u-1)
 _INV_UUM1 = RatFunc(P_ONE, UPoly((0, -1, 1)))  # 1/(u(u-1))
+_INV_2UM1 = RatFunc(P_ONE, UPoly((-2, 2)))     # 1/(2(u-1))
 
 
 def adams_factor(r0: MultiSeries) -> MultiSeries:
@@ -433,74 +435,49 @@ def verify_quadratic(w: TargetSpace, phi0: MultiSeries, pot: MultiSeries,
     return _quadratic(phi0, RF_U, adams).scale(RatFunc(w.pw)) - pot
 
 
-def _epsilon_correction(w: TargetSpace, n: int, kmax: int, dmax) -> MultiSeries:
-    """Unstable-term correction subtracted from the n-th potential
-    coefficient: sum_{k=0}^{2-n} N(W,0) t**k/k! C([P^1], n+k) (n+k)!;
-    zero for n >= 3."""
-    out = MultiSeries.zero(w.grading, kmax, dmax)
-    if n >= 3:
-        return out
-    n0 = nclass(w, w.grading.zero)
-    for k in range(0, 2 - n + 1):
-        if k > kmax:
-            break
-        c = n0 * binom_falling(LINE_CLASS, n + k) * Fraction(factorial(n + k), factorial(k))
-        out = out + MultiSeries.monomial(w.grading, kmax, dmax, k, w.grading.zero, c)
-    return out
+# the t-cells of the unstable terms that route two subtracts at phi-degree
+# n = 0, 1, 2 (none from n = 3 on); at n = 2 the -1/2 of the quadratic term
+# is netted in, -u/(2(u-1)) + 1/2 = -1/(2(u-1))
+_UNSTABLE = {0: (RatFunc(P_ONE, MOEBIUS_CLASS), _INV_UUM1, _INV_2UM1),
+             1: (_INV_UUM1, _INV_UM1),
+             2: (_INV_2UM1,)}
 
 
 def verify_potential_expansion(w: TargetSpace, nmax: int, kmax: int, dmax=None) -> bool:
     """Compare the two expansions of the formal potential in an auxiliary
-    variable phi, through phi-degree nmax.
+    variable phi, through phi-degree nmax, coefficient by coefficient.
 
-    Route one builds each coefficient as the weighted double sum
+    Route one is C_n / n! from the weighted k-sum S_n, each a t-series:
 
-        C_n = E/((u**3-u) P_W) * sum_k t**k/k! (n+k)! C([P^1], n+k)  -  eps_n
+        C_n = E/((u**3-u) P_W) * S_n  -  N(W, 0) * (S_n through t**(2-n)),
+        S_n = sum_k t**k/k! (n+k)! C([P^1], n+k).
 
-    (with the n = 2 coefficient also carrying the -1/2 from the quadratic
-    term); route two reads the same coefficient off the closed form, where
-    the phi-degree-n part of (1+t+phi)**(u+1) is C(u+1, n) (1+t)**(u+1-n)
-    and the unstable corrections appear as explicit low-degree polynomials.
-    Both must agree exactly, coefficient by coefficient.
+    Route two reads the same coefficient off the closed form: the
+    phi-degree-n part of (1+t+phi)**(u+1) is C(u+1, n) (1+t)**(u+1-n), the
+    t-series with cells C(u+1-n, k), less the unstable terms (_UNSTABLE).
     """
     if nmax < 2:
         raise ValueError("nmax must be >= 2")
     dmax = w.box(dmax, kmax)
-    grading = w.grading
-    scaled_e = MultiSeries(grading, kmax, dmax, eisenstein_series(w, dmax).coeffs).scale(
+    zero = w.grading.zero
+
+    def t_series(cells) -> MultiSeries:
+        """sum_k cells[k] t**k on the box, the cells past t**kmax dropped."""
+        return MultiSeries(w.grading, kmax, dmax,
+                           {(k, zero): c for k, c in enumerate(cells[:kmax + 1])})
+
+    scaled_e = MultiSeries(w.grading, kmax, dmax, eisenstein_series(w, dmax).coeffs).scale(
         RatFunc(P_ONE, MOEBIUS_CLASS * w.pw))
-    t_ser = MultiSeries.t_power(grading, kmax, dmax, 1)
-    um1 = UPoly((-1, 1))
-
+    n0 = nclass(w, zero)
     for n in range(nmax + 1):
-        # route one: explicit k-sum
-        ksum = MultiSeries.zero(grading, kmax, dmax)
-        for k in range(kmax + 1):
-            c = binom_falling(LINE_CLASS, n + k) * Fraction(factorial(n + k), factorial(k))
-            ksum = ksum + MultiSeries.monomial(grading, kmax, dmax, k, grading.zero, c)
-        c_n = scaled_e * ksum - _epsilon_correction(w, n, kmax, dmax)
-        route_one = c_n.scale(Fraction(1, factorial(n)))
-        if n == 2:
-            route_one = route_one - MultiSeries.const(grading, kmax, dmax, Fraction(1, 2))
-
-        # route two: closed form
+        ksum = [binom_falling(LINE_CLASS, n + k) * Fraction(factorial(n + k), factorial(k))
+                for k in range(kmax + 1)]
+        eps = t_series(ksum[:max(3 - n, 0)]).scale(n0)
+        route_one = (scaled_e * t_series(ksum) - eps).scale(Fraction(1, factorial(n)))
         exponent = RatFunc(UPoly((1 - n, 1)))  # u + 1 - n
-        route_two = scaled_e.scale(binom_falling(LINE_CLASS, n)) \
-            * series_pow_binomial(t_ser, exponent)
-        if n == 2:
-            route_two = route_two - MultiSeries.const(
-                grading, kmax, dmax, RatFunc(U, um1.scale(2)))
-        elif n == 1:
-            corr = MultiSeries.const(grading, kmax, dmax, _INV_UUM1) \
-                + t_ser.scale(_INV_UM1)
-            route_two = route_two - corr
-        elif n == 0:
-            corr = MultiSeries.const(
-                grading, kmax, dmax, RatFunc(P_ONE, LINE_CLASS * U * um1)) \
-                + t_ser.scale(_INV_UUM1) \
-                + MultiSeries.t_power(grading, kmax, dmax, 2).scale(RatFunc(P_ONE, um1.scale(2)))
-            route_two = route_two - corr
-
+        binomials = t_series([binom_falling(exponent, k) for k in range(kmax + 1)])
+        route_two = (scaled_e.scale(binom_falling(LINE_CLASS, n)) * binomials
+                     - t_series(_UNSTABLE.get(n, ())))
         if route_one != route_two:
             return False
     return True

@@ -73,12 +73,13 @@ once.
 
 Trees are enumerated without isomorphism duplicates and without
 re-rooting (the centre construction of Wright, Richmond, Odlyzko and
-McKay).  Canonical rooted trees are generated as sorted nested tuples; a
+McKay).  Canonical rooted trees are generated as sorted nested tuples, a
+root over one child or over a forest of two or more (one recursion); a
 rooted tree is a free tree centred at its root when it is a single vertex
 or its two highest children have equal height, and a bicentral free tree
-is an ordered pair of rooted halves of equal height joined at their
-roots.  Automorphism orders come from the same codes: the automorphisms of
-a rooted tree permute identical child subtrees, so |Aut| is a product of
+is an ordered pair of rooted halves of equal height joined at their roots.
+Automorphism orders come from the same codes: the automorphisms of a rooted
+tree permute identical child subtrees, so |Aut| is a product of
 multiplicity factorials times child automorphisms, with the usual factor 2
 for a bicentral tree whose halves are isomorphic.
 
@@ -132,24 +133,18 @@ def _rooted_trees(m: int, budget: int) -> tuple:
         return ()
     if m == 1:
         return ((),)
-    out = []
-    # a root with one child has deficit 1; with more children it has none
-    for first in _rooted_trees(m - 1, _clamp(budget - 1, m - 1)):
-        out.append((first,))
-    for first_size in range(m - 2, 0, -1):
-        for first in _rooted_trees(first_size, _clamp(budget, first_size)):
-            rest_total = m - 1 - first_size
-            left = _clamp(budget - _deficit(first), rest_total)
-            for rest in _forests(rest_total, first_size, first, left):
-                out.append((first,) + rest)
-    return tuple(out)
+    # a root over one child (deficit 1, each 1-tuple made by zip), then over
+    # a forest of two or more children (deficit 0)
+    return (tuple(zip(_rooted_trees(m - 1, _clamp(budget - 1, m - 1))))
+            + _forests(m - 1, m - 2, None, _clamp(budget, m - 1)))
 
 
 @lru_cache(maxsize=None)
 def _forests(total: int, max_size: int, max_tree, budget: int) -> tuple:
     """Multisets of canonical rooted trees with sizes summing to total, each
     at most (max_size, max_tree), and deficits summing to at most budget,
-    listed as non-increasing tuples."""
+    listed as non-increasing tuples; max_tree None leaves the trees of size
+    max_size unbounded."""
     if total == 0:
         return ((),)
     if budget <= total:
@@ -157,7 +152,7 @@ def _forests(total: int, max_size: int, max_tree, budget: int) -> tuple:
     out = []
     for size in range(min(total, max_size), 0, -1):
         for t in _rooted_trees(size, _clamp(budget, size)):
-            if size == max_size and t > max_tree:
+            if size == max_size and max_tree is not None and t > max_tree:
                 continue
             left = _clamp(budget - _deficit(t), total - size)
             for rest in _forests(total - size, size, t, left):
@@ -305,16 +300,19 @@ def _configurations(n: int) -> RatFunc:
     return _falling(RatFunc(LINE_CLASS), n) / RatFunc(MOEBIUS_CLASS)
 
 
+def max_vertices(kmax: int, dmax) -> int:
+    """The most vertices of a tree that reaches the box (kmax, dmax): B - 2
+    for the deficit budget B = kmax + 2|dmax| (see the module docstring)."""
+    return kmax + 2 * sum(dmax) - 2
+
+
 def _contributing_trees(kmax: int, dmax) -> list:
     """The trees with an admissible marking in the box: a vertex needs
     valency + k_v >= 3 unless it carries a class, so the deficits left after
     waiving the |dmax| largest must fit into kmax marks."""
     waived = sum(dmax)
-    budget = kmax + 2 * waived
     out = []
-    # on m >= 2 vertices the valencies are >= 1 and sum to 2(m - 1), so the
-    # deficits sum to at least 3m - 2(m - 1) = m + 2 <= budget
-    for tree, _ in enum_trees(max(1, budget - 2), budget):
+    for tree, _ in enum_trees(max(1, max_vertices(kmax, dmax)), kmax + 2 * waived):
         deficits = sorted((max(0, 3 - v) for v in tree.valencies), reverse=True)
         if sum(deficits[waived:]) <= kmax:
             out.append(tree)

@@ -479,6 +479,21 @@ class TestSmallCommands:
         assert entry_for(json.loads(out), 0, (2,))["chi"] == "12"
 
 
+# every flag that takes one int reads it by the same rule as --dmax: a
+# bad value is one error line naming the flag, and a good one (leading
+# zeros and a leading '-' included) reads as it did under int()
+INT_FLAG_COMMANDS = {
+    "--kmax": ("compute",),
+    "--workers": ("oracle", "--kmax", "1"),
+    "--n": ("verify", "--suite", "recurrence", "--dmaxff", "1"),
+    "--dmaxff": ("verify", "--suite", "recurrence"),
+    "--vmax": ("trees",),
+    "--d": ("count-ff", "--n", "1", "--p", "3"),
+    "--p": ("count-ff", "--n", "1", "--d", "2"),
+}
+BAD_INTS = ["1_0", "\u0663", " 2", "2 ", "+2", "", "1,2", "2.0"]
+
+
 class TestErrors:
     # [Map_1]/[W] is u(u+1) in the first target and (3u^2+1)/((u^2+1)(u+1))
     # in the second: neither vanishes at u = 1, so there is no Euler limit
@@ -688,6 +703,32 @@ class TestErrors:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == f"error: {flag} entry {entry!r} is not an integer\n"
+
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        ((*command, flag, value), 2, "", f"error: {flag} entry {value!r} is not an integer\n")
+        for flag, command in INT_FLAG_COMMANDS.items() for value in BAD_INTS
+    ] + [
+        (("compute", "--kmax", "-1"), 2, "", "error: kmax -1 must be >= 0\n"),
+        (("oracle", "--kmax", "1", "--workers", "01"), 0,
+         '{\n  "target": "point",\n  "series": {\n    "kmax": 1,\n    "dmax": [],\n'
+         '    "terms": []\n  }\n}\n', ""),
+        (("oracle", "--workers", "0"), 2, "",
+         "error: --workers must be 1: the tree sum runs in one process\n"),
+        (("verify", "--suite", "recurrence", "--n", "2", "--dmaxff", "3"), 0,
+         "PASS recurrence: degree recurrence for n=2 up to d=3\n"
+         '{"results": [{"suite": "recurrence", "pass": true, "detail": "degree recurrence '
+         'for n=2 up to d=3"}], "ok": true}\n', ""),
+        (("verify", "--suite", "recurrence", "--dmaxff", "-1"), 2, "",
+         "error: --dmaxff -1 must be >= 0\n"),
+        (("trees", "--vmax", "03"), 0, "1\t1\tC()\n2\t2\tB()()\n3\t2\tC(()())\n", ""),
+        (("trees", "--vmax", "0"), 2, "", "error: vmax must be >= 1\n"),
+        (("count-ff", "--n", "1", "--d", "2", "--p", "3"), 0, "216\n", ""),
+    ], ids=[f"{flag}-{i}" for flag in INT_FLAG_COMMANDS for i in range(len(BAD_INTS))] + [
+        "kmax-negative", "workers-leading-zero", "workers-zero", "recurrence",
+        "dmaxff-negative", "vmax-leading-zero", "vmax-zero", "count-ff"])
+    def test_int_flags_are_strict(self, capsys, argv, code, out, err):
+        assert run_cli(capsys, *argv) == (code, out, err)
 
     def test_negative_dmax_still_reaches_the_box(self, capsys):
         code, out, err = run_cli(capsys, "compute", "--target", "pn:1", "--kmax", "1",

@@ -430,7 +430,8 @@ class TestRowsAgainstCells:
     @given(data=st.data())
     def test_chain_matches_the_cell_reference(self, data):
         # chains of products, sums of products, sums, differences, scalings,
-        # truncations and Adams operations, each result held as int rows,
+        # truncations and Adams operations on series built from cells or by
+        # MultiSeries.exponential, each result held as int rows,
         # must give the cells of the same chain built cell by cell
         # (reference.CellSeries), and their scaled form must be the one
         # _scaled_numerators makes from those cells
@@ -444,12 +445,20 @@ class TestRowsAgainstCells:
             return data.draw(st.integers(0, len(pool) - 1))
 
         def fresh():
+            # a series from its cells, or the exponential form of the tree
+            # sum's root factors, cells[(k, d)] t**k / k! held as int rows
             kmax = data.draw(st.integers(0, 3))
             dmax = tuple(data.draw(st.integers(0, 2)) for _ in range(rank))
             cells = [(k, d) for k in range(kmax + 1) for d in box_vectors(dmax)]
-            chosen = data.draw(st.dictionaries(st.sampled_from(cells), coeff,
+            if not data.draw(st.booleans(), label="exponential"):
+                chosen = data.draw(st.dictionaries(st.sampled_from(cells), coeff,
+                                                   min_size=1, max_size=6))
+                return MultiSeries(grading, kmax, dmax, chosen), CellSeries(kmax, dmax, chosen)
+            chosen = data.draw(st.dictionaries(st.sampled_from(cells), SCALARS.map(RF_ONE.__mul__),
                                                min_size=1, max_size=6))
-            return MultiSeries(grading, kmax, dmax, chosen), CellSeries(kmax, dmax, chosen)
+            divided = {(k, d): c * Fraction(1, factorial(k)) for (k, d), c in chosen.items()}
+            return (MultiSeries.exponential(grading, kmax, dmax, chosen),
+                    CellSeries(kmax, dmax, divided))
 
         def core():
             picked = [pool[index()] for _ in range(data.draw(st.integers(1, 4)))]

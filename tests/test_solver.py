@@ -8,7 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stablemaps import solver
-from stablemaps.qfield import LINE_CLASS, P_ONE, RatFunc, U, UPoly, is_palindromic
+from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, U, UPoly, binom_falling,
+                               is_palindromic)
 from stablemaps.series import MultiSeries, box_vectors
 from stablemaps.solver import (ClassTable, class_table, closed_form, extract_classes,
                                indented_json, potential, solve_phi0, verify_dt,
@@ -269,6 +270,33 @@ class TestIdentities:
     def test_potential_expansion(self):
         assert verify_potential_expansion(point_target(), 4, 5)
         assert verify_potential_expansion(projective_space(1), 4, 4, (2,))
+
+    @pytest.mark.parametrize("w, kmax, dmax", [(point_target(), 5, None),
+                                               (projective_space(1), 4, (2,))],
+                             ids=["point", "pn1"])
+    def test_potential_expansion_sees_a_doubled_nclass(self, monkeypatch, w, kmax, dmax):
+        # N(W, 0) enters route one only, as the unstable correction's factor
+        monkeypatch.setattr(solver, "nclass", lambda w, beta: nclass(w, beta) * 2)
+        assert not verify_potential_expansion(w, 4, kmax, dmax)
+
+    @pytest.mark.parametrize("w, kmax, dmax", [(point_target(), 5, None),
+                                               (projective_space(1), 4, (2,))],
+                             ids=["point", "pn1"])
+    def test_potential_expansion_sees_one_wrong_binomial(self, monkeypatch, w, kmax, dmax):
+        # C(u - 1, 1), the t-cell of (1+t)**(u-1) at phi-degree 2, enters
+        # route two only: one wrong call of it is a mismatch
+        um1, wrong = RatFunc(UPoly((-1, 1))), []
+
+        def wrong_once(alpha, k):
+            value = binom_falling(alpha, k)
+            if k == 1 and alpha == um1 and not wrong:
+                wrong.append(alpha)
+                return value + 1
+            return value
+
+        monkeypatch.setattr(solver, "binom_falling", wrong_once)
+        assert not verify_potential_expansion(w, 4, kmax, dmax)
+        assert len(wrong) == 1
 
     def test_potential_expansion_degree_guard(self):
         with pytest.raises(ValueError):

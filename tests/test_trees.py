@@ -22,6 +22,8 @@ from test_solver import p1xp1_target
 # free trees by vertex count (OEIS A000055)
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
                11: 235, 12: 551, 13: 1301}
+# rooted trees by vertex count (OEIS A000081)
+ROOTED_COUNTS = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719)
 
 
 def prufer_to_edges(seq, m):
@@ -60,6 +62,18 @@ class TestEnumeration:
     def test_counts(self):
         counts = Counter(t.vcount for t, _ in enum_trees(13))
         assert dict(counts) == TREE_COUNTS
+
+    def test_rooted_census(self):
+        # a rooted tree is a root over one child or over the forest
+        # recursion: at budget 2m every rooted tree on m vertices appears
+        # once (OEIS A000081), and a lower budget keeps those within it, in
+        # the same order
+        for m, count in enumerate(ROOTED_COUNTS, start=1):
+            full = trees._rooted_trees(m, 2 * m)
+            assert len(full) == len(set(full)) == count
+            for budget in range(2 * m + 1):
+                assert trees._rooted_trees(m, budget) == tuple(
+                    code for code in full if trees._deficit(code) <= budget)
 
     def test_single_vertex(self):
         (tree, aut), = [(t, a) for t, a in enum_trees(1)]
@@ -381,7 +395,7 @@ class TestTreeSum:
         # except where it falls below the single vertex
         for kmax, dmax in [(4, ()), (4, (2,)), (5, (3,)), (3, (2, 2)), (2, (1, 1))]:
             largest = max(t.vcount for t in _contributing_trees(kmax, dmax))
-            assert largest == kmax + 2 * sum(dmax) - 2
+            assert largest == kmax + 2 * sum(dmax) - 2 == trees.max_vertices(kmax, dmax)
         for kmax, dmax in [(0, (1,)), (3, ())]:
             assert [t.vcount for t in _contributing_trees(kmax, dmax)] == [1]
 
