@@ -1,22 +1,21 @@
 """Command-line front end.
 
-Subcommands: compute (solver class tables), oracle (tree-sum series),
-verify (named exact/numeric check suites), euler (Euler-characteristic
-tables), trees (tree census), count-ff (finite-field map count).  All exact
-numbers are serialized as "p/q" strings; the only floats in any output come
-from the advisory implicit-solution check.  Output is byte-identical across
-runs.
-
-Exit codes: 0 success, 1 verification failure, 2 usage or data error.
+COMMANDS is the one table of the command line: each command's function, help
+and flags.  main reads argv against it; -h or --help prints help built from it.
+All exact numbers are serialized as "p/q" strings; the only floats in any output
+come from the advisory implicit-solution check.  Output is byte-identical across
+runs.  Exit codes: 0 success, 1 verification failure, 2 usage or data error,
+each usage or data error with one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
-from functools import cache, cached_property
+from collections import namedtuple
+from functools import cached_property
+from types import SimpleNamespace
 
 from .eulerchi import chi_agrees, chi_table
 from .solver import (class_table, indented_json, potential, solve_phi0, verify_dt,
@@ -36,9 +35,6 @@ SUITES = ("oracle", "ode", "dt", "fe", "potential", "implicit", "recurrence",
           "ffcount", "chi")
 # the suites that read phi0's t**kmax layer
 TOP_LAYER_SUITES = frozenset(("ode", "dt", "fe"))
-# the flags that take one int, read by _int after parsing, so that a bad
-# value ends on one error line like any other usage error
-INT_FLAGS = ("kmax", "workers", "n", "dmaxff", "vmax", "d", "p")
 # phi-degree of the potential suite, and the (u, z) sample of the implicit suite
 POTENTIAL_NMAX = 4
 IMPLICIT_U, IMPLICIT_Z = "4", "1/1000"
@@ -50,6 +46,17 @@ def _int(flag: str, entry: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", entry):
         raise ValueError(f"{flag} entry {entry!r} is not an integer")
     return int(entry)
+
+
+def _float(flag: str, text: str) -> float:
+    """A float flag's value: ASCII text without '_' or whitespace, read by
+    float() (which alone would read '1_0' as 10, a non-ASCII digit or ' 2')."""
+    try:
+        if text.isascii() and not re.search(r"[\s_]", text):
+            return float(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{flag} {text!r} is not a number")
 
 
 def _int_list(flag: str, text: str) -> list:
@@ -243,74 +250,81 @@ def cmd_verify(args) -> int:
     return 0 if summary["ok"] else VERIFY_ERROR
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args keeps no
-    state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="stablemaps",
-        description="Exact classes of genus-zero stable-map moduli spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# A flag: its default (REQUIRED if it must be given; False for a switch, which takes
+# no value and is True when given); read(flag, text), which reads a value (None keeps
+# the text); the values it may take (any when empty); whether it repeats.
+Flag = namedtuple("Flag", "default read choices repeat", defaults=(None, (), False))
+REQUIRED = object()
+COMMON = {"--target": Flag("point"), "--kmax": Flag(4, _int), "--dmax": Flag(None),
+          "--out": Flag(None), "--adams": Flag(False)}
+COMMANDS = {  # each command: its function, its help and its flags
+    "compute": (cmd_compute, "solver class table",
+                {**COMMON, "--format": Flag("json", choices=("json", "csv"))}),
+    "oracle": (cmd_oracle, "tree-sum series (the brute-force route)",
+               {**COMMON, "--workers": Flag(1, _int)}),
+    "verify": (cmd_verify, "run named verification suites", {
+        **COMMON, "--suite": Flag(REQUIRED, choices=SUITES, repeat=True), "--n": Flag(1, _int),
+        "--dmaxff": Flag(2, _int), "--primes": Flag("2,3,5"), "--tolerance": Flag(1e-5, _float)}),
+    "euler": (cmd_euler, "Euler-characteristic table", COMMON),
+    "trees": (cmd_trees, "tree census: vertex count, |Aut|, code",
+              {"--vmax": Flag(REQUIRED, _int), "--out": Flag(None)}),
+    "count-ff": (cmd_count_ff, "finite-field map count", {
+        "--n": Flag(REQUIRED, _int), "--d": Flag(REQUIRED, _int), "--p": Flag(REQUIRED, _int),
+        "--out": Flag(None)}),
+}
 
-    def add_common(p):
-        p.add_argument("--target", default="point",
-                       help="point | pn:N | file:PATH (default: point)")
-        p.add_argument("--kmax", default="4", help="t-truncation order")
-        p.add_argument("--dmax", default=None,
-                       help="comma-separated z-truncation per component")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--adams", action="store_true",
-                       help="keep the Adams operations: coarse-space Poincare "
-                            "polynomials instead of the p_k = 0 specialisation")
 
-    p = sub.add_parser("compute", help="solver class table")
-    add_common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_compute)
+def _parse(argv) -> SimpleNamespace:
+    """argv read against COMMANDS: the command, its function and one attribute
+    per flag.  A flag's value is the next argument, even one that starts with
+    '-', or follows '='; a flag that does not repeat keeps the last value
+    given.  Any usage error raises ValueError."""
+    if {"-h", "--help"}.intersection(argv):  # help wins wherever it is asked for
+        return SimpleNamespace(command=argv[0] if argv[0] in COMMANDS else None, func=_help)
+    if not argv or argv[0] not in COMMANDS:
+        problem = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise ValueError(f"{problem}: choose one of {', '.join(COMMANDS)}")
+    func, _, flags = COMMANDS[argv[0]]
+    values, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        name, given, value = token.partition("=")
+        if name not in flags:
+            raise ValueError(f"{argv[0]} has no flag {name!r}")
+        flag = flags[name]
+        if flag.default is False and given:
+            raise ValueError(f"{name} is a switch and takes no value")
+        value = True if flag.default is False else value if given else next(tokens, None)
+        if value is None:
+            raise ValueError(f"{name} needs a value")
+        if flag.choices and value not in flag.choices:
+            raise ValueError(f"{name} {value!r} is not one of {', '.join(flag.choices)}")
+        value = flag.read(name, value) if flag.read else value
+        values[name] = values.get(name, []) + [value] if flag.repeat else value
+    for name, flag in flags.items():
+        if flag.default is REQUIRED and name not in values:
+            raise ValueError(f"{argv[0]} needs {name}")
+    return SimpleNamespace(command=argv[0], func=func, **{
+        name[2:]: values.get(name, flag.default) for name, flag in flags.items()})
 
-    p = sub.add_parser("oracle", help="tree-sum series (the brute-force route)")
-    add_common(p)
-    p.add_argument("--workers", default="1",
-                   help="must be 1: the tree sum runs in one process")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="run named verification suites")
-    add_common(p)
-    p.add_argument("--suite", action="append", choices=SUITES, required=True,
-                   help="repeatable; each suite prints one PASS/FAIL line")
-    p.add_argument("--n", default="1", help="projective dimension for recurrence/ffcount")
-    p.add_argument("--dmaxff", default="2", help="max degree for recurrence/ffcount")
-    p.add_argument("--primes", default="2,3,5", help="primes for ffcount")
-    p.add_argument("--tolerance", type=float, default=1e-5,
-                   help="relative-spread tolerance for the implicit suite")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("euler", help="Euler-characteristic table")
-    add_common(p)
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("trees", help="tree census: vertex count, |Aut|, code")
-    p.add_argument("--vmax", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_trees)
-
-    p = sub.add_parser("count-ff", help="finite-field map count")
-    p.add_argument("--n", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_count_ff)
-
-    return parser
+def _help(args) -> int:
+    """Print every command, or args.command alone, with its flags."""
+    print("usage: stablemaps COMMAND [--FLAG VALUE | --FLAG=VALUE | --SWITCH]...")
+    for command, (_, text, flags) in COMMANDS.items():
+        if args.command in (None, command):
+            print(f"\n{command}: {text}")
+            for name, flag in flags.items():
+                notes = ["switch" if flag.default is False else "required"
+                         if flag.default is REQUIRED else f"default {flag.default}"]
+                notes += ["repeatable"] * flag.repeat
+                notes += [f"one of {'|'.join(flag.choices)}"] * bool(flag.choices)
+                print(f"  {name:<12} {', '.join(notes)}")
+    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        for name in INT_FLAGS:
-            if hasattr(args, name):
-                setattr(args, name, _int(f"--{name}", getattr(args, name)))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:  # e.g. a box too large to index
         print(f"error: {exc}", file=sys.stderr)

@@ -19,15 +19,22 @@
   the centre construction the census enumerates by.
 - _code_to_edges and tree_edges: a concrete edge list for a census tree,
   for the relabelling and element-by-element automorphism checks.
+- build_parser and parse_reference: the argparse command line that the CLI's
+  flag table replaced, with the int flags read after parsing as they were
+  then, so that the table's reading of an argv can be compared with it.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
+import re
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from operator import add
 
+from stablemaps import cli
 from stablemaps.qfield import LINE_CLASS, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
 from stablemaps.target import TargetSpace, nclass
 from stablemaps.trees import Tree, _code_bytes
@@ -336,3 +343,90 @@ def stratum_class(w: TargetSpace, marked: MarkedTree) -> RatFunc:
         acc = acc * nclass(w, marked.beta[v]) \
                   * binom_falling(LINE_CLASS, n_v) * factorial(n_v)
     return acc
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser before the flag table (cli.COMMANDS)."""
+    parser = _RaisingParser(
+        prog="stablemaps",
+        description="Exact classes of genus-zero stable-map moduli spaces.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--target", default="point",
+                       help="point | pn:N | file:PATH (default: point)")
+        p.add_argument("--kmax", default="4", help="t-truncation order")
+        p.add_argument("--dmax", default=None,
+                       help="comma-separated z-truncation per component")
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--adams", action="store_true",
+                       help="keep the Adams operations: coarse-space Poincare "
+                            "polynomials instead of the p_k = 0 specialisation")
+
+    p = sub.add_parser("compute", help="solver class table")
+    add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.set_defaults(func=cli.cmd_compute)
+
+    p = sub.add_parser("oracle", help="tree-sum series (the brute-force route)")
+    add_common(p)
+    p.add_argument("--workers", default="1",
+                   help="must be 1: the tree sum runs in one process")
+    p.set_defaults(func=cli.cmd_oracle)
+
+    p = sub.add_parser("verify", help="run named verification suites")
+    add_common(p)
+    p.add_argument("--suite", action="append", choices=cli.SUITES, required=True,
+                   help="repeatable; each suite prints one PASS/FAIL line")
+    p.add_argument("--n", default="1", help="projective dimension for recurrence/ffcount")
+    p.add_argument("--dmaxff", default="2", help="max degree for recurrence/ffcount")
+    p.add_argument("--primes", default="2,3,5", help="primes for ffcount")
+    p.add_argument("--tolerance", type=float, default=1e-5,
+                   help="relative-spread tolerance for the implicit suite")
+    p.set_defaults(func=cli.cmd_verify)
+
+    p = sub.add_parser("euler", help="Euler-characteristic table")
+    add_common(p)
+    p.set_defaults(func=cli.cmd_euler)
+
+    p = sub.add_parser("trees", help="tree census: vertex count, |Aut|, code")
+    p.add_argument("--vmax", required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cli.cmd_trees)
+
+    p = sub.add_parser("count-ff", help="finite-field map count")
+    p.add_argument("--n", required=True)
+    p.add_argument("--d", required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cli.cmd_count_ff)
+
+    return parser
+
+
+# the flags that took one int, read after parsing
+INT_FLAGS = ("kmax", "workers", "n", "dmaxff", "vmax", "d", "p")
+
+
+def parse_reference(argv):
+    """vars() of argv as build_parser read it, each int flag turned to an int
+    as main then did (ASCII digits with an optional leading '-'); None if
+    argparse or an int flag refused argv.  argv must not ask for help."""
+    try:
+        args = vars(build_parser().parse_args(argv))
+    except ValueError:
+        return None
+    for name in INT_FLAGS:
+        if name in args:
+            if not re.fullmatch(r"-?[0-9]+", args[name]):
+                return None
+            args[name] = int(args[name])
+    return args

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,7 +16,29 @@ from stablemaps.series import MultiSeries
 from stablemaps.solver import ClassTable, extract_classes, potential, solve_phi0
 from stablemaps.target import parse_target, projective_space, target_from_json
 from stablemaps.trees import tree_sum_potential
+from reference import parse_reference
 from test_solver import fraction_formatted, p1xp1_descriptor, p1xp1_target
+
+HELP = ("-h", "--help")
+PARSE = cli._parse
+
+
+def read_as_reference(argv):
+    """The flag table's reading of argv, checked against the argparse
+    reference wherever the reference accepts argv: the same attributes,
+    the command function included, with the same values."""
+    args = PARSE(argv)
+    expected = None if set(HELP).intersection(argv) else parse_reference(argv)
+    if expected is not None:  # by repr: a nan tolerance is equal, and 4 is not '4'
+        assert {k: repr(v) for k, v in vars(args).items()} == \
+            {k: repr(v) for k, v in expected.items()}
+    return args
+
+
+@pytest.fixture(autouse=True)
+def parse_checked(monkeypatch):
+    # every argv that a test here runs through main is read as argparse read it
+    monkeypatch.setattr(cli, "_parse", read_as_reference)
 
 
 def run_cli(capsys, *argv):
@@ -216,8 +239,7 @@ class TestVerify:
         assert "PASS ode" in out
 
     def test_parser_reused_across_calls(self, capsys):
-        # one parser per process; each call still parses only its own suites
-        assert cli.build_parser() is cli.build_parser()
+        # two calls in one process each parse only their own suites
         for suites in (("ode",), ("recurrence", "fe")):
             argv = ["verify", "--target", "point", "--kmax", "2"]
             for suite in suites:
@@ -277,6 +299,13 @@ class TestVerify:
                                  "--tolerance", tolerance)
         assert code == 2 and out == ""
         assert err == f"error: --tolerance {shown} must be a finite number >= 0\n"
+
+    # float() alone would read '1_0' as 10 and the Arabic-Indic digit one as 1
+    @pytest.mark.parametrize("tolerance", ["\u0661", "1_0", " 1", "1 ", "1\t", "", "x",
+                                           "1e-5e"])
+    def test_tolerance_text_is_strict(self, capsys, tolerance):
+        assert run_cli(capsys, "verify", "--suite", "implicit", "--tolerance", tolerance) == \
+            (2, "", f"error: --tolerance {tolerance!r} is not a number\n")
 
     def test_multiple_suites_and_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "recurrence",
@@ -612,9 +641,8 @@ class TestErrors:
         # the tree sum runs in one process: oracle accepts only --workers 1,
         # and verify has no such flag
         if command == "verify":
-            with pytest.raises(SystemExit) as exc:
-                main(["verify", "--suite", "oracle", "--workers", "1"])
-            assert exc.value.code == 2
+            assert run_cli(capsys, "verify", "--suite", "oracle", "--workers", "1") == \
+                (2, "", "error: verify has no flag '--workers'\n")
             return
         for workers in ("0", "2"):
             code, out, err = run_cli(capsys, "oracle", "--target", "point", "--kmax", "3",
@@ -766,3 +794,78 @@ class TestErrors:
         code, out, _ = run_cli(capsys, "oracle", *box)
         assert code == 0 and json.loads(out)["series"]["terms"] == []
         assert len(calls) == 1
+
+
+def load_workloads():
+    """perfbench/workloads.py, the benchmark's job list."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+COMMAND_LIST = "compute, oracle, verify, euler, trees, count-ff"
+
+
+class TestFlagTable:
+    """main reads argv against cli.COMMANDS: each valid argv as the argparse
+    reference read it (the parse_checked fixture checks this for every argv
+    run in this module), each usage error as one line, and help from the
+    table."""
+
+    @pytest.mark.parametrize("job", [job for jobs in WORKLOADS.WORKLOADS.values()
+                                     for job in jobs], ids=WORKLOADS.job_id)
+    def test_benchmark_jobs_read_as_reference(self, job):
+        argv = WORKLOADS.argv(job, "p1xp1.json", "job.out")
+        assert parse_reference(argv) is not None
+        read_as_reference(argv)
+
+    @pytest.mark.parametrize("argv, line", [
+        ((), f"no command given: choose one of {COMMAND_LIST}"),
+        (("frobnicate",), f"unknown command 'frobnicate': choose one of {COMMAND_LIST}"),
+        (("compute", "--bogus", "1"), "compute has no flag '--bogus'"),
+        (("compute", "--km", "3"), "compute has no flag '--km'"),
+        (("compute", "--kmax"), "--kmax needs a value"),
+        (("compute", "--format", "xml"), "--format 'xml' is not one of json, csv"),
+        (("verify", "--suite", "bogus"), "--suite 'bogus' is not one of oracle, ode, dt, fe, "
+                                         "potential, implicit, recurrence, ffcount, chi"),
+        (("trees",), "trees needs --vmax"),
+        (("count-ff", "--n", "1", "--d", "1"), "count-ff needs --p"),
+        (("verify",), "verify needs --suite"),
+        (("compute", "--adams=1"), "--adams is a switch and takes no value"),
+        (("verify", "--workers", "1"), "verify has no flag '--workers'"),
+        (("trees", "--kmax", "2"), "trees has no flag '--kmax'"),
+    ], ids=["no-command", "unknown-command", "unknown-flag", "prefix", "no-value",
+            "format-choice", "suite-choice", "trees-required", "count-ff-required",
+            "verify-required", "switch-value", "verify-workers", "trees-kmax"])
+    def test_usage_error_is_one_line(self, capsys, argv, line):
+        # argparse printed a usage block before each of these errors
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (("compute", "--kmax=2", "--kmax", "3"), "kmax", 3),
+        (("verify", "--suite=ode", "--suite", "fe", "--suite", "ode"), "suite",
+         ["ode", "fe", "ode"]),
+        (("compute", "--target=pn:1", "--dmax", "-1"), "dmax", "-1"),
+        (("oracle", "--kmax", "-1"), "kmax", -1),
+    ], ids=["last-wins", "repeat-in-order", "dash-value", "dash-int"])
+    def test_flag_values(self, argv, name, value):
+        assert getattr(read_as_reference(argv), name) == value
+        assert parse_reference(argv)[name] == value
+
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",),
+                                      *[(command, "--help") for command in cli.COMMANDS],
+                                      ("compute", "--kmax", "3", "-h"), ("bogus", "--help")])
+    def test_help(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out.startswith("usage: stablemaps ")
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        shown = {line.split(":")[0] for line in out.splitlines() if line[:1].isalpha()}
+        if argv[0] in cli.COMMANDS:
+            assert shown == {"usage", argv[0]}
+            assert listed == list(cli.COMMANDS[argv[0]][2])
+        else:
+            assert shown == {"usage", *cli.COMMANDS}
+            assert listed == [flag for _, _, flags in cli.COMMANDS.values() for flag in flags]
