@@ -28,10 +28,13 @@ equation at u = 1,
     (1 - phi) phi_t = 2 phi + t,
 
 and everything around the two equations is the solver's own code at u = 1:
-the t-layers (t_layers), the chi-potential chi(W) * closed_form(phi, 1) =
-chi(W) * (-phi**2/4 + phi/2 - t**2/4), and its k!-scaled cells
-(extract_classes).  chi_agrees confirms that those cells equal the exact
-solver classes evaluated at u = 1.
+the t-layers (t_layers, from the table of the A_k at u = 1), and the
+chi-potential chi(W) * closed_form(phi, 1) = chi(W) * (-phi**2/4 + phi/2 -
+t**2/4), whose k!-scaled cells are the Euler characteristics.  chi_table
+reads those straight off phi, as compute reads its classes (class_table
+at u = 1, evaluated at 1), without the chi-potential series; chi_agrees
+builds that series (extract_classes) and confirms that its cells equal
+the exact solver classes evaluated at u = 1.
 Because both sides of that comparison now build their t-layers from the
 same code, chi_agrees first requires the residual of the logarithmic
 equation over the whole box (verify_log_equation) to vanish; that residual
@@ -62,7 +65,8 @@ from math import gcd
 
 from .qfield import RF_ONE, RatFunc, necklace
 from .series import MultiSeries, box_vectors, series_adams, series_log1p, slice_cells
-from .solver import ClassTable, closed_form, extract_classes, potential, solve_phi0, t_layers
+from .solver import (ClassTable, class_table, closed_form, extract_classes, potential, solve_phi0,
+                     t_layers)
 from .target import TargetSpace, eisenstein_series
 
 
@@ -159,29 +163,30 @@ def verify_log_equation(w: TargetSpace, phi: MultiSeries, adams: bool = False) -
     return (one + g) * (log + x) - phi.scale(2) - t_ser
 
 
-def chi_potential(w: TargetSpace, phi0chi: MultiSeries, adams: bool = False,
-                  kmax=None) -> MultiSeries:
-    """chi(W) * closed_form(phi, 1, adams, kmax), the module docstring's
-    formula, on the box with t-order kmax (phi's own unless given); k! times
-    its coefficient of t**k z**beta is the Euler characteristic of the
-    (k, beta) moduli space."""
-    return closed_form(phi0chi, RF_ONE, adams, kmax).scale(w.pw.eval(1))
+def chi_potential(w: TargetSpace, phi0chi: MultiSeries, adams: bool = False) -> MultiSeries:
+    """chi(W) * closed_form(phi, 1, adams), the module docstring's formula,
+    on the box of phi; k! times its coefficient of t**k z**beta is the
+    Euler characteristic of the (k, beta) moduli space."""
+    return closed_form(phi0chi, RF_ONE, adams).scale(w.pw.eval(1))
 
 
 def _at_one(table: ClassTable) -> dict:
     return {cell: p.eval(1) for cell, p in table.entries.items()}
 
 
-def _limit_chis(w: TargetSpace, phi: MultiSeries, adams: bool, kmax=None) -> dict:
+def _limit_chis(w: TargetSpace, phi: MultiSeries, adams: bool) -> dict:
     """Euler characteristics per cell of the chi-potential of phi."""
-    return _at_one(extract_classes(chi_potential(w, phi, adams, kmax)))
+    return _at_one(extract_classes(chi_potential(w, phi, adams)))
 
 
 def chi_table(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> dict:
-    """Euler characteristics per cell, as exact rationals.  The chi-potential
-    reads phi below t**kmax only, so the limit is solved one t-order short."""
+    """Euler characteristics per cell, as exact rationals: the solver's
+    class_table at u = 1, read straight off phi as compute reads its table,
+    evaluated at 1.  It reads phi below t**kmax only, so the limit is
+    solved one t-order short."""
     dmax = w.box(dmax, kmax)
-    return _limit_chis(w, solve_phi0_chi(w, max(kmax - 1, 0), dmax, adams), adams, kmax)
+    phi = solve_phi0_chi(w, max(kmax - 1, 0), dmax, adams)
+    return _at_one(class_table(w, phi, adams, kmax, u=RF_ONE))
 
 
 def chi_agrees(w: TargetSpace, table: ClassTable, adams: bool = False) -> bool:

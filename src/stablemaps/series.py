@@ -48,7 +48,9 @@ the formal t-derivative, and the Adams operations series_adams(g, k), the
 lambda-ring endomorphisms u -> u**k, z**b -> z**(k b), t -> 0 (t tracks
 labelled marked points, which no nontrivial symmetry can move).
 slice_cells(dmax) is the cell order, with the splits of each cell, in
-which both routes solve their t = 0 slice.
+which both routes solve their t = 0 slice, and t_layer_sums writes a
+series whose t-layers are sums of z-only series with weights in Z[u], as
+one packed sum of products over one denominator.
 Coefficients are stored sparsely; an absent key is a zero coefficient.
 """
 
@@ -615,6 +617,42 @@ def sum_of_products(terms, grading: Grading, kmax: int, dmax) -> MultiSeries:
     sums = _pair_sums([(_group_image(left[0], bits, box), _group_image(right[0], bits, box))
                        for left, right in zip(lefts, rights)], _pair_plan(kmax, dmax))
     return _read_cells(grading, box, sums, bits, ll * lr, dl * dr)
+
+
+def t_layer_sums(parts, layers) -> MultiSeries:
+    """sum_k t**k sum_j rows_k[j] parts[j] / q_k on the box (len(layers) - 1,
+    dmax), for t-order-0 series parts on one z-box dmax and layers[k] =
+    (q_k, rows_k): a positive int q_k and a dict {j: nonempty int row},
+    each row the coefficients in u of a weight, lowest degree first.
+
+    The parts go over one denominator L * D (_common_denominator, so that
+    part j is m_j Q_j N_j / (L * D)) and the layers over the lcm of the
+    q_k; each weight, times m_j Q_j, is packed once (Kronecker
+    substitution, _pack), each part's numerators are packed once, and each
+    cell (k, d) is one packed sum of int products over j, unpacked and
+    reduced once as a whole.  The slot is wide enough for a bound on every
+    accumulated coefficient, as in sum_of_products."""
+    grading, dmax = parts[0].grading, parts[0].dmax
+    if any(p.kmax or p.dmax != dmax or p.grading != grading for p in parts):
+        raise ValueError("t_layer_sums needs t-order-0 parts on one z-box")
+    forms = [p._int_numerators() for p in parts]
+    lcm, den, factors = _common_denominator(forms)
+    qden = math.lcm(*(q for q, _ in layers))
+    weights = [{j: int_poly_mul(row, [factors[j][0] * (qden // q) * x for x in factors[j][1]])
+                for j, row in rows.items()} for q, rows in layers]
+    bits = _slot_bits(max(sum(max(map(abs, row)) * forms[j][3] * min(len(row), forms[j][4])
+                              for j, row in layer.items()) for layer in weights))
+    box = (0, dmax)
+    images = [p._packed(bits, box) for p in parts]
+    sums = {}
+    for k, layer in enumerate(weights):
+        for j, row in layer.items():
+            w = _pack(row, bits)
+            for (_, d), c in images[j].items():
+                key = (k, d)
+                s = sums.get(key)
+                sums[key] = w * c if s is None else s + w * c
+    return _read_cells(grading, (len(layers) - 1, dmax), sums, bits, lcm * qden, den)
 
 
 def slice_cells(dmax):

@@ -20,14 +20,14 @@ class tables (the CLI's compute, and eulerchi.chi_table) solve phi0 one
 t-order short, and so does the CLI's verify unless its ode, dt or fe
 check, which read the top layer, is selected; then it solves the whole box
 once.
-closed_form and t_layers take u as a parameter: the Euler limit in
-stablemaps.eulerchi calls them, and extract_classes, at u = 1.
-The CLI's class table needs no potential series: the class
+closed_form, t_layers and class_table take u as a parameter: the Euler
+limit in stablemaps.eulerchi calls them, and extract_classes, at u = 1.
+The class tables need no potential series: the class
 [Mbar_{0,k}(W, beta)] is k! times a cell of Phi, so class_table reads it
 straight off phi0, as (k-1)! P_W phi0[k-1, beta] for k >= 1 and as P_W
 times the t = 0 quadratic for k = 0, with extract_classes' certification
 that each class is a polynomial.  potential and extract_classes stay for
-the checks that read the potential, and for the Euler limit's route.
+the checks that read the potential.
 
 Because phi0 solves (*) it also solves the universal differential equation
 (below), and solve_phi0 uses that split.  Only the z-only t = 0 slice
@@ -39,9 +39,11 @@ recurrence for powers of a series (Knuth, TAOCP vol. 2, 4.7),
 |d| H_d = sum_f (u|f| - |d-f|) R0_f H_{d-f}, has the f = d term u |d| R0_d,
 so H_d = u R0_d + H'_d with H'_d from lower cells, and each cell is one
 division:  R0_d = (P_W H'_d + sum_f E_f H_{d-f}) / (u(u-1) P_W).  Each
-further t-layer phi_{k+1}, the t**(k+1) coefficient of phi0, is solved from
-the t**k coefficient of the differential equation, which reads the layers
-0 to k, with (1 - u R0) inverted once per solve.
+further t-layer phi_k, the t**k coefficient of phi0, is a fixed polynomial
+in x = R0 (1 - u R0)**-1, the same for every target and box: phi_k =
+A_k(x) / k! with A_k in Z[u][x] (t_layers).  So the layers take one
+integer table of the A_k, with no series, and on the series side
+(1 - u R0) inverted once, the powers of x, and one sum of products.
 
 With adams=False (the default) this is the specialisation of the
 plethystic count at p_k = 0 for k >= 2: it divides each boundary stratum by
@@ -96,7 +98,7 @@ from math import factorial, gcd
 from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RF_ZERO,
                      RatFunc, U, UPoly, binom_falling, necklace)
 from .series import (MultiSeries, box_vectors, series_adams, series_dt, series_pow_binomial,
-                     slice_cells)
+                     slice_cells, t_layer_sums)
 from .target import TargetSpace, eisenstein_series, nclass
 
 _INV_UM1 = RatFunc(P_ONE, UPoly((-1, 1)))      # 1/(u-1)
@@ -140,45 +142,90 @@ def _slice(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
     return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
 
 
+def _x_table(big_u: int, kmax: int, degree: int) -> list:
+    """[A_1, ..., A_kmax] at u = big_u, A_k as its x-coefficients A_k[j](big_u)
+    for j up to min(2k-1, degree + kmax - k), so that each A_k is exact
+    through x**degree (t_layers derives the recurrence).  Plain ints: with
+    big_u = 2**bits each is the Kronecker image of an int row in u."""
+    u1 = big_u + 1
+    m = (1, big_u + u1 * u1, 2 * big_u * u1 * u1, big_u * big_u * u1 * u1)  # M(x)
+    table = [[0, u1]]
+    for k in range(1, kmax):
+        a = table[-1]
+        da = [j * c for j, c in enumerate(a)][1:]
+        rows = []
+        for j in range(min(2 * k + 1, degree + kmax - k - 1) + 1):
+            n = big_u * (1 - k) * a[j] if j < len(a) else 0
+            n += sum(m[i] * da[j - i] for i in range(min(j, 3) + 1) if j - i < len(da))
+            rows.append(n // u1)
+        table.append(rows)
+    return table
+
+
+def _layer_table(u: tuple, kmax: int, degree: int) -> list:
+    """[A_1, ..., A_kmax] through x**degree, A_k as the list of its
+    x-coefficients, each an int row in u, for u the int row (0, 1) (the
+    variable) or (1,) (the Euler limit).  Every coefficient of A_k is a
+    non-negative int, at most the value at u = 1 of its x-coefficient; so
+    the table at u = 1 fixes the slot width of the packed table at u."""
+    ones = _x_table(1, kmax, degree)
+    if u == (1,):
+        return [[[c] if c else [] for c in a[:degree + 1]] for a in ones]
+    bits = max(c for a in ones for c in a).bit_length() + 1
+    mask = (1 << bits) - 1
+    return [[[(c >> i) & mask for i in range(0, c.bit_length(), bits)] for c in a[:degree + 1]]
+            for a in _x_table(1 << bits, kmax, degree)]
+
+
 def t_layers(r0: MultiSeries, kmax: int, u=RF_U) -> MultiSeries:
     """phi0 = sum_k phi_k t**k on the box (kmax, dmax of R0), from its t = 0
     slice phi_0 = R0 and the universal differential equation; r0 itself
-    when kmax is 0.  The t**k coefficient of that equation
+    when kmax is 0.  `u` is the variable by default; the Euler limit passes
+    the constant 1, where the equation reads (1 - phi0) phi0_t = 2 phi0 + t.
 
-        (k+1)(1 - u R0) phi_{k+1}
-            = (u+1) phi_k + [k=1] + u sum_{i=1}^{k} (k-i+1) phi_i phi_{k-i+1}
+    Each layer is a fixed polynomial in x = R0 (1 - u R0)**-1: phi_k =
+    A_k(x) / k!, with A_k in Z[u][x] of x-degree 2k - 1.  Since
+    1/(1 - u R0) = 1 + u x, the t**k coefficient of the equation reads
 
-    has a sum whose terms i and k+1-i add up to (k+1) phi_i phi_{k+1-i}, so
+        A_1 = (u+1) x,
+        A_{k+1} = (1 + u x) ( (u+1) A_k + [k=1]
+                              + u sum_{i=1}^{k} C(k, i) A_i A_{k+1-i} ).
 
-        phi_{k+1} = (1 - u R0)**-1 * ( (u+1)/(k+1) phi_k + [k=1]/2
-                                       + u sum_{i<k+1-i} phi_i phi_{k+1-i}
-                                       + u/2 [k+1 even] phi_{(k+1)/2}**2 ),
+    The table is built from a linear recurrence instead, with no product
+    of two A_i.  The equation is homogeneous in T = t + (u+1)/u and
+    P = phi0 - 1/u, so the scaling T d/dT + P d/dP maps solutions to
+    solutions, and phi0, as a function of t and R0, satisfies
+    T phi0_t - P = g(R0) d/dR0 phi0 with g read off at t = 0.  With
+    d/dR0 = (1 + u x)**2 d/dx its t**k coefficient is, for k >= 1,
 
-    one product per unordered pair {i, k+1-i}, and one scaling each for
-    phi_k, the off-diagonal sum and the square, with (1 - u R0) inverted
-    once.  Layer k+1 reads layers 0 to k.  `u` is the variable by default;
-    the Euler limit passes the constant 1, where the equation reads
-    (1 - phi0) phi0_t = 2 phi0 + t."""
+        (u+1) A_{k+1} = u (1 - k) A_k + M(x) A_k'(x),
+        M(x) = u g (1 + u x)**2 = (1 + u x) + (u+1)**2 x (1 + u x)**2.
+
+    Every coefficient of every A_k is a non-negative int, so _x_table runs
+    this on ints, each x-coefficient packed at u = 2**bits.  x has no
+    constant term, so only x**j with j <= degree = min(|dmax|, 2 kmax - 1)
+    reach the box; A_k[j] reads A_{k-1} through x**(j+1), so A_k is kept
+    through x**(degree + kmax - k).  On the series side, (1 - u R0) is
+    inverted once, x takes one product and its powers degree - 1 more;
+    then t_layer_sums writes every layer, and R0 at t**0, as int rows over
+    one denominator, reduced once."""
     if r0.kmax:
         raise ValueError(f"t_layers grows phi0 from its t = 0 slice, not from t**{r0.kmax}")
+    u_row = {RF_U: (0, 1), RF_ONE: (1,)}.get(u)
+    if u_row is None:
+        raise ValueError(f"t_layers takes u as the variable or the constant 1, not {u}")
     if not kmax:
         return r0
-    layers = [r0]
     inv = series_pow_binomial(r0.scale(-u), -1)  # 1/(1 - u R0)
-    for k in range(kmax):
-        rhs = layers[k].scale((u + 1) * Fraction(1, k + 1))
-        off = [layers[i] * layers[k + 1 - i] for i in range(1, k // 2 + 1)]
-        if off:
-            rhs = rhs + sum(off[1:], off[0]).scale(u)
-        if k % 2:
-            mid = layers[(k + 1) // 2]
-            rhs = rhs + (mid * mid).scale(u * Fraction(1, 2))
-        if k == 1:
-            rhs = rhs + MultiSeries.const(r0.grading, 0, r0.dmax, Fraction(1, 2))
-        layers.append(inv * rhs)
-    coeffs = {(k, d): c for k, layer in enumerate(layers)
-              for (_, d), c in layer.coeffs.items()}
-    return MultiSeries(r0.grading, kmax, r0.dmax, coeffs)
+    degree = min(sum(r0.dmax), 2 * kmax - 1)
+    x = r0 * inv
+    powers = [MultiSeries.const(r0.grading, 0, r0.dmax, RF_ONE), x]
+    for _ in range(degree - 1):
+        powers.append(powers[-1] * x)
+    layers = [(1, {len(powers): [1]})]
+    for k, a in enumerate(_layer_table(u_row, kmax, degree), 1):
+        layers.append((factorial(k), {j: row for j, row in enumerate(a) if row}))
+    return t_layer_sums(powers + [r0], layers)
 
 
 def solve_phi0(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:
@@ -360,7 +407,7 @@ def extract_classes(pot: MultiSeries, w: TargetSpace = None) -> ClassTable:
 
 
 def class_table(w: TargetSpace, phi0: MultiSeries, adams: bool = False,
-                kmax=None) -> ClassTable:
+                kmax=None, u=RF_U) -> ClassTable:
     """extract_classes(potential(w, phi0, adams, kmax), w), read straight off
     phi0 without the potential series.  Since d/dt (Phi / P_W) = phi0, the
     class of a cell k >= 1 is (k-1)! P_W phi0[k-1, beta]; at k = 0 it is P_W
@@ -368,9 +415,11 @@ def class_table(w: TargetSpace, phi0: MultiSeries, adams: bool = False,
     scaled as a series, so on its int rows.  A polynomial cell of phi0 costs
     one UPoly product by (k-1)! P_W; only a cell with a denominator goes
     through RatFunc, and extract_classes' certification.  kmax is phi0.kmax
-    unless given, and phi0 may stop one t-order short of it."""
+    unless given, and phi0 may stop one t-order short of it.  `u` is the
+    variable by default; the Euler limit passes the constant 1 with its own
+    phi, and reads its Euler characteristics as this table's values at 1."""
     kmax = _read_order(phi0, kmax)
-    quad = _quadratic(phi0.truncate(kmax=0), RF_U, adams).scale(w.pw).coeffs
+    quad = _quadratic(phi0.truncate(kmax=0), u, adams).scale(w.pw).coeffs
     coeffs = phi0.coeffs
     scales = [P_ONE] + [w.pw.scale(factorial(k)) for k in range(kmax)]
     entries = {}

@@ -7,6 +7,11 @@
 - stationary: the order-by-order iteration phi <- step(phi) that gives each
   route's full-box reference root, with no slice recurrence and no
   differential equation.
+- layers_by_recurrence: the t-layers of the universal differential
+  equation, each layer a series solved from the layers below it with
+  (1 - u R0) inverted once, with no table of polynomials in x; and
+  x_table_by_products, that table from its defining quadratic recurrence,
+  with no derivative.
 - root_factor_cells: the tree sum's root factor of one vertex type, cell
   by cell from nclass and the closed points M_j of P^1, with no stratum
   shared between cells and no int rows.
@@ -31,11 +36,12 @@ import itertools
 import re
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from operator import add
 
 from stablemaps import cli
-from stablemaps.qfield import LINE_CLASS, RF_ONE, RF_ZERO, RatFunc, UPoly, binom_falling
+from stablemaps.qfield import LINE_CLASS, RF_ONE, RF_U, RF_ZERO, RatFunc, UPoly, binom_falling
+from stablemaps.series import MultiSeries, series_pow_binomial
 from stablemaps.target import TargetSpace, nclass
 from stablemaps.trees import Tree, _code_bytes
 
@@ -115,6 +121,63 @@ def stationary(step, phi):
             return phi
         phi = nxt
     raise RuntimeError("iteration failed to become stationary")
+
+
+def layers_by_recurrence(r0, kmax: int, u=RF_U):
+    """phi0 = sum_k phi_k t**k on the box (kmax, dmax of the t = 0 slice r0)
+    from the t**k coefficient of (1 - u phi0) phi0_t = (u+1) phi0 + t,
+
+        phi_{k+1} = (1 - u R0)**-1 * ( (u+1)/(k+1) phi_k + [k=1]/2
+                                       + u sum_{i<k+1-i} phi_i phi_{k+1-i}
+                                       + u/2 [k+1 even] phi_{(k+1)/2}**2 ),
+
+    one series product per unordered pair {i, k+1-i}, layer by layer."""
+    if not kmax:
+        return r0
+    layers = [r0]
+    inv = series_pow_binomial(r0.scale(-u), -1)
+    for k in range(kmax):
+        rhs = layers[k].scale((u + 1) * Fraction(1, k + 1))
+        off = [layers[i] * layers[k + 1 - i] for i in range(1, k // 2 + 1)]
+        if off:
+            rhs = rhs + sum(off[1:], off[0]).scale(u)
+        if k % 2:
+            mid = layers[(k + 1) // 2]
+            rhs = rhs + (mid * mid).scale(u * Fraction(1, 2))
+        if k == 1:
+            rhs = rhs + MultiSeries.const(r0.grading, 0, r0.dmax, Fraction(1, 2))
+        layers.append(inv * rhs)
+    coeffs = {(k, d): c for k, layer in enumerate(layers)
+              for (_, d), c in layer.coeffs.items()}
+    return MultiSeries(r0.grading, kmax, r0.dmax, coeffs)
+
+
+def x_table_by_products(u: UPoly, kmax: int) -> list:
+    """[A_1, ..., A_kmax], A_k as the list of its x-coefficients (UPolys),
+    from A_1 = (u+1) x and
+    A_{k+1} = (1 + u x)((u+1) A_k + [k=1] + u sum_{i=1}^{k} C(k, i) A_i A_{k+1-i}),
+    untruncated, on lists of UPolys."""
+    def times(a, b):
+        out = [UPoly()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def plus(a, b):
+        a, b = (a, b) if len(a) >= len(b) else (b, a)
+        return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+    u1 = u + 1
+    table = [None, [UPoly(), u1]]
+    for k in range(1, kmax):
+        rhs = [c * u1 for c in table[k]]
+        if k == 1:
+            rhs = plus(rhs, [UPoly((1,))])
+        for i in range(1, k + 1):
+            rhs = plus(rhs, [c * (u * comb(k, i)) for c in times(table[i], table[k + 1 - i])])
+        table.append(times([UPoly((1,)), u], rhs))
+    return table[1:]
 
 
 def closed_points(j: int) -> UPoly:

@@ -143,46 +143,41 @@ class TestTopLayer:
         assert run_cli(capsys, *argv, "--format", "csv") == (0, full.to_csv(), "")
 
     @staticmethod
-    def count_products(monkeypatch):
-        """A list that gains one entry per MultiSeries product."""
-        calls = []
-        real = MultiSeries.__mul__
+    def solved_orders(monkeypatch):
+        """A list that gains the t-order of each solve the CLI makes."""
+        orders = []
+        real = cli.solve_phi0
 
-        def counted(self, other):
-            calls.append(1)
-            return real(self, other)
-        monkeypatch.setattr(MultiSeries, "__mul__", counted)
-        return calls
+        def recorded(w, kmax, dmax=None, adams=False):
+            orders.append(kmax)
+            return real(w, kmax, dmax, adams=adams)
+        monkeypatch.setattr(cli, "solve_phi0", recorded)
+        return orders
 
     def test_compute_drops_the_top_layer_products(self, capsys, monkeypatch):
-        # the top layer t**6 of pn:2 (6; 4) takes kmax // 2 = 3 pair
-        # products and one product by (1 - u R0)**-1
-        calls = self.count_products(monkeypatch)
+        # compute solves pn:2 (6; 4) through t**5 only, and its table is
+        # the full-box route's
+        orders = self.solved_orders(monkeypatch)
         w, kmax, dmax = projective_space(2), 6, (4,)
         full = extract_classes(potential(w, solve_phi0(w, kmax, dmax)), w).to_json()
-        full_calls = len(calls)
-        calls.clear()
         code, out, _ = run_cli(capsys, "compute", "--target", "pn:2", "--kmax", "6",
                                "--dmax", "4")
         assert code == 0 and out == full
-        assert full_calls - len(calls) == kmax // 2 + 1
+        assert orders == [kmax - 1]
 
     def test_verify_without_top_layer_suites_drops_the_products(self, capsys, monkeypatch):
         # no ode, dt or fe suite reads the t**6 layer, so verify solves one
-        # t-order short too: the oracle suite's products are the full-box
-        # route's less kmax // 2 + 1
-        calls = self.count_products(monkeypatch)
+        # t-order short too, and the oracle suite still passes
+        orders = self.solved_orders(monkeypatch)
         w, kmax, dmax = projective_space(2), 6, (4,)
         assert potential(w, solve_phi0(w, kmax, dmax)) == tree_sum_potential(w, kmax, dmax)
-        full_calls = len(calls)
-        calls.clear()
         code, out, _ = run_cli(capsys, "verify", "--suite", "oracle", "--target", "pn:2",
                                "--kmax", "6", "--dmax", "4")
         assert code == 0
         assert out == ("PASS oracle: solver potential equals tree sum\n"
                        '{"results": [{"suite": "oracle", "pass": true, '
                        '"detail": "solver potential equals tree sum"}], "ok": true}\n')
-        assert full_calls - len(calls) == kmax // 2 + 1
+        assert orders == [kmax - 1]
 
 
 class TestStdlibText:

@@ -342,19 +342,19 @@ class TestTopLayer:
             {cell: p.eval(1) for cell, p in full.entries.items()}
 
     def test_chi_table_drops_the_top_layer_products(self, monkeypatch):
-        calls = []
-        real = MultiSeries.__mul__
+        # chi_table solves pn:2 (5; 3) through t**4 only, and its values
+        # are the full-box route's
+        orders = []
+        real = eulerchi.solve_phi0_chi
 
-        def counted(self, other):
-            calls.append(1)
-            return real(self, other)
-        monkeypatch.setattr(MultiSeries, "__mul__", counted)
+        def recorded(w, kmax, dmax=None, adams=False):
+            orders.append(kmax)
+            return real(w, kmax, dmax, adams)
+        monkeypatch.setattr(eulerchi, "solve_phi0_chi", recorded)
         w, kmax, dmax = projective_space(2), 5, (3,)
-        extract_classes(chi_potential(w, solve_phi0_chi(w, kmax, dmax)))
-        full_calls = len(calls)
-        calls.clear()
-        chi_table(w, kmax, dmax)
-        assert full_calls - len(calls) == kmax // 2 + 1
+        full = extract_classes(chi_potential(w, real(w, kmax, dmax)))
+        assert chi_table(w, kmax, dmax) == {cell: p.eval(1) for cell, p in full.entries.items()}
+        assert orders == [kmax - 1]
 
 
 class TestCrosscheck:

@@ -11,7 +11,7 @@ from stablemaps import series
 from stablemaps.qfield import P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly, binom_falling
 from stablemaps.series import (Grading, MultiSeries, box_vectors, series_adams,
                                series_dt, series_log1p, series_pow_binomial,
-                               slice_cells, sum_of_products)
+                               slice_cells, sum_of_products, t_layer_sums)
 
 from reference import CellSeries, cell_sum_of_products, stationary
 
@@ -424,6 +424,40 @@ SCALARS = st.one_of(
              min_size=1, max_size=3).map(UPoly),
     st.builds(RatFunc, st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(UPoly),
               st.sampled_from(MONIC_DENOMINATORS)))
+
+
+class TestTLayerSums:
+    @given(data=st.data())
+    def test_equals_the_cellwise_sums(self, data):
+        # signed weights over several int denominators, on parts whose
+        # denominators include 2u + 1 (monic u + 1/2 in the shared D)
+        rank = data.draw(st.integers(0, 2), label="rank")
+        dmax = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+        dens = st.sampled_from([(1,), (1, 2), (-1, 1), (3,)])
+        nums = st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any)
+        parts = [MultiSeries(Grading(rank), 0, dmax,
+                             {(0, d): RatFunc(UPoly(data.draw(nums)), UPoly(data.draw(dens)))
+                              for d in box_vectors(dmax) if data.draw(st.booleans())})
+                 for _ in range(data.draw(st.integers(1, 3), label="parts"))]
+        layers = [(data.draw(st.integers(1, 6)),
+                   {j: [c * 2 ** 70 for c in data.draw(nums)]
+                    for j in range(len(parts)) if data.draw(st.booleans())})
+                  for _ in range(data.draw(st.integers(1, 3), label="layers"))]
+        expected = {}
+        for k, (q, rows) in enumerate(layers):
+            for j, row in rows.items():
+                for (_, d), c in parts[j].coeffs.items():
+                    expected[(k, d)] = expected.get((k, d), RatFunc(0)) + \
+                        c * RatFunc(UPoly(row)) * Fraction(1, q)
+        assert t_layer_sums(parts, layers) == \
+            MultiSeries(Grading(rank), len(layers) - 1, dmax, expected)
+
+    def test_refuses_parts_off_one_slice(self):
+        slice_ = MultiSeries.const(G1, 0, (2,), RF_U)
+        for other in (MultiSeries.const(G1, 1, (2,), RF_ONE),
+                      MultiSeries.const(G1, 0, (1,), RF_ONE)):
+            with pytest.raises(ValueError, match="t-order-0 parts on one z-box"):
+                t_layer_sums([slice_, other], [(1, {0: [1], 1: [1]})])
 
 
 class TestRowsAgainstCells:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stablemaps import solver
-from stablemaps.qfield import (LINE_CLASS, P_ONE, RatFunc, U, UPoly, binom_falling,
-                               is_palindromic)
-from stablemaps.series import MultiSeries, box_vectors
+from stablemaps import cli, solver
+from stablemaps.eulerchi import solve_phi0_chi
+from stablemaps.qfield import (LINE_CLASS, P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly,
+                               binom_falling, is_palindromic)
+from stablemaps.series import Grading, MultiSeries, box_vectors
 from stablemaps.solver import (ClassTable, class_table, closed_form, extract_classes,
                                indented_json, potential, solve_phi0, verify_dt,
                                verify_functional_equation,
@@ -19,7 +20,7 @@ from stablemaps.solver import (ClassTable, class_table, closed_form, extract_cla
 from stablemaps.target import (nclass, point_target, projective_space,
                                target_from_json)
 
-from reference import div_exact, stationary
+from reference import div_exact, layers_by_recurrence, stationary, x_table_by_products
 
 
 def gaussian_binomial(n, k):
@@ -521,6 +522,87 @@ class TestTopLayer:
         w = p1xp1_target()
         with pytest.raises(ValueError, match=r"t = 0 slice, not from t\*\*1"):
             solver.t_layers(solve_phi0(w, 1, (2, 2)), 4)
+
+
+RUNS = [("point_run", False), ("p1_run", False), ("p2_run", False), ("p1_adams_run", True),
+        ("p2_adams_run", True)]
+# numerators and denominators of drawn slice cells: 2u + 1 makes the
+# slice's denominator D = u + 1/2 monic with a fractional coefficient
+CELL_NUMS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)
+CELL_DENS = st.sampled_from([(1,), (2, 1), (1, 2), (-1, 0, 1), (1, 2, 0, 3)])
+
+
+class TestTLayers:
+    """t_layers, the t-layers as polynomials A_k(x)/k! in x = R0/(1 - u R0),
+    against the layer-by-layer series recurrence (layers_by_recurrence)."""
+
+    @pytest.mark.parametrize("run, adams", RUNS)
+    def test_fixtures_equal_the_recurrence(self, request, run, adams):
+        # at u on the exact slice, and at 1 on the Euler limit's slice
+        run = request.getfixturevalue(run)
+        w, kmax, dmax, phi0 = run["w"], run["kmax"], run["dmax"], run["phi0"]
+        r0 = phi0.truncate(kmax=0)
+        assert solver.t_layers(r0, kmax) == layers_by_recurrence(r0, kmax) == phi0
+        limit = solve_phi0_chi(w, 0, dmax, adams)
+        assert solver.t_layers(limit, kmax, RF_ONE) == layers_by_recurrence(limit, kmax, RF_ONE)
+
+    @given(data=st.data())
+    def test_drawn_slices_equal_the_recurrence(self, data):
+        rank = data.draw(st.integers(0, 2), label="rank")
+        dmax = tuple(data.draw(st.lists(st.integers(0, 4 if rank == 1 else 2),
+                                        min_size=rank, max_size=rank), label="dmax"))
+        cells = {(0, d): RatFunc(UPoly(data.draw(CELL_NUMS, label=f"num {d}")),
+                                 UPoly(data.draw(CELL_DENS, label=f"den {d}")))
+                 for d in box_vectors(dmax) if any(d) and data.draw(st.booleans())}
+        r0 = MultiSeries(Grading(rank), 0, dmax, cells)
+        kmax = data.draw(st.integers(1, 4), label="kmax")
+        for u in (RF_U, RF_ONE):
+            assert solver.t_layers(r0, kmax, u) == layers_by_recurrence(r0, kmax, u)
+
+    def test_fractional_slice_denominator(self):
+        # P_W = 2u + 1: the slice's denominator is monic with the
+        # coefficient 1/2, and the layers still equal the recurrence
+        w = target_from_json({"name": "half", "rank": 1, "pw": ["1", "2"], "classes": [
+            {"beta": [1], "value": {"num": ["1", "1"], "den": ["1"]}},
+            {"beta": [2], "value": {"num": ["0", "3"], "den": ["1"]}}]})
+        r0 = solve_phi0(w, 0, (2,))
+        assert any(c.den.denom != 1 for c in r0.coeffs.values())
+        for adams in (False, True):
+            phi0 = solve_phi0(w, 4, (2,), adams)
+            assert phi0 == layers_by_recurrence(phi0.truncate(kmax=0), 4)
+            assert verify_functional_equation(w, phi0, adams).is_zero
+
+    @pytest.mark.parametrize("u, u_poly", [((0, 1), U), ((1,), P_ONE)])
+    def test_table_is_the_quadratic_recurrence(self, u, u_poly):
+        # every A_k is integral of x-degree at most 2k - 1, and equals the
+        # table from A_{k+1} = (1 + u x)((u+1) A_k + [k=1] + u sum C(k,i) A_i A_{k+1-i});
+        # cut at a lower x-degree, the table is the full one's head
+        kmax = 9
+        table = solver._layer_table(u, kmax, 2 * kmax)
+        for k, a in enumerate(table, 1):
+            assert len(a) <= 2 * k and all(type(c) is int for row in a for c in row)
+        assert [[UPoly(row) for row in a] for a in table] == x_table_by_products(u_poly, kmax)
+        for degree in (0, 3, 10):
+            assert solver._layer_table(u, kmax, degree) == [a[:degree + 1] for a in table]
+
+    def test_other_u_refused(self):
+        r0 = solve_phi0(projective_space(1), 0, (2,))
+        for u in (RatFunc(2), RatFunc(UPoly((0, 2))), RatFunc(P_ONE, UPoly((1, 1)))):
+            with pytest.raises(ValueError, match="the constant 1"):
+                solver.t_layers(r0, 2, u)
+
+    @pytest.mark.parametrize("suite", ["ode", "fe"])
+    def test_tampered_table_entry_fails_the_suites(self, monkeypatch, capsys, suite):
+        real = solver._layer_table
+
+        def tampered(u, kmax, degree):
+            table = real(u, kmax, degree)
+            table[1][1][0] += 1  # the constant term in u of A_2 at x**1
+            return table
+        argv = ["verify", "--suite", suite, "--target", "pn:2", "--kmax", "3", "--dmax", "2"]
+        assert cli.main(argv) == 0
+        monkeypatch.setattr(solver, "_layer_table", tampered)
+        assert cli.main(argv) == 1 and f"FAIL {suite}" in capsys.readouterr().out
 
 
 def rational_target():
