@@ -20,21 +20,21 @@ of 32-bit words wide enough for a bound on every accumulated coefficient,
 a group is summed as packed ints, each in-box pair costs one int multiply,
 and each output cell is unpacked once.
 
-That scaled form, int rows over one L * D, is the value of every series
-that a product, sum_of_products, +, -, scale, series_adams or
-MultiSeries.exponential returns: + and - put both sides over their common
-L * D and add rows, scale cancels gcd(D, the scalar's numerator) and
-multiplies the rows by what is left of the numerator and L * D by the
-scalar's denominator, series_adams spreads the rows (u -> u**k)
-over L * D(u**k), and each result is reduced once as a whole, dividing
-out gcd(D, every row) and then the int content gcd(L, every entry).  The
-reduced RatFunc cells are built only when they are read
-(MultiSeries.coeffs), for output, coeff, ==, truncate, series_dt or a
-one-cell operand.  A series is never changed
-once built, so one built from cells scales its numerators to ints at most
-once, on its first operation, and every series packs its rows once per
-slot width and box, keeping the packed image for its next partner; the
-in-box pairs of each box are planned once per process.
+That scaled form, int rows over one L * D, is the value of every series.
+The constructor puts the given cells over one L * D; every other series
+comes from rows: + and - put both sides over their common L * D and add
+rows, scale cancels gcd(D, the scalar's numerator) and multiplies the rows
+by what is left of the numerator and L * D by the scalar's denominator,
+series_adams spreads the rows (u -> u**k) over L * D(u**k), truncate keeps
+the rows in its box, series_dt moves row (k, d) times k to (k - 1, d), and
+each result is reduced once as a whole, dividing out gcd(D, every row) and
+then the int content gcd(L, every entry).  RatFunc cells are only a read
+view (MultiSeries.coeffs): a series built from cells keeps them, and one
+built from rows makes its reduced cells when they are first read, for
+output, coeff, == or a one-cell operand.  A series is never changed once
+built, so every series packs its rows once per slot width and box,
+keeping the packed image for its next partner; the in-box pairs of each
+box are planned once per process.
 
 Besides ring operations the module provides the two compositions the
 moduli computation needs, both finite inside a box because their argument
@@ -103,6 +103,19 @@ def _coerce_coeff(c) -> RatFunc:
     if isinstance(c, (int, Fraction, UPoly)):
         return RatFunc(c)
     raise TypeError(f"bad series coefficient {c!r}")
+
+
+def _checked_box(grading: Grading, kmax: int, dmax) -> tuple:
+    """(kmax, dmax as an int tuple) for a box a series may have; a
+    ValueError otherwise."""
+    dmax = tuple(int(x) for x in dmax)
+    if len(dmax) != grading.rank:
+        raise ValueError("dmax length must equal the grading rank")
+    if any(x < 0 for x in dmax):
+        raise ValueError("dmax components must be >= 0")
+    if kmax < -1:
+        raise ValueError("kmax must be >= -1")
+    return kmax, dmax
 
 
 def _scaled_numerators(cells: dict):
@@ -199,10 +212,10 @@ def _unpack(acc: int, bits: int) -> list:
 class MultiSeries:
     """Box-truncated series with RatFunc coefficients.
 
-    A series built from coefficients holds them as cells.  One that comes
-    out of a product, sum_of_products, +, -, scale, series_adams or
-    exponential holds its scaled form instead, int rows over one
-    denominator L * D (_reduce), and builds its
+    Every series holds its scaled form, int rows over one denominator
+    L * D: the constructor puts the given cells over one L * D
+    (_scaled_numerators) and keeps them as the read view, and every other
+    series is made from rows, reduced once (_from_rows), and builds its
     reduced RatFunc cells only when they are read (coeffs).
 
     kmax may be -1 for the empty box that results from differentiating a
@@ -212,13 +225,7 @@ class MultiSeries:
     __slots__ = ("grading", "kmax", "dmax", "_cells", "_scaled", "_images")
 
     def __init__(self, grading: Grading, kmax: int, dmax, coeffs=None):
-        dmax = tuple(int(x) for x in dmax)
-        if len(dmax) != grading.rank:
-            raise ValueError("dmax length must equal the grading rank")
-        if any(x < 0 for x in dmax):
-            raise ValueError("dmax components must be >= 0")
-        if kmax < -1:
-            raise ValueError("kmax must be >= -1")
+        kmax, dmax = _checked_box(grading, kmax, dmax)
         self.grading = grading
         self.kmax = kmax
         self.dmax = dmax
@@ -232,18 +239,8 @@ class MultiSeries:
                 if not c.is_zero:
                     clean[(k, d)] = c
         self._cells = clean
-        self._scaled = self._images = None
-
-    @classmethod
-    def _new(cls, grading, kmax, dmax, coeffs) -> "MultiSeries":
-        # internal: coeffs already validated, nonzero RatFuncs only
-        s = object.__new__(cls)
-        s.grading = grading
-        s.kmax = kmax
-        s.dmax = dmax
-        s._cells = coeffs
-        s._scaled = s._images = None
-        return s
+        self._scaled = _scaled_numerators(clean)
+        self._images = None
 
     @classmethod
     def _from_rows(cls, grading, kmax, dmax, lcm: int, den, rows) -> "MultiSeries":
@@ -299,8 +296,9 @@ class MultiSeries:
 
     @property
     def coeffs(self) -> dict:
-        """{(k, d): RatFunc} over the nonzero cells.  A series held as int
-        rows builds its reduced cells here, once, on the first read."""
+        """{(k, d): RatFunc} over the nonzero cells: the cells given to the
+        constructor, or, for a series made from rows, its reduced cells,
+        built here once, on the first read."""
         cells = self._cells
         if cells is None:
             lcm, den, rows = self._scaled[:3]
@@ -311,8 +309,7 @@ class MultiSeries:
     @property
     def _cell_count(self) -> int:
         """The number of nonzero cells, read without building any."""
-        cells = self._cells
-        return len(self._scaled[2] if cells is None else cells)
+        return len(self._scaled[2])
 
     def coeff(self, k: int, d=()) -> RatFunc:
         d = tuple(d)
@@ -332,11 +329,16 @@ class MultiSeries:
         return kmax, dmax
 
     def truncate(self, kmax=None, dmax=None) -> "MultiSeries":
-        kmax = self.kmax if kmax is None else min(kmax, self.kmax)
-        dmax = self.dmax if dmax is None else tuple(min(a, b) for a, b in zip(dmax, self.dmax))
-        out = {key: c for key, c in self.coeffs.items()
-               if key[0] <= kmax and all(x <= m for x, m in zip(key[1], dmax))}
-        return MultiSeries._new(self.grading, kmax, dmax, out)
+        """The series on the box it shares with (kmax, dmax), a box the
+        constructor accepts (None keeps this series' bound): the rows in
+        that box, reduced once."""
+        kmax, dmax = _checked_box(self.grading, self.kmax if kmax is None else min(kmax, self.kmax),
+                                  self.dmax if dmax is None else dmax)
+        dmax = tuple(map(min, dmax, self.dmax))
+        lcm, den, rows = self._scaled[:3]
+        return MultiSeries._from_rows(self.grading, kmax, dmax, lcm, den,
+                                      {key: row for key, row in rows.items() if key[0] <= kmax
+                                       and all(x <= m for x, m in zip(key[1], dmax))})
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
@@ -363,7 +365,7 @@ class MultiSeries:
         once."""
         box = self._common_box(other)
         cells = _pair_plan(*box)
-        fa, fb = self._int_numerators(), other._int_numerators()
+        fa, fb = self._scaled, other._scaled
         lcm, den, ((ma, qa), (mb, qb)) = _common_denominator([fa, fb])
         qa, qb = [ma * x for x in qa], [sign * mb * x for x in qb]
         out = {key: int_poly_mul(row, qa) for key, row in fa[2].items() if key in cells}
@@ -381,16 +383,6 @@ class MultiSeries:
                         del out[key]
         return MultiSeries._from_rows(self.grading, *box, lcm, den, out)
 
-    def _int_numerators(self):
-        """The coefficients over one denominator L * D, as
-        _scaled_numerators returns them: the value of a series held as int
-        rows, and for one built from cells computed on its first operation
-        and kept, since a series is never changed once built."""
-        got = self._scaled
-        if got is None:
-            got = self._scaled = _scaled_numerators(self._cells)
-        return got
-
     def _packed(self, bits: int, box: tuple) -> dict:
         """{cell: _pack(numerator, bits)} over this series' cells in the box
         (kmax, dmax): its packed image, made on the first product at this
@@ -400,7 +392,7 @@ class MultiSeries:
             images = self._images = {}
         got = images.get((bits, box))
         if got is None:
-            rows, plan = self._int_numerators()[2], _pair_plan(*box)
+            rows, plan = self._scaled[2], _pair_plan(*box)
             got = images[(bits, box)] = {key: _pack(row, bits)
                                          for key, row in rows.items() if key in plan}
         return got
@@ -425,13 +417,13 @@ class MultiSeries:
         small, large = (self, other) if self._cell_count <= other._cell_count else (other, self)
         count = small._cell_count
         plan = _pair_plan(kmax, dmax)
-        lb, db, rows, top_b, len_b = large._int_numerators()
+        lb, db, rows, top_b, len_b = large._scaled
         if count <= 1:
             key1, c = next(iter(small.coeffs.items()), (None, RF_ZERO))
             moves = plan.get(key1, {})
             return _times(self.grading, box, lb, db,
                           {moves[key2]: row for key2, row in rows.items() if key2 in moves}, c)
-        la, da, _, top_a, len_a = small._int_numerators()
+        la, da, _, top_a, len_a = small._scaled
         bits = _slot_bits(top_a * top_b * min(len_a, len_b) * count)
         sums = _pair_sums([(small._packed(bits, box), large._packed(bits, box))], plan)
         return _read_cells(self.grading, box, sums, bits, la * lb, da * db)
@@ -445,7 +437,7 @@ class MultiSeries:
         """c times the series: its rows times the numerator of c, over L * D
         times the denominator of c, with gcd(D, numerator of c) cancelled
         (_times)."""
-        return _times(self.grading, (self.kmax, self.dmax), *self._int_numerators()[:3], c)
+        return _times(self.grading, (self.kmax, self.dmax), *self._scaled[:3], c)
 
     def max_total_order(self) -> int:
         return max(self.kmax, 0) + sum(self.dmax)
@@ -559,7 +551,7 @@ def _one_side(groups) -> tuple:
     (_common_denominator).  Returns (L, D, scaled), scaled holding per group
     the list of (series_i, m_i, Q_i) and then the sum of the largest
     |entry|, the largest length and the most cells of the m_i Q_i N_i."""
-    forms = [s._int_numerators() for group in groups for s in group]
+    forms = [s._scaled for group in groups for s in group]
     lcm, den, factors = _common_denominator(forms)
     each = iter(zip(forms, factors))
     scaled = []
@@ -635,7 +627,7 @@ def t_layer_sums(parts, layers) -> MultiSeries:
     grading, dmax = parts[0].grading, parts[0].dmax
     if any(p.kmax or p.dmax != dmax or p.grading != grading for p in parts):
         raise ValueError("t_layer_sums needs t-order-0 parts on one z-box")
-    forms = [p._int_numerators() for p in parts]
+    forms = [p._scaled for p in parts]
     lcm, den, factors = _common_denominator(forms)
     qden = math.lcm(*(q for q, _ in layers))
     weights = [{j: int_poly_mul(row, [factors[j][0] * (qden // q) * x for x in factors[j][1]])
@@ -668,7 +660,7 @@ def _power_sum(g: MultiSeries, c0, coeff, name: str) -> MultiSeries:
     """c0 + sum_{k>=1} coeff(k) g**k for a series g with zero constant term
     (`name` says which series in the error); the sum terminates inside the
     box because g**k has total order at least k."""
-    if (0, g.grading.zero) in g._int_numerators()[2]:
+    if (0, g.grading.zero) in g._scaled[2]:
         raise ValueError(f"{name} base must be 1 + nilpotent part")
     result = MultiSeries.const(g.grading, g.kmax, g.dmax, c0)
     gpow = MultiSeries.const(g.grading, g.kmax, g.dmax, RF_ONE)
@@ -705,7 +697,7 @@ def series_adams(g: MultiSeries, k: int) -> MultiSeries:
         raise ValueError("k must be >= 1")
     if k == 1:
         return g
-    lcm, den, rows = g._int_numerators()[:3]
+    lcm, den, rows = g._scaled[:3]
     out = {}
     for (j, d), row in rows.items():
         kd = tuple(k * x for x in d)
@@ -715,10 +707,11 @@ def series_adams(g: MultiSeries, k: int) -> MultiSeries:
 
 
 def series_dt(a: MultiSeries) -> MultiSeries:
-    """Formal partial derivative in t; the t-truncation drops by one."""
-    kmax = a.kmax - 1
-    out = {}
-    for (k, d), c in a.coeffs.items():
-        if k >= 1:
-            out[(k - 1, d)] = c * k
-    return MultiSeries._new(a.grading, kmax, a.dmax, out)
+    """Formal partial derivative in t; the t-truncation drops by one, to no
+    less than the empty box (kmax -1).  On the scaled form: row (k, d) times
+    k moves to (k - 1, d), reduced once."""
+    kmax, dmax = _checked_box(a.grading, a.kmax - 1, a.dmax)
+    lcm, den, rows = a._scaled[:3]
+    return MultiSeries._from_rows(a.grading, kmax, dmax, lcm, den,
+                                  {(k - 1, d): [k * x for x in row]
+                                   for (k, d), row in rows.items() if k})

@@ -98,6 +98,11 @@ class CellSeries:
         return CellSeries(self.kmax, self.dmax, {(0, tuple(k * x for x in d)): c.adams(k)
                                                  for (j, d), c in self.cells.items() if not j})
 
+    def dt(self):
+        """The formal t-derivative, on the box (kmax - 1, dmax)."""
+        return CellSeries(self.kmax - 1, self.dmax,
+                          {(k - 1, d): c * k for (k, d), c in self.cells.items() if k})
+
 
 def cell_sum_of_products(terms, kmax: int, dmax) -> CellSeries:
     """sum over terms (left, right) of (sum of left) * (sum of right) on the

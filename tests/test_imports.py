@@ -294,6 +294,9 @@ def test_one_kronecker_core():
     assert callers(PACKAGE, "_unpack") == ["series.py: _read_cells"]
     assert callers(PACKAGE, "_reduce") == ["series.py: _from_rows"]
     assert callers(PACKAGE, "from_numer") == ["series.py: _reduce", "series.py: coeffs"]
+    # cells become rows only where a series is built from cells
+    assert callers(PACKAGE, "_scaled_numerators") == ["series.py: __init__",
+                                                      "series.py: exponential"]
 
 
 def test_caller_check_finds_each_calling_function(tmp_path):

@@ -404,7 +404,7 @@ class TestSumOfProducts:
 
 def scaled_form(s):
     """A series' (L, D, rows, top, length), each row as a list."""
-    lcm, den, rows, top, length = s._int_numerators()
+    lcm, den, rows, top, length = s._scaled
     return lcm, den, {key: list(row) for key, row in rows.items()}, top, length
 
 
@@ -464,7 +464,8 @@ class TestRowsAgainstCells:
     @given(data=st.data())
     def test_chain_matches_the_cell_reference(self, data):
         # chains of products, sums of products, sums, differences, scalings,
-        # truncations and Adams operations on series built from cells or by
+        # truncations, Adams operations and t-derivatives (of any series
+        # but one on the empty box) on series built from cells or by
         # MultiSeries.exponential, each result held as int rows,
         # must give the cells of the same chain built cell by cell
         # (reference.CellSeries), and their scaled form must be the one
@@ -510,7 +511,7 @@ class TestRowsAgainstCells:
         pool = [fresh() for _ in range(3)]
         for _ in range(data.draw(st.integers(1, 8))):
             op = data.draw(st.sampled_from(["mul", "core", "add", "sub", "cancel", "scale",
-                                            "truncate", "adams", "fresh"]))
+                                            "truncate", "adams", "dt", "fresh"]))
             (a, ra), (b, rb) = pool[index()], pool[index()]
             if op == "mul":
                 got = a * b, ra * rb
@@ -532,6 +533,8 @@ class TestRowsAgainstCells:
             elif op == "adams":
                 k = data.draw(st.integers(1, 3))
                 got = series_adams(a, k), ra.adams(k)
+            elif op == "dt" and a.kmax >= 0:
+                got = series_dt(a), ra.dt()
             else:
                 got = fresh()
             pool.append(got)
@@ -540,6 +543,21 @@ class TestRowsAgainstCells:
             assert scaled_form(s) == reference_form(ref)
             assert s.coeffs == ref.cells
             assert s.is_zero == (not ref.cells)
+
+    def test_truncate_and_dt_build_no_cells(self):
+        # truncate and series_dt of a series held as int rows read its rows
+        # and give rows, reduced once: here truncate drops the one cell over
+        # u + 1 and so the u + 1 in D, and no RatFunc cell is built on
+        # either side
+        cells = {(0, (0,)): RatFunc(U), (1, (2,)): RatFunc(1, UPoly((1, 1))),
+                 (2, (1,)): RatFunc(Fraction(1, 2))}
+        s, ref = MultiSeries(G1, 2, (2,), cells).scale(3), CellSeries(2, (2,), cells).scale(3)
+        assert s._cells is None and s._scaled[1] == UPoly((1, 1))
+        for got, want in ((s.truncate(2, (1,)), ref.truncate(2, (1,))), (series_dt(s), ref.dt())):
+            assert s._cells is None and got._cells is None
+            assert scaled_form(got) == reference_form(want)
+            assert got.coeffs == want.cells
+        assert s.truncate(2, (1,))._scaled[1] == P_ONE
 
     @pytest.mark.parametrize("scalar", [None, UPoly((2 ** 40 + 1, 2 ** 40 - 1)),
                                         Fraction(2 ** 41 + 1, 3)],
@@ -695,9 +713,9 @@ class TestAdams:
         # u^4 + 1, reduces to u^2 over 1
         d = UPoly((1, 0, 1))
         s = MultiSeries(G1, 1, (2,), {(1, (0,)): RatFunc(1, d), (0, (1,)): RatFunc(U)}).scale(1)
-        assert s._int_numerators()[1] == d
+        assert s._scaled[1] == d
         got = series_adams(s, 2)
-        assert got._int_numerators()[:3] == (1, P_ONE, {(0, (2,)): [0, 0, 1]})
+        assert got._scaled[:3] == (1, P_ONE, {(0, (2,)): [0, 0, 1]})
         assert got.coeffs == {(0, (2,)): RatFunc(UPoly((0, 0, 1)))}
 
     def test_ring_homomorphism_on_t_free_series(self):
@@ -729,6 +747,38 @@ class TestDt:
         lhs = series_dt(a * b)
         rhs = series_dt(a) * b + a * series_dt(b)
         assert lhs == rhs
+
+    def test_refuses_below_the_empty_box(self):
+        # the derivative of a t-order-0 series lives on the empty box (kmax
+        # -1); its own derivative would be on kmax -2, which the constructor
+        # refuses
+        empty = series_dt(MultiSeries.const(G1, 0, (1,), RF_U))
+        assert (empty.kmax, empty.dmax) == (-1, (1,)) and empty.is_zero
+        with pytest.raises(ValueError, match="kmax must be >= -1"):
+            MultiSeries(G1, -2, (1,))
+        with pytest.raises(ValueError, match="kmax must be >= -1"):
+            series_dt(empty)
+
+
+class TestTruncate:
+    @pytest.mark.parametrize("kmax, dmax, message",
+                             [(-4, None, "kmax must be >= -1"),
+                              (None, (), "dmax length must equal the grading rank"),
+                              (None, (-1,), "dmax components must be >= 0")],
+                             ids=["kmax-below-empty", "dmax-short", "dmax-negative"])
+    def test_refuses_what_the_constructor_refuses(self, kmax, dmax, message):
+        s = MultiSeries(G1, 2, (2,), {(1, (1,)): RF_U})
+        with pytest.raises(ValueError, match=message):
+            MultiSeries(G1, s.kmax if kmax is None else kmax, s.dmax if dmax is None else dmax)
+        with pytest.raises(ValueError, match=message):
+            s.truncate(kmax=kmax, dmax=dmax)
+
+    def test_keeps_the_cells_of_the_common_box(self):
+        s = MultiSeries(G1, 2, (2,), {(1, (1,)): RF_U, (2, (0,)): RF_ONE, (0, (2,)): RF_ONE})
+        assert s.truncate() == s
+        assert s.truncate(kmax=5, dmax=(1,)) == MultiSeries(G1, 2, (1,), {(1, (1,)): RF_U,
+                                                                          (2, (0,)): RF_ONE})
+        assert s.truncate(kmax=-1).is_zero and s.truncate(kmax=-1).kmax == -1
 
 
 class TestTPower:
