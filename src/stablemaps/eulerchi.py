@@ -22,6 +22,16 @@ each cell is explicit, sum_f running over the splits 0 < f < d:
     R_d = X_d + sum_f (X_f R_{d-f} + |f|/|d| R_f l_{d-f}),
     l_d = R_d - sum_f |d-f|/|d| l_{d-f} R_f.
 
+_log_slice runs them on ints, fraction-free: with n = |d|, m = |f| and Q
+the lcm of the denominators of X (1 for P^n), it keeps a_d = n! Q**n R_d,
+b_d = n! Q**n l_d and x_d = n! Q**n X_d, and since |f| n!/(|d| m! (n-m)!)
+= C(n-1, m-1) and |d-f| n!/(|d| m! (n-m)!) = C(n-1, m),
+
+    a_d = x_d + sum_f (C(n, m) x_f a_{d-f} + C(n-1, m-1) a_f b_{d-f}),
+    b_d = a_d - sum_f C(n-1, m) a_f b_{d-f},
+
+every weight an int binomial, with no Fraction per operation.
+
 Differentiating the equation in t gives the universal differential
 equation at u = 1,
 
@@ -51,17 +61,17 @@ is the limit's own t = 0 slice R.  So A is 1 at u = 1 and
 
 which verify_log_equation adds to X from the log(1 + t + phi) it already
 takes (psi_k sends t to 0), and _log_slice to X_d from l at the lower cells
-d/k.  The chi-potential is the solver's closed form at u = 1 in the same
-mode, so its square phi**2 becomes phi**2 - psi_2(phi), which adds
-chi(W)/4 psi_2(R).
+d/k, scaled as phi(k) (kj)!/(k j!) Q**((k-1)j) b_{d/k} with j = |d|/k, an
+int since (kj)!/(k j!) = (kj-1)!/(j-1)!.  The chi-potential is the
+solver's closed form at u = 1 in the same mode, so its square phi**2
+becomes phi**2 - psi_2(phi), which adds chi(W)/4 psi_2(R).
 
 Series here have constant rational coefficients.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd, lcm
 
 from .qfield import RF_ONE, RatFunc, necklace
 from .series import MultiSeries, box_vectors, series_adams, series_log1p, slice_cells
@@ -111,18 +121,35 @@ def xseries(w: TargetSpace, dmax=None) -> MultiSeries:
 
 
 def _log_slice(w: TargetSpace, dmax, adams: bool = False) -> MultiSeries:
-    """R = phi|_{t=0} on the z-box dmax, cell by cell as the module docstring
-    derives it, beside lg = log(1 + R) and x = X, which gains the terms
-    phi(k)/k psi_k(lg) of the Adams mode as each cell comes up."""
+    """R = phi|_{t=0} on the z-box dmax, cell by cell on ints as the module
+    docstring derives it: a_d = n! Q**n R_d beside b_d = n! Q**n l_d and
+    x_d = n! Q**n X_d, with n = |d|, where x gains the scaled terms
+    phi(k)/k psi_k(l) of the Adams mode as each cell comes up.  The cells go
+    over n! Q**n for the top degree n at the end, reduced once."""
     xs = {d: c.eval_at(1) for (_, d), c in xseries(w, dmax).coeffs.items()}
-    r, lg, x = {}, {}, {}
+    top, q = sum(dmax), lcm(*(c.denominator for c in xs.values()))
+    scales = [factorial(n) * q ** n for n in range(top + 1)]
+    binom = [[comb(n, m) for m in range(n + 1)] for n in range(top + 1)]
+    totients = {k: int(k * necklace(k).derivative().eval(1)) for k in range(2, top + 1)}
+    a, b, x = {}, {}, {}
     for d, parts in slice_cells(dmax):
         n, inner, g = sum(d), parts[:-1], gcd(*d)
-        x[d] = xs.get(d, 0) + sum(necklace(k).derivative().eval(1) * lg[tuple(i // k for i in d)]
-                                  for k in range(2, g + 1) if adams and g % k == 0)
-        r[d] = x[d] + Fraction(sum(n * x[f] * r[q] + m * r[f] * lg[q] for f, q, m in inner), n)
-        lg[d] = r[d] - Fraction(sum((n - m) * lg[q] * r[f] for f, q, m in inner), n)
-    return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
+        cn, cn1 = binom[n], binom[n - 1]
+        c = xs.get(d, 0)
+        x[d] = c.numerator * (scales[n] // c.denominator) if c else 0
+        if adams:
+            x[d] += sum(scales[n] // (k * scales[n // k]) * totients[k]
+                        * b[tuple(i // k for i in d)] for k in range(2, g + 1) if g % k == 0)
+        sa = sb = 0
+        for f, q, m in inner:
+            ab = a[f] * b[q]
+            sa += cn[m] * x[f] * a[q] + cn1[m - 1] * ab
+            sb += cn1[m] * ab
+        a[d] = x[d] + sa
+        b[d] = a[d] - sb
+    return MultiSeries.from_int_rows(w.grading, 0, dmax, scales[top], [1],
+                                     {(0, d): [v * (scales[top] // scales[sum(d)])]
+                                      for d, v in a.items() if v})
 
 
 def solve_phi0_chi(w: TargetSpace, kmax: int, dmax=None, adams: bool = False) -> MultiSeries:

@@ -74,6 +74,30 @@ def int_poly_mul(a, b):
     return out
 
 
+def int_poly_divexact(a, b):
+    """The int coefficients, lowest degree first, of a / b for the trimmed
+    int coefficient sequences a and b (b nonzero) when b divides a in Z[u],
+    else None.  Long division from the top, given up at the first quotient
+    coefficient that is not an int; for a primitive b that is exactly when b
+    does not divide a in Q[u] either (Gauss's lemma)."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
+    lb = b[-1]
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            q, r = divmod(c, lb)
+            if r:
+                return None
+            k = i - db
+            quot[k] = q
+            rem[k:i] = [x - q * y for x, y in zip(rem[k:i], b)]
+    return None if any(rem[:db]) else quot
+
+
 def int_poly_adams(a, k: int) -> list:
     """The int coefficients, lowest degree first, of a(u**k) for the
     nonempty int coefficient sequence a."""

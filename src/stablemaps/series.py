@@ -28,13 +28,15 @@ by what is left of the numerator and L * D by the scalar's denominator,
 series_adams spreads the rows (u -> u**k) over L * D(u**k), truncate keeps
 the rows in its box, series_dt moves row (k, d) times k to (k - 1, d), and
 each result is reduced once as a whole, dividing out gcd(D, every row) and
-then the int content gcd(L, every entry).  RatFunc cells are only a read
-view (MultiSeries.coeffs): a series built from cells keeps them, and one
-built from rows makes its reduced cells when they are first read, for
-output, coeff, == or a one-cell operand.  A series is never changed once
-built, so every series packs its rows once per slot width and box,
-keeping the packed image for its next partner; the in-box pairs of each
-box are planned once per process.
+then the int content gcd(L, every entry); MultiSeries.from_int_rows takes
+such rows over L times an int row D from outside, as the solver's slices
+make them.  The reduced form is canonical, so == compares it.  RatFunc
+cells are only a read view (MultiSeries.coeffs): a series built from cells
+keeps them, and one built from rows makes its reduced cells when they are
+first read, for output, coeff or a one-cell operand.  A series is never
+changed once built, so every series packs its rows once per slot width
+and box, keeping the packed image for its next partner; the in-box pairs
+of each box are planned once per process.
 
 Besides ring operations the module provides the two compositions the
 moduli computation needs, both finite inside a box because their argument
@@ -268,6 +270,19 @@ class MultiSeries:
                                for key, row in rows.items()})
 
     @classmethod
+    def from_int_rows(cls, grading, kmax, dmax, lcm: int, den, rows) -> "MultiSeries":
+        """The series on the box (kmax, dmax) whose cells are rows[(k, d)] /
+        (lcm * den), for a positive int lcm, a nonzero int row den and
+        nonzero trimmed int rows, each lowest degree first: den goes monic,
+        its leading coefficient into lcm, and the series is reduced once."""
+        kmax, dmax = _checked_box(grading, kmax, dmax)
+        den = UPoly(den)
+        lead = den.numer[-1]
+        if lead < 0:
+            rows = {key: [-x for x in row] for key, row in rows.items()}
+        return cls._from_rows(grading, kmax, dmax, lcm * abs(lead), den.monic(), rows)
+
+    @classmethod
     def zero(cls, grading, kmax, dmax) -> "MultiSeries":
         return cls(grading, kmax, dmax)
 
@@ -341,10 +356,16 @@ class MultiSeries:
                                        and all(x <= m for x, m in zip(key[1], dmax))})
 
     def __eq__(self, other):
+        """Equal boxes and equal reduced scaled forms: the same L, D and rows,
+        which are canonical, so no RatFunc cell is built.  A row may be a
+        tuple or a list, so rows compare as sequences."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
+        (la, da, ra), (lb, db, rb) = self._scaled[:3], other._scaled[:3]
         return (self.grading == other.grading and self.kmax == other.kmax
-                and self.dmax == other.dmax and self.coeffs == other.coeffs)
+                and self.dmax == other.dmax and la == lb and da == db
+                and ra.keys() == rb.keys()
+                and all(tuple(row) == tuple(rb[key]) for key, row in ra.items()))
 
     def __neg__(self):
         return self.scale(-1)

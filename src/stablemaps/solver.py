@@ -70,6 +70,34 @@ A_d needs l only at d/k, so E_f above becomes (E A)_f.  A does not depend
 on t, so the differential equation, the t-layers built from it, and the
 derivative identity below hold in both modes.
 
+_slice runs these recurrences on int rows, fraction-free: with n = |d| and
+m = |f|, cell d of every series is scaled by n!, rho_d = n! R0_d, eta_d =
+n! H_d, and so on, and F = E A / D with D = u(u-1) P_W takes the place of
+E, so that P_W / D = 1/(u(u-1)).  Since |f| n!/(|d| m! (n-m)!) =
+C(n-1, m-1) and |d-f| n!/(|d| m! (n-m)!) = C(n-1, m), the recurrences read
+
+    n! H'_d = sum_{f<d} (u C(n-1, m-1) - C(n-1, m)) rho_f eta_{d-f},
+    rho_d = n! H'_d / (u(u-1)) + sum_f C(n, m) (m! F_f) eta_{d-f},
+    eta_d = u rho_d + n! H'_d,
+    n! l_d = rho_d - sum_{f<d} C(n-1, m) rho_f ((n-m)! l_{d-f}),
+    n! Lambda_d = sum_k (kj)!/(k j!) (k M_k) psi_k(j! l_{d/k}),  j = n/k,
+    n! A_d = sum_f C(n-1, m-1) (m! Lambda_f) ((n-m)! A_{d-f}),
+
+and every weight is an int: the binomials, k M_k = sum_{e | k} mu(k/e) u**e,
+and (kj)!/(k j!) = (kj-1)!/(j-1)!.  The denominators left are powers of
+the bases psi_j(B), where B = u(u-1) p q is primitive, p and q being the
+primitive int rows of P_W and of the lcm of the class denominators, and of
+one int lam, 1 for P^n, that clears the rest of E / D: a cell is a row
+over n! lam**n prod_j psi_j(B)**e_j, each division by D raises e_1, and
+psi_k of a cell moves e_j to e_{jk}.  A base is divided out of a cell as
+the cell comes up, for as long as it divides it exactly (int_poly_divexact;
+for a primitive base that is divisibility in Q[u]), so the slice of P^n or
+of P^1 x P^1, whose cells are polynomials, keeps no base and forms no
+polynomial gcd, and a rational target carries only the base powers that
+did not divide out.
+The cells go over one denominator at the end and into a series reduced
+once (MultiSeries.from_int_rows).
+
 The verification operations re-check the solution against everything the
 closed form implies: the residual of (*) over the whole box, one full-box
 power sum that shares nothing with _slice or the t-layers; the universal
@@ -93,10 +121,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import factorial, gcd
+from math import comb, factorial, gcd, lcm
 
-from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RF_ZERO,
-                     RatFunc, U, UPoly, binom_falling, necklace)
+from .qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, RF_ONE, RF_U, RF_ZERO, RatFunc, UPoly,
+                     binom_falling, int_poly_adams, int_poly_add, int_poly_divexact,
+                     int_poly_mul, necklace, upoly_gcd)
 from .series import (MultiSeries, box_vectors, series_adams, series_dt, series_pow_binomial,
                      slice_cells, t_layer_sums)
 from .target import TargetSpace, eisenstein_series, nclass
@@ -116,30 +145,147 @@ def adams_factor(r0: MultiSeries) -> MultiSeries:
     return a
 
 
+class _Bases(dict):
+    """{j: psi_j(B)} as int rows, each made on its first read from B = self[1]."""
+
+    def __missing__(self, j: int) -> list:
+        got = self[j] = int_poly_adams(self[1], j)
+        return got
+
+
+def _primitive(p: UPoly) -> list:
+    """The int row of p over its content, with a positive lead."""
+    g = gcd(*p.numer) if p.numer[-1] > 0 else -gcd(*p.numer)
+    return [c // g for c in p.numer]
+
+
+def _exps_sum(e1: tuple, e2: tuple) -> tuple:
+    """The exponents, as the sorted (j, e) with e > 0, of the product of the
+    denominators prod_j base_j**e with exponents e1 and e2."""
+    if not e1 or not e2:
+        return e1 or e2
+    out = dict(e1)
+    for j, x in e2:
+        out[j] = out.get(j, 0) + x
+    return tuple(sorted(out.items()))
+
+
+def _divided_out(row, exps: tuple, bases: _Bases) -> tuple:
+    """(row, exps) with each base of exps divided out of the row, as often
+    as it divides the row exactly (int_poly_divexact) and exps allow."""
+    if not exps or not row:
+        return row, ()
+    left = []
+    for j, x in exps:
+        while x:
+            quot = int_poly_divexact(row, bases[j])
+            if quot is None:
+                break
+            row, x = quot, x - 1
+        if x:
+            left.append((j, x))
+    return row, tuple(left)
+
+
+def _cell(terms, bases: _Bases) -> tuple:
+    """(row, exps) of sum c x y over the terms (c, x, y), c an int row and
+    x, y cells (row, exps) over one int scale: the products of equal
+    exponents summed and what they can of their bases divided out, then,
+    for more than one exponent, each lifted to the largest exponents, all
+    summed and divided out once more."""
+    groups = {}
+    for c, (x, ex), (y, ey) in terms:
+        if x and y:
+            e = _exps_sum(ex, ey) if ex and ey else ex or ey
+            row = int_poly_mul(int_poly_mul(c, x), y)
+            prev = groups.get(e)
+            groups[e] = row if prev is None else int_poly_add(prev, row)
+    parts = [_divided_out(row, e, bases) if e else (row, e) for e, row in groups.items() if row]
+    if len(parts) <= 1:
+        return parts[0] if parts else ([], ())
+    top = _top(e for _, e in parts)
+    total = []
+    for row, e in parts:
+        total = int_poly_add(total, _lifted(row, e, top, bases))
+    return _divided_out(total, tuple(sorted(top.items())), bases)
+
+
+def _top(exps) -> dict:
+    """{j: the largest e_j} over the exponents exps."""
+    top = {}
+    for e in exps:
+        for j, x in e:
+            top[j] = max(top.get(j, 0), x)
+    return top
+
+
+def _psi(cell: tuple, k: int) -> tuple:
+    """psi_k of a (row, exps) cell: the row spread (u -> u**k), and the
+    exponent of base_j moved to base_{jk} = psi_k(base_j)."""
+    row, exps = cell
+    return (int_poly_adams(row, k) if row else row), tuple((j * k, x) for j, x in exps)
+
+
+def _lifted(row, exps: tuple, top: dict, bases: _Bases):
+    """row times prod_j base_j**(top[j] - e_j): the numerator of the same
+    value over prod_j base_j**top[j]."""
+    have = dict(exps)
+    for j, x in top.items():
+        for _ in range(x - have.get(j, 0)):
+            row = int_poly_mul(row, bases[j])
+    return row
+
+
 def _slice(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
-    """R0 = phi0|_{t=0} on the z-box dmax, cell by cell as the module docstring
-    derives it.  Beside r = R0 it keeps h = (1 + R0)**u (h_lower is H'_d) and
-    ea = E * A, and with adams=True lg = log(1 + R0), lam = log A and A."""
-    e = eisenstein_series(w, dmax)
-    zero, pw = w.grading.zero, RatFunc(w.pw)
-    den = RatFunc(U * UPoly((-1, 1)) * w.pw)  # u(u-1)P_W
-    r, h, ea, a, lam, lg = {}, {zero: RF_ONE}, {zero: pw}, {zero: RF_ONE}, {}, {}
-    for d, parts in slice_cells(dmax):
-        n = sum(d)
+    """R0 = phi0|_{t=0} on the z-box dmax, cell by cell on int rows, scaled
+    as the module docstring derives it.  Beside rho it keeps eta, h_lower
+    (n! H'_d) and F = E A / D, and with adams=True the scaled l, Lambda and
+    A.  Cell d of each is (row, exps), the value row / (n! lam**n prod_j
+    base_j**e_j) with n = |d| and exps the (j, e_j) with e_j > 0."""
+    cells = list(slice_cells(dmax))
+    top = sum(dmax)
+    classes = {d: w.map_class(d) for d, _ in cells}
+    q = P_ONE
+    for c in classes.values():
+        if c.den != P_ONE:
+            q = q * (c.den // upoly_gcd(q, c.den))
+    p, qi = _primitive(w.pw), _primitive(q)
+    bases = _Bases({1: int_poly_mul(int_poly_mul([0, -1, 1], p), qi)})
+    inv_c, q_poly = Fraction(w.pw.denom * p[-1], w.pw.numer[-1]), UPoly(qi)
+    g = {d: (c.num * (q_poly if c.den == P_ONE else q_poly // c.den)).scale(inv_c)
+         for d, c in classes.items()}
+    lam = lcm(*(x.denom for x in g.values()))
+    scales = [factorial(n) * lam ** n for n in range(top + 1)]
+    binom = [[comb(n, m) for m in range(n + 1)] for n in range(top + 1)]
+    kmk = {k: necklace(k).scale(k).numer for k in range(2, top + 1)} if adams else {}
+    one, first = (1,), ((1, 1),)
+    unit, f0 = (one, ()), (int_poly_mul(p, qi), first)  # f0 = P_W / D = 1 / (u(u-1))
+    fe = {d: _divided_out([x * (scales[sum(d)] // y.denom) for x in y.numer], first, bases)
+          for d, y in g.items()}
+    fa = dict(fe) if adams else fe
+    r, h, a, lg, lam_log = {}, {w.grading.zero: unit}, {w.grading.zero: unit}, {}, {}
+    for d, parts in cells:
+        n, gd = sum(d), gcd(*d)
         inner = parts[:-1]  # the splits with 0 < f < d; parts adds f = d
-        ea[d] = e.coeff(0, d)
+        cn, cn1 = binom[n], binom[n - 1]
         if adams:
-            g = gcd(*d)
-            lam[d] = sum((lg[tuple(x // k for x in d)].adams(k) * necklace(k)
-                          for k in range(2, g + 1) if g % k == 0), RF_ZERO)
-            a[d] = sum((lam[f] * a[q] * m for f, q, m in parts), RF_ZERO) / n
-            ea[d] += pw * a[d] + sum((e.coeff(0, f) * a[q] for f, q, _ in inner), RF_ZERO)
-        h_lower = sum((r[f] * h[q] * UPoly((m - n, m)) for f, q, m in inner), RF_ZERO) / n
-        r[d] = (pw * h_lower + sum((ea[f] * h[q] for f, q, _ in parts), RF_ZERO)) / den
-        h[d] = RF_U * r[d] + h_lower
+            lam_log[d] = _cell([([scales[n] // (k * scales[n // k]) * x for x in kmk[k]],
+                                 _psi(lg[tuple(x // k for x in d)], k), unit)
+                                for k in range(2, gd + 1) if gd % k == 0], bases)
+            a[d] = _cell([((cn1[m - 1],), lam_log[x], a[y]) for x, y, m in parts], bases)
+            fa[d] = _cell([(one, fe[d], unit), (one, f0, a[d])]
+                          + [((cn[m],), fe[x], a[y]) for x, y, m in inner], bases)
+        h_lower = _cell([((-cn1[m], cn1[m - 1]), r[x], h[y]) for x, y, m in inner], bases)
+        r[d] = _cell([(one, f0, h_lower)] + [((cn[m],), fa[x], h[y]) for x, y, m in parts], bases)
+        h[d] = _cell([((0, 1), r[d], unit), (one, h_lower, unit)], bases)
         if adams:
-            lg[d] = r[d] - sum((lg[q] * r[f] * (n - m) for f, q, m in inner), RF_ZERO) / n
-    return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
+            lg[d] = _cell([(one, r[d], unit)] + [((-cn1[m],), r[x], lg[y]) for x, y, m in inner],
+                          bases)
+    den = _top(e for _, e in r.values())
+    rows = {(0, d): _lifted(int_poly_mul((scales[top] // scales[sum(d)],), row), e, den, bases)
+            for d, (row, e) in r.items() if row}
+    return MultiSeries.from_int_rows(w.grading, 0, dmax, scales[top],
+                                     _lifted([1], (), den, bases), rows)
 
 
 def _x_table(big_u: int, kmax: int, degree: int) -> list:

@@ -163,15 +163,22 @@ def nclass(w: TargetSpace, beta) -> RatFunc:
 
 def verify_recurrence(n: int, dmax: int) -> bool:
     """Exact polynomial identity check of the degree recurrence for P^n,
-    for every d <= dmax."""
+    for every d <= dmax, on int rows: each term [Map_{d-k}](u**(k+1) - 1)
+    is the row of the class shifted up by k + 1, minus the row."""
     if n < 1 or dmax < 0:
         raise ValueError("need n >= 1 and dmax >= 0")
-    w = projective_space(n)
+    classes = [UPoly([1] * (n + 1))] + [_pn_map_class(n, d) for d in range(1, dmax + 1)]
+    scale = math.lcm(*(p.denom for p in classes))
+    rows = [[c * (scale // p.denom) for c in p.numer] for p in classes]
     for d in range(dmax + 1):
-        lhs = RatFunc(0)
+        lhs = [0] * (max(map(len, rows[:d + 1])) + d + 1)
         for k in range(d + 1):
-            lhs = lhs + w.map_class(((d - k),)) * RatFunc(UPoly.monomial(k + 1) - P_ONE)
-        rhs = RatFunc(UPoly.monomial((n + 1) * (d + 1)) - P_ONE)
+            for i, c in enumerate(rows[d - k]):
+                lhs[i + k + 1] += c
+                lhs[i] -= c
+        rhs = [-scale] + [0] * ((n + 1) * (d + 1) - 1) + [scale]
+        while lhs and not lhs[-1]:
+            lhs.pop()
         if lhs != rhs:
             return False
     return True

@@ -36,13 +36,15 @@ import itertools
 import re
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add
 
 from stablemaps import cli
-from stablemaps.qfield import LINE_CLASS, RF_ONE, RF_U, RF_ZERO, RatFunc, UPoly, binom_falling
-from stablemaps.series import MultiSeries, series_pow_binomial
-from stablemaps.target import TargetSpace, nclass
+from stablemaps.eulerchi import xseries
+from stablemaps.qfield import (LINE_CLASS, RF_ONE, RF_U, RF_ZERO, RatFunc, UPoly, binom_falling,
+                               necklace)
+from stablemaps.series import MultiSeries, series_pow_binomial, slice_cells
+from stablemaps.target import TargetSpace, eisenstein_series, nclass
 from stablemaps.trees import Tree, _code_bytes
 
 
@@ -183,6 +185,58 @@ def x_table_by_products(u: UPoly, kmax: int) -> list:
             rhs = plus(rhs, [c * (u * comb(k, i)) for c in times(table[i], table[k + 1 - i])])
         table.append(times([UPoly((1,)), u], rhs))
     return table[1:]
+
+
+def slice_by_ratfuncs(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
+    """R0 = phi0|_{t=0} on the z-box dmax, one cell at a time in RatFunc
+    arithmetic, with no scaling: beside r = R0 it keeps h = (1 + R0)**u
+    (h_lower is H'_d) and ea = E * A, and with adams=True lg = log(1 + R0),
+    lam = log A and A, from
+
+        |d| H'_d = sum_{0<f<d} (u|f| - |d-f|) R0_f H_{d-f},
+        R0_d = (P_W H'_d + sum_{0<f<=d} (E A)_f H_{d-f}) / (u(u-1) P_W),
+        H_d = u R0_d + H'_d,
+        |d| l_d = |d| R0_d - sum_{0<f<d} |d-f| l_{d-f} R0_f,
+        Lambda_d = sum_{k>=2 dividing d} M_k l_{d/k}(u -> u**k),
+        |d| A_d = sum_{0<f<=d} |f| Lambda_f A_{d-f}."""
+    e = eisenstein_series(w, dmax)
+    zero, pw = w.grading.zero, RatFunc(w.pw)
+    den = RatFunc(UPoly((0, -1, 1)) * w.pw)  # u(u-1)P_W
+    r, h, ea, a, lam, lg = {}, {zero: RF_ONE}, {zero: pw}, {zero: RF_ONE}, {}, {}
+    for d, parts in slice_cells(dmax):
+        n = sum(d)
+        inner = parts[:-1]
+        ea[d] = e.coeff(0, d)
+        if adams:
+            g = gcd(*d)
+            lam[d] = sum((lg[tuple(x // k for x in d)].adams(k) * necklace(k)
+                          for k in range(2, g + 1) if g % k == 0), RF_ZERO)
+            a[d] = sum((lam[f] * a[q] * m for f, q, m in parts), RF_ZERO) / n
+            ea[d] += pw * a[d] + sum((e.coeff(0, f) * a[q] for f, q, _ in inner), RF_ZERO)
+        h_lower = sum((r[f] * h[q] * UPoly((m - n, m)) for f, q, m in inner), RF_ZERO) / n
+        r[d] = (pw * h_lower + sum((ea[f] * h[q] for f, q, _ in parts), RF_ZERO)) / den
+        h[d] = RF_U * r[d] + h_lower
+        if adams:
+            lg[d] = r[d] - sum((lg[q] * r[f] * (n - m) for f, q, m in inner), RF_ZERO) / n
+    return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
+
+
+def log_slice_by_fractions(w: TargetSpace, dmax, adams: bool) -> MultiSeries:
+    """The Euler limit's R = phi|_{t=0} on the z-box dmax, one cell at a time
+    in Fractions, with no scaling: beside lg = log(1 + R) and x = X, which
+    gains phi(k)/k psi_k(lg) at the cells d/k with adams=True,
+
+        R_d = X_d + sum_{0<f<d} (X_f R_{d-f} + |f|/|d| R_f l_{d-f}),
+        l_d = R_d - sum_{0<f<d} |d-f|/|d| l_{d-f} R_f."""
+    xs = {d: c.eval_at(1) for (_, d), c in xseries(w, dmax).coeffs.items()}
+    r, lg, x = {}, {}, {}
+    for d, parts in slice_cells(dmax):
+        n, inner, g = sum(d), parts[:-1], gcd(*d)
+        x[d] = xs.get(d, 0) + sum(necklace(k).derivative().eval(1) * lg[tuple(i // k for i in d)]
+                                  for k in range(2, g + 1) if adams and g % k == 0)
+        r[d] = x[d] + Fraction(sum(n * x[f] * r[q] + m * r[f] * lg[q] for f, q, m in inner), n)
+        lg[d] = r[d] - Fraction(sum((n - m) * lg[q] * r[f] for f, q, m in inner), n)
+    return MultiSeries(w.grading, 0, dmax, {(0, d): c for d, c in r.items()})
 
 
 def closed_points(j: int) -> UPoly:

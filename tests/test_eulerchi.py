@@ -11,8 +11,9 @@ from stablemaps.qfield import RF_ONE, RF_U, RatFunc, necklace
 from stablemaps.series import MultiSeries, series_adams, series_log1p
 from stablemaps.solver import extract_classes, solve_phi0
 from stablemaps.target import point_target, projective_space, target_from_json
-from reference import stationary
-from test_solver import ADAMS_TERM_BOXES, p1xp1_target, psi_2_by_hand
+from reference import log_slice_by_fractions, stationary
+from test_solver import (ADAMS_TERM_BOXES, half_target, limit_rational_target as rational_target,
+                         p1xp1_target, psi_2_by_hand)
 
 
 class TestXSeries:
@@ -111,15 +112,6 @@ LIMIT_BOXES = {
 }
 
 
-def rational_target():
-    """Rank 1, P_W = u + 1, with classes that are not polynomials in u but
-    whose ratio to P_W vanishes at u = 1."""
-    return target_from_json({"name": "rational", "rank": 1, "pw": ["1", "1"], "classes": [
-        {"beta": [1], "value": {"num": ["-1", "0", "1"], "den": ["1", "0", "1"]}},
-        {"beta": [2], "value": {"num": ["-1", "0", "0", "1"], "den": ["2", "1"]}},
-        {"beta": [3], "value": {"num": ["-1", "1"], "den": ["3"]}}]})
-
-
 @pytest.fixture(scope="module")
 def limit_solutions():
     """(w, solve_phi0_chi) per (box, adams)."""
@@ -179,6 +171,35 @@ class TestSliceAndLayers:
         assert not verify_log_equation(w, bad, adams).is_zero
 
 
+class TestIntLogSlice:
+    """_log_slice, on ints scaled by |d|! Q**|d|, against the Fraction
+    recurrence it replaced (reference.log_slice_by_fractions)."""
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("run", ["point_run", "p1_run", "p2_run", "p1_adams_run",
+                                     "p2_adams_run"])
+    def test_fixtures_equal_the_fraction_slice(self, request, run, adams):
+        run = request.getfixturevalue(run)
+        w, dmax = run["w"], run["dmax"]
+        assert _log_slice(w, dmax, adams) == log_slice_by_fractions(w, dmax, adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("make, dmax", [
+        (rational_target, (3,)), (half_target, (3,)), (p1xp1_target, (2, 2)),
+        (lambda: projective_space(2), (24,))], ids=["rational", "half", "p1xp1", "pn:2"])
+    def test_targets_equal_the_fraction_slice(self, make, dmax, adams):
+        w = make()
+        got = _log_slice(w, dmax, adams)
+        assert got == log_slice_by_fractions(w, dmax, adams)
+        assert verify_log_equation(w, got, adams).is_zero
+
+    def test_half_target_has_fractional_x(self):
+        # so its slice is scaled by Q**|d| with Q = 18, not by |d|! alone
+        cells = xseries(half_target(), (3,)).coeffs.values()
+        assert sorted(c.eval_at(0) for c in cells) == [Fraction(1, 9), Fraction(1, 6),
+                                                       Fraction(2, 3)]
+
+
 class TestLogStep:
     """The residual F(phi) of verify_log_equation, whose step phi + F(phi)
     full_box_limit_root iterates."""
@@ -220,8 +241,9 @@ class TestLogStep:
 class TestAdamsLimit:
     @pytest.mark.parametrize("adams", [False, True])
     @pytest.mark.parametrize("make, dmax", [(make, dmax) for make, _, dmax in
-                                            LIMIT_BOXES.values()] + [(rational_target, (3,))],
-                             ids=[*LIMIT_BOXES, "rational"])
+                                            LIMIT_BOXES.values()]
+                             + [(rational_target, (3,)), (half_target, (3,))],
+                             ids=[*LIMIT_BOXES, "rational", "half"])
     def test_solver_slice_at_one_is_the_limit_slice(self, make, dmax, adams):
         # the identity that lets the limit read the Adams correction off
         # its own slice: the exact slice R0 at u = 1 is the Euler slice R

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stablemaps.qfield import (LINE_CLASS, MOEBIUS_CLASS, P_ONE, P_ZERO, RF_ONE,
-                               RF_ZERO, RatFunc, U, UPoly, binom_falling,
-                               is_palindromic, necklace, upoly_gcd)
+                               RF_ZERO, RatFunc, U, UPoly, binom_falling, int_poly_divexact,
+                               int_poly_mul, is_palindromic, necklace, upoly_gcd)
 
 from reference import div_exact
 
@@ -436,3 +436,32 @@ class TestIntegerForm:
         assert q == poly(Fraction(-3, 4), Fraction(-1, 2))
         assert r == poly(Fraction(13, 4))
         assert q.denom > 0 and r.denom > 0
+
+
+INT_ROWS = st.lists(st.integers(-50, 50), min_size=1, max_size=6).filter(lambda r: r[-1])
+
+
+class TestIntDivExact:
+    def test_by_hand(self):
+        assert int_poly_divexact([0, -2, 0, 2], [0, -1, 1]) == [2, 2]  # 2u(u^2-1) / (u(u-1))
+        assert int_poly_divexact([3, 6], [1, 2]) == [3]
+        assert int_poly_divexact([], [1, 2]) == []
+        assert int_poly_divexact([1, 2], [5]) is None
+        assert int_poly_divexact([1, 1], [1, 0, 1]) is None  # too short, not zero
+        assert int_poly_divexact([1, 0, 1], [1, 1]) is None  # remainder 2
+        assert int_poly_divexact([1, 3], [1, 2]) is None  # 3/2 is no int
+
+    @given(INT_ROWS, INT_ROWS)
+    def test_a_product_divides_back(self, a, b):
+        assert int_poly_divexact(int_poly_mul(a, b), b) == a
+
+    @given(INT_ROWS, INT_ROWS)
+    def test_none_exactly_when_no_int_quotient(self, a, b):
+        # the quotient in Q[u], if any, decides: None unless it exists and
+        # has int coefficients
+        quot, rem = divmod(UPoly(a), UPoly(b))
+        got = int_poly_divexact(a, b)
+        if rem or quot.denom != 1:
+            assert got is None
+        else:
+            assert got == list(quot.numer)

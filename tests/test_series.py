@@ -426,6 +426,31 @@ SCALARS = st.one_of(
               st.sampled_from(MONIC_DENOMINATORS)))
 
 
+class TestFromIntRows:
+    @given(data=st.data())
+    def test_equals_the_series_of_the_cells(self, data):
+        # int rows over L times an int row D of any sign and lead, with a
+        # content and common factors in L and D: the cells rows / (L * D)
+        # in the canonical scaled form, held as rows until read
+        rank = data.draw(st.integers(0, 2), label="rank")
+        dmax = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)))
+        row = st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda r: r[-1])
+        den = data.draw(st.sampled_from([[1], [-3], [0, 2], [1, -1], [2, 0, -4], [1, 2, 1]]))
+        lcm = data.draw(st.integers(1, 12), label="lcm")
+        rows = {(k, d): data.draw(row) for k in range(2) for d in box_vectors(dmax)
+                if data.draw(st.booleans())}
+        got = MultiSeries.from_int_rows(Grading(rank), 1, dmax, lcm, den, rows)
+        assert got._cells is None
+        want = MultiSeries(Grading(rank), 1, dmax, {key: RatFunc(UPoly(r), UPoly(den).scale(lcm))
+                                                    for key, r in rows.items()})
+        assert scaled_form(got) == scaled_form(want)
+        assert got.coeffs == want.coeffs
+
+    def test_refuses_a_box_the_constructor_refuses(self):
+        with pytest.raises(ValueError, match="dmax length must equal the grading rank"):
+            MultiSeries.from_int_rows(G1, 0, (), 1, [1], {})
+
+
 class TestTLayerSums:
     @given(data=st.data())
     def test_equals_the_cellwise_sums(self, data):
@@ -543,6 +568,23 @@ class TestRowsAgainstCells:
             assert scaled_form(s) == reference_form(ref)
             assert s.coeffs == ref.cells
             assert s.is_zero == (not ref.cells)
+        # == reads the scaled forms; it must agree with equal boxes and
+        # cells, here also against each series rebuilt from its cells,
+        # whose rows may be tuples where the row-held series has lists
+        pool += [(MultiSeries(grading, s.kmax, s.dmax, s.coeffs), None) for s, _ in pool]
+        for (s, _), (t, _) in itertools.product(pool, repeat=2):
+            assert (s == t) == ((s.kmax, s.dmax) == (t.kmax, t.dmax) and s.coeffs == t.coeffs)
+
+    def test_equality_builds_no_cells(self):
+        # two row-held series over D = u + 1 compare on their scaled forms:
+        # no RatFunc cell is made on either side, equal or not
+        cells = {(0, (0,)): RatFunc(U), (1, (2,)): RatFunc(1, UPoly((1, 1))),
+                 (2, (1,)): RatFunc(Fraction(1, 2))}
+        x = MultiSeries(G1, 2, (2,), cells)
+        a, b, c = x.scale(2), x + x, x.scale(3)
+        assert a == b and not a != b and a != c and not b == c
+        assert a._cells is None and b._cells is None and c._cells is None
+        assert a.coeffs == b.coeffs != c.coeffs
 
     def test_truncate_and_dt_build_no_cells(self):
         # truncate and series_dt of a series held as int rows read its rows

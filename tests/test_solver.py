@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stablemaps import cli, solver
+from stablemaps import cli, qfield, series, solver
 from stablemaps.eulerchi import solve_phi0_chi
 from stablemaps.qfield import (LINE_CLASS, P_ONE, RF_ONE, RF_U, RatFunc, U, UPoly,
                                binom_falling, is_palindromic)
@@ -20,7 +20,8 @@ from stablemaps.solver import (ClassTable, class_table, closed_form, extract_cla
 from stablemaps.target import (nclass, point_target, projective_space,
                                target_from_json)
 
-from reference import div_exact, layers_by_recurrence, stationary, x_table_by_products
+from reference import (div_exact, layers_by_recurrence, slice_by_ratfuncs, stationary,
+                       x_table_by_products)
 
 
 def gaussian_binomial(n, k):
@@ -117,23 +118,26 @@ class TestFixedPoint:
 
     @given(data=st.data())
     def test_slice_solves_random_targets(self, data):
-        # rank-1 and rank-2 descriptors with polynomial classes: the slice
-        # zeroes the residual of (*) and equals the full-box iteration
+        # rank-1 and rank-2 descriptors with rational classes, over
+        # denominators that are constant, monic or not: the slice zeroes
+        # the residual of (*) and equals the full-box iteration and the
+        # RatFunc slice
         rank = data.draw(st.sampled_from([1, 2]), label="rank")
         dmax = tuple(data.draw(st.lists(st.integers(0, 4 if rank == 1 else 2),
                                         min_size=rank, max_size=rank), label="dmax"))
         poly = st.lists(st.integers(-3, 3), min_size=1, max_size=3)
+        den = st.sampled_from([["1"], ["1"], ["3"], ["1", "1"], ["1", "2"], ["1", "0", "1"]])
         pw = data.draw(poly.filter(any), label="pw")
         classes = [{"beta": list(beta),
                     "value": {"num": [str(c) for c in data.draw(poly, label=str(beta))],
-                              "den": ["1"]}}
+                              "den": data.draw(den, label=f"den {beta}")}}
                    for beta in box_vectors(dmax) if any(beta)]
         w = target_from_json({"name": "random", "rank": rank,
                               "pw": [str(c) for c in pw], "classes": classes})
         for adams in (False, True):
             r0 = solve_phi0(w, 0, dmax, adams)
             assert verify_functional_equation(w, r0, adams).is_zero
-            assert r0 == full_box_root(w, 0, dmax, adams)
+            assert r0 == full_box_root(w, 0, dmax, adams) == slice_by_ratfuncs(w, dmax, adams)
 
 
 class TestPotential:
@@ -611,6 +615,83 @@ def rational_target():
     return target_from_json({"name": "rational", "rank": 1, "pw": ["1", "1"],
                              "classes": [{"beta": [1], "value": {"num": ["1", "0", "3"],
                                                                  "den": ["1", "0", "1"]}}]})
+
+
+def limit_rational_target():
+    """Rank 1, P_W = u + 1, with classes that are not polynomials in u but
+    whose ratio to P_W vanishes at u = 1."""
+    return target_from_json({"name": "rational", "rank": 1, "pw": ["1", "1"], "classes": [
+        {"beta": [1], "value": {"num": ["-1", "0", "1"], "den": ["1", "0", "1"]}},
+        {"beta": [2], "value": {"num": ["-1", "0", "0", "1"], "den": ["2", "1"]}},
+        {"beta": [3], "value": {"num": ["-1", "1"], "den": ["3"]}}]})
+
+
+def half_target():
+    """A rank-1 descriptor with the non-monic P_W = 2u + 1 and rational
+    classes whose ratios to P_W vanish at u = 1, with derivatives 2/3, 1/6
+    and 1/9 there: the slice's D = u(u-1)(2u+1) is not monic, and the
+    Euler limit's X has cells that are not ints."""
+    return target_from_json({"name": "half", "rank": 1, "pw": ["1", "2"], "classes": [
+        {"beta": [1], "value": {"num": ["-3/2", "1", "1/2"], "den": ["1"]}},
+        {"beta": [2], "value": {"num": ["-1", "0", "1"], "den": ["3", "1"]}},
+        {"beta": [3], "value": {"num": ["0", "-1", "1"], "den": ["1", "0", "2"]}}]})
+
+
+def gcd_calls(monkeypatch) -> list:
+    """A list that gains an entry on every upoly_gcd call made through
+    qfield, series or solver."""
+    calls, real = [], qfield.upoly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    for module in (qfield, series, solver):
+        monkeypatch.setattr(module, "upoly_gcd", counted)
+    return calls
+
+
+class TestIntSlice:
+    """_slice, on int rows scaled by |d|!, against the RatFunc recurrence
+    it replaced (reference.slice_by_ratfuncs)."""
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("run", ["point_run", "p1_run", "p2_run", "p1_adams_run",
+                                     "p2_adams_run"])
+    def test_fixtures_equal_the_ratfunc_slice(self, request, run, adams):
+        run = request.getfixturevalue(run)
+        w, dmax = run["w"], run["dmax"]
+        assert solver._slice(w, dmax, adams) == slice_by_ratfuncs(w, dmax, adams)
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("make, dmax", [
+        (rational_target, (1,)), (limit_rational_target, (3,)), (half_target, (3,)),
+        (p1xp1_target, (2, 2)), (lambda: projective_space(3), (7,))],
+        ids=["rational", "rational-limit", "half", "p1xp1", "pn:3"])
+    def test_targets_equal_the_ratfunc_slice(self, make, dmax, adams):
+        w = make()
+        got = solver._slice(w, dmax, adams)
+        assert got == slice_by_ratfuncs(w, dmax, adams)
+        assert verify_functional_equation(w, got, adams).is_zero
+
+    @pytest.mark.parametrize("adams", [False, True])
+    @pytest.mark.parametrize("make, dmax", [
+        (lambda: projective_space(1), (9,)), (lambda: projective_space(2), (6,)),
+        (lambda: projective_space(4), (4,)), (p1xp1_target, (2, 2))],
+        ids=["pn:1", "pn:2", "pn:4", "p1xp1"])
+    def test_no_polynomial_gcd(self, monkeypatch, make, dmax, adams):
+        # every slice cell of these targets is a polynomial, so each base
+        # divides out as its cell comes up, and nothing is left for a gcd
+        w = make()
+        calls = gcd_calls(monkeypatch)
+        solver._slice(w, dmax, adams)
+        assert calls == []
+
+    def test_rational_descriptor_takes_a_gcd(self, monkeypatch):
+        # the count above can see one: a rational descriptor's slice keeps
+        # a denominator, and the series takes its gcd with the rows
+        calls = gcd_calls(monkeypatch)
+        solver._slice(rational_target(), (1,), False)
+        assert calls
 
 
 class TestClassTable:

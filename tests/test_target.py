@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from stablemaps import target
 from stablemaps.eulerchi import chi_table, xseries
 from stablemaps.qfield import MOEBIUS_CLASS, P_ONE, RatFunc, U, UPoly, necklace
 from stablemaps.solver import solve_phi0
@@ -96,6 +97,17 @@ class TestRecurrence:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_holds(self, n):
         assert verify_recurrence(n, 4)
+
+    @pytest.mark.parametrize("n, d, i", [(1, 1, 0), (2, 3, 5), (3, 2, 11)])
+    def test_one_coefficient_off_is_caught(self, monkeypatch, n, d, i):
+        # [Map_d] with its u**i coefficient raised by 1 breaks the identity
+        # at degree d and above, and nowhere below
+        real = target._pn_map_class
+        monkeypatch.setattr(target, "_pn_map_class",
+                            lambda m, e: real(m, e) + UPoly.monomial(i) if e == d else real(m, e))
+        assert verify_recurrence(n, d - 1)
+        assert not verify_recurrence(n, d)
+        assert not verify_recurrence(n, d + 2)
 
     def test_negative_dmax_is_refused(self):
         # a negative dmax would check no degree at all and pass
